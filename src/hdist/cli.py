@@ -475,8 +475,7 @@ def run_norm_suite(cfg, grid, outdir, stamp):
                 entry["wkq"][f"k={k},q={p:g}"] = wkq_norm(f, k, p)
                 alpha = (k,) + (0,) * (grid.d - 1)
                 u_parts = {alpha: f}
-                value = surrogate_negative_norm(
-                    derivative(f, alpha) if k else f, k, p)
+                value = surrogate_negative_norm(derivative(f, alpha), k, p)
                 upper = representation_norm_upper(u_parts, p)
                 entry["negative"][f"k={k},p={p:g}"] = {
                     "surrogate": value, "representation_upper": upper,

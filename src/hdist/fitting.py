@@ -65,9 +65,6 @@ class LimitFit:
     c1: complex
     flagged: bool
 
-    def accepted(self):
-        return not self.flagged
-
 
 def _offset_fit(ns, values, beta):
     design = np.column_stack([np.ones_like(ns), ns ** (-beta)]).astype(complex)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .fitting import LimitFit, fit_limit
-from .grid import GridFunction, lp_norm, pairing
+from .grid import GridFunction, dft, idft, lp_norm, pairing
 from .multiplier import MultiplierOperator, derivative, from_symbol
 from .sobolev import NEGATIVE, SequenceFamily, SobolevElement, strong_null_probe
 from .specbasis import HermiteBasis
@@ -87,17 +87,13 @@ def _leibniz_value(u: SobolevElement, v_n, phi1, phi2,
         sign = (-1.0) ** sum(alpha)
         for beta in sub_indices(alpha):
             a_minus_b = tuple(a - b for a, b in zip(alpha, beta))
-            left = op.apply(f_part * _deriv(phi1, a_minus_b))
+            left = op.apply(f_part * derivative(phi1, a_minus_b))
             for gamma in sub_indices(beta):
                 b_minus_g = tuple(b - g for b, g in zip(beta, gamma))
                 coef = sign * multi_binomial(alpha, beta) * multi_binomial(beta, gamma)
-                right = _deriv(phi2, b_minus_g) * _deriv(v_n, gamma)
+                right = derivative(phi2, b_minus_g) * derivative(v_n, gamma)
                 total += coef * pairing(left, right)
     return complex(total)
-
-
-def _deriv(f: GridFunction, alpha):
-    return derivative(f, alpha) if any(alpha) else f
 
 
 def h_pairing(n, u_n, v_n: GridFunction, phi1: GridFunction,
@@ -198,9 +194,10 @@ def mu_tensor(u_family: SequenceFamily, v_family: SequenceFamily,
               ns=None, phi2: GridFunction = None) -> MuTensor:
     """Tensor of extrapolated pairings over the product test basis.
 
-    Uses the adjoint form: for each harmonic and index n one multiplier
-    apply produces w = A_conj(Y)(phi2 v_n), and the whole Hermite slab of
-    pairings <h_m u_n, w> is a single separable transform of u_n conj(w).
+    Uses the adjoint form: phi2 v_n is transformed once per index, each
+    harmonic's w = A_conj(Y)(phi2 v_n) is one product and one inverse
+    transform, and the whole Hermite slab of pairings <h_m u_n, w> is a
+    single separable transform of u_n conj(w).
     """
     grid = hermite_basis.grid
     ns = tuple(ns) if ns is not None else tuple(u_family.indices)
@@ -208,16 +205,15 @@ def mu_tensor(u_family: SequenceFamily, v_family: SequenceFamily,
         raise ValueError("need at least 3 indices for tensor extrapolation")
     us = [u_family.u(n) for n in ns]
     vs = [v_family.u(n) for n in ns] if v_family is not u_family else us
-    if phi2 is not None:
-        vs = [phi2 * v for v in vs]
+    v_spectra = [dft(v if phi2 is None else phi2 * v) for v in vs]
 
     m_flat = (hermite_basis.m_max + 1) ** grid.d
     b_sphere = sphere_basis.size
     per_n = np.empty((len(ns), m_flat, b_sphere), dtype=complex)
     for b, (deg, j) in enumerate(sphere_basis.indices):
         op_adj = from_symbol(grid, sphere_basis.symbol(deg, j)).adjoint()
-        for i, (u, v) in enumerate(zip(us, vs)):
-            w = op_adj.apply(v)
+        for i, (u, v_hat) in enumerate(zip(us, v_spectra)):
+            w = idft(op_adj.apply(v_hat))
             slab = hermite_basis.analyze(u * w.conj())
             per_n[i, :, b] = slab.ravel()
 

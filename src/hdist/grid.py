@@ -93,15 +93,23 @@ class Grid:
         """d arrays of shape N^d with physical coordinates."""
         return np.meshgrid(*([self.axis_x] * self.d), indexing="ij")
 
-    def meshgrid_xi(self):
-        """d arrays of shape N^d with lattice frequencies (FFT layout)."""
-        return np.meshgrid(*([self.axis_xi] * self.d), indexing="ij")
+    @cached_property
+    def xi_axes(self):
+        """d read-only views of axis_xi, each shaped to broadcast along its axis."""
+        return np.meshgrid(*([self.axis_xi] * self.d), indexing="ij",
+                           sparse=True, copy=False)
 
     @cached_property
     def xi_norm(self):
         """|xi| over the frequency lattice, shape N^d."""
-        mesh = self.meshgrid_xi()
-        r = np.sqrt(sum(c * c for c in mesh))
+        r = np.sqrt(sum(c * c for c in self.xi_axes))
+        r.flags.writeable = False
+        return r
+
+    @cached_property
+    def xi_norm_safe(self):
+        """|xi| with the zero mode set to 1: the divisor for 1/|xi| multipliers."""
+        r = np.where(self.xi_norm == 0, 1.0, self.xi_norm)
         r.flags.writeable = False
         return r
 

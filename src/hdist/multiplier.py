@@ -46,18 +46,12 @@ class MultiplierOperator:
             self.grid, self.m * other.m, f"{self.provenance}*{other.provenance}"
         )
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
 
 def from_symbol(grid: Grid, psi: SphericalSymbol, quad_degree=64) -> MultiplierOperator:
     """Multiplier with values psi(xi/|xi|); zero mode = sphere average of psi."""
     if psi.d != grid.d:
         raise ValueError(f"symbol dimension {psi.d} != grid dimension {grid.d}")
-    mesh = grid.meshgrid_xi()
-    r = grid.xi_norm
-    safe = np.where(r == 0, 1.0, r)
-    directions = np.stack([(c / safe).ravel() for c in mesh])
+    directions = np.stack([(c / grid.xi_norm_safe).ravel() for c in grid.xi_axes])
     values = psi(directions).reshape(grid.shape).astype(np.complex128)
     if psi.sphere_mean is not None:
         mean = complex(psi.sphere_mean)
@@ -72,10 +66,8 @@ def riesz(grid: Grid, axis: int) -> MultiplierOperator:
     """j-th Riesz transform, symbol xi_j / (i |xi|), zero mode 0."""
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
-    mesh = grid.meshgrid_xi()
-    r = grid.xi_norm
-    safe = np.where(r == 0, 1.0, r)
-    m = np.where(r == 0, 0.0, mesh[axis] / safe) / 1j
+    m = np.where(grid.xi_norm == 0, 0.0,
+                 grid.xi_axes[axis] / grid.xi_norm_safe) / 1j
     return MultiplierOperator(grid, m, f"riesz({axis + 1})")
 
 
@@ -86,9 +78,7 @@ def riesz_potential(grid: Grid) -> MultiplierOperator:
     through data that is asymptotically mean free, and is flagged in outputs
     that involve the potential.
     """
-    r = grid.xi_norm
-    safe = np.where(r == 0, 1.0, r)
-    m = np.where(r == 0, 0.0, 1.0 / (2 * np.pi * safe))
+    m = np.where(grid.xi_norm == 0, 0.0, 1.0 / (2 * np.pi * grid.xi_norm_safe))
     return MultiplierOperator(grid, m, "riesz_potential")
 
 
@@ -103,11 +93,10 @@ def derivative_op(grid: Grid, alpha) -> MultiplierOperator:
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != grid.d or any(a < 0 for a in alpha):
         raise ValueError(f"bad multi-index {alpha} for d={grid.d}")
-    mesh = grid.meshgrid_xi()
     m = np.ones(grid.shape, dtype=np.complex128)
     for axis, a in enumerate(alpha):
         if a:
-            m = m * (2j * np.pi * mesh[axis]) ** a
+            m = m * (2j * np.pi * grid.xi_axes[axis]) ** a
     return MultiplierOperator(grid, m, f"derivative{alpha}")
 
 
@@ -116,10 +105,6 @@ def derivative(f: GridFunction, alpha) -> GridFunction:
     if not any(alpha):
         return f
     return derivative_op(f.grid, alpha).apply(f)
-
-
-def apply_symbol(psi: SphericalSymbol, f: GridFunction) -> GridFunction:
-    return from_symbol(f.grid, psi).apply(f)
 
 
 def derivative_commutation_check(psi: SphericalSymbol, alpha, f: GridFunction) -> float:

@@ -9,7 +9,7 @@ cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,7 +57,7 @@ class SobolevElement:
             return self.function
         total = None
         for alpha, f in sorted(self.parts.items()):
-            term = derivative(f, alpha) if any(alpha) else f
+            term = derivative(f, alpha)
             total = term if total is None else total + term
         return total
 
@@ -70,8 +70,7 @@ def wkq_norm(v, k: int, q: float) -> float:
         v = v.function
     total = 0.0
     for alpha in multi_indices(v.grid.d, k):
-        g = derivative(v, alpha) if any(alpha) else v
-        total += lp_norm(g, q) ** q
+        total += lp_norm(derivative(v, alpha), q) ** q
     return float(total ** (1.0 / q))
 
 
@@ -190,21 +189,6 @@ class SequenceFamily:
         if self.prefactor_power != 0.0:
             out = out * float(n) ** self.prefactor_power
         return out
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "p": self.p,
-            "indices": list(self.indices),
-            "direction": list(self.direction),
-            "order": self.order,
-            "prefactor_power": self.prefactor_power,
-            "label": self.label,
-        }
-
-    def with_indices(self, indices):
-        return replace(self, indices=tuple(indices))
 
 
 def oscillation_family(grid, amplitude, direction, indices, k=0, p=2.0, **kw):

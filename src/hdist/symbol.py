@@ -91,10 +91,6 @@ class SphereQuadrature:
         return complex(np.sum(self.weights * np.asarray(values)))
 
 
-def sphere_area(d: int) -> float:
-    return 2 * np.pi if d == 2 else 4 * np.pi
-
-
 def circle_quadrature(n_nodes: int) -> SphereQuadrature:
     """Equispaced-angle trapezoid rule on S^1; exact through degree n_nodes-1."""
     th = 2 * np.pi * np.arange(n_nodes) / n_nodes

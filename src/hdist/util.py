@@ -89,10 +89,11 @@ def jsonable(obj):
 
 
 def dump_json(obj, path):
-    """Write canonical (sorted-key, fixed-format) JSON; deterministic bytes."""
+    """Write canonical (sorted-key, fixed-format) strict JSON; deterministic
+    bytes.  NaN and infinities raise ValueError before the file is opened."""
+    text = json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(jsonable(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def canonical_hash(obj):

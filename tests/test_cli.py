@@ -166,6 +166,22 @@ class TestExperiments:
             assert key in data
         assert data["characteristic_flag"] is True
 
+    def test_localization_zero_amplitude_is_strict_json(self, tmp_path):
+        cfg = json.loads(json.dumps(LOCALIZATION_CFG))
+        cfg["amplitude"] = {"scale": 0.0, "of": cfg["amplitude"]}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        for name in ("localization.json", "summary.json"):
+            data = json.loads((out / name).read_text(), parse_constant=reject)
+            ratio = data["ratio"] if name == "localization.json" else \
+                data["checks"]["ratio"]["value"]
+            assert ratio is None
+
     def test_se_analysis_single_coefficient(self, tmp_path):
         summary = run_config(SE_CFG, output_dir=tmp_path)
         coeffs = json.loads((tmp_path / "se_coeffs.json").read_text())

@@ -69,7 +69,7 @@ class TestDft:
         g = Grid(2, 128, 16.0)
         f = g.sample(lambda x, y: np.exp(-np.pi * (x**2 + y**2)))
         fh = dft(f).values
-        mesh = g.meshgrid_xi()
+        mesh = g.xi_axes
         target = np.exp(-np.pi * (mesh[0] ** 2 + mesh[1] ** 2))
         assert np.max(np.abs(fh - target)) < 1e-10
 

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from hdist.grid import Grid, lp_norm
+from hdist.fitting import fit_limit
+from hdist.grid import Grid, lp_norm, pairing
 from hdist.localization import (build_instance, baseline_pairing,
                                 characteristic_pairing, companion_v_family,
-                                i1_chain_check, rhs_smallness_probe)
+                                i1_chain_check, localization_verdict,
+                                rellich_step_probe, rhs_smallness_probe)
+from hdist.multiplier import (bessel_potential, derivative, from_symbol, riesz,
+                              riesz_potential)
 from hdist.registry import constant_symbol, make_field, riesz_symbol
+from hdist.sobolev import SequenceFamily, wkq_norm
 
 GAUSS15 = {"name": "gaussian", "params": {"width": 1.5}}
 GAUSS13 = {"name": "gaussian", "params": {"width": 1.3}}
@@ -150,3 +155,80 @@ class TestProbes:
         val_ctrl = abs(characteristic_pairing(ctrl, v_n, *fine_tests, psi).value)
         assert val_char <= 0.05 * base
         assert val_ctrl >= 0.5 * base
+
+
+class TestOnePass:
+    def test_transform_and_sample_counts(self, grid, tests_pair, monkeypatch):
+        inst = make(grid, False)
+        v = companion_v_family(inst)
+        ns = inst.indices
+        counts = {"fft": 0, "u": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn, "fft"))
+        monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn, "fft"))
+        monkeypatch.setattr(SequenceFamily, "u", counted(SequenceFamily.u, "u"))
+        localization_verdict(inst, v, *tests_pair, constant_symbol(3))
+        assert counts["fft"] <= 13 * len(ns) + 4
+        assert counts["u"] == 2 * len(ns)
+
+
+def operator_chain(inst, v_fam, phi1, phi2, psi):
+    """Per-index values along the operator-by-operator route: every
+    multiplier applied by its own transform round trip."""
+    grid = inst.grid
+    op = from_symbol(grid, psi)
+    op_adj = op.adjoint()
+    pot = riesz_potential(grid)
+    smooth = bessel_potential(grid, -float(inst.k + 1))
+    units = [tuple(int(i == j) for i in range(grid.d)) for j in range(grid.d)]
+    d_phi1_bar = [derivative(phi1.conj(), e) for e in units]
+    rows = []
+    for n in inst.indices:
+        u, v = inst.u_family.u(n), v_fam.u(n)
+        t = op_adj.apply(phi2 * v)
+        lhs = sum(pairing(a * phi1 * u, riesz(grid, j).apply(t) * (-1.0))
+                  for j, a in enumerate(inst.coefficients))
+        w = pot.apply(t)
+        f = inst.f(n)
+        rhs = -(pairing(f, phi1.conj() * w)
+                + sum(pairing(a * u, d * w)
+                      for a, d in zip(inst.coefficients, d_phi1_bar)))
+        rows.append({
+            "baseline": pairing(op.apply(phi1 * u), phi2 * v),
+            "weighted": lhs,
+            "residual": abs(lhs - rhs) / (1.0 + abs(lhs)),
+            "rhs_norm": lp_norm(smooth.apply(phi1 * f), inst.p),
+            "rellich": wkq_norm(phi1 * w, inst.k, inst.q),
+        })
+    return rows
+
+
+def assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= rtol * np.maximum(np.abs(want), 1e-300))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("characteristic", [True, False])
+def test_one_pass_matches_operator_chain(fine_grid, fine_tests, characteristic, k):
+    inst = make(fine_grid, characteristic, indices=(4, 8, 12), k=k)
+    v = companion_v_family(inst)
+    psi = riesz_symbol(3, 0)
+    verdict = localization_verdict(inst, v, *fine_tests, psi)
+    rellich = rellich_step_probe(inst, v, *fine_tests, psi)
+    rows = operator_chain(inst, v, *fine_tests, psi)
+    ns = list(inst.indices)
+    for key, entry in (("baseline", "baseline"), ("weighted", "char_pairing")):
+        want = fit_limit(ns, [r[key] for r in rows]).value
+        assert_close(complex(*verdict[entry]["value"]), want)
+    assert_close(verdict["rhs_table"]["columns"]["rhs_norm"],
+                 [r["rhs_norm"] for r in rows])
+    assert_close(rellich.columns["wkq_norm"], [r["rellich"] for r in rows])
+    assert max(verdict["i1_chain_residuals"]) <= 1e-8
+    assert max(r["residual"] for r in rows) <= 1e-8

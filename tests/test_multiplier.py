@@ -150,3 +150,35 @@ class TestDerivativeCommutation:
             derivative_op(grid, (1,))
         with pytest.raises(ValueError):
             derivative_op(grid, (-1, 0))
+
+
+class TestLatticeArrays:
+    """The multipliers built from broadcast axis factors and the cached safe
+    |xi| are bitwise the arrays of the full-mesh formulas."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_bitwise_equal_to_mesh_formulas(self, d, N):
+        rng = np.random.default_rng(100 * d + N)
+        g = Grid(d, N, float(rng.uniform(2.0, 20.0)))
+        mesh = np.meshgrid(*([g.axis_xi] * d), indexing="ij")
+        r = np.sqrt(sum(c * c for c in mesh))
+        safe = np.where(r == 0, 1.0, r)
+        for _ in range(6):
+            alpha = tuple(int(a) for a in rng.integers(0, 4, size=d))
+            m = np.ones(g.shape, dtype=np.complex128)
+            for axis, a in enumerate(alpha):
+                if a:
+                    m = m * (2j * np.pi * mesh[axis]) ** a
+            assert derivative_op(g, alpha).m.tobytes() == m.tobytes()
+        for axis in range(d):
+            m = np.where(r == 0, 0.0, mesh[axis] / safe) / 1j
+            assert riesz(g, axis).m.tobytes() == m.astype(np.complex128).tobytes()
+        m = np.where(r == 0, 0.0, 1.0 / (2 * np.pi * safe))
+        assert (riesz_potential(g).m.tobytes()
+                == m.astype(np.complex128).tobytes())
+        psi = smoothed_sign_symbol(d, int(rng.integers(0, d)), eps=0.3)
+        directions = np.stack([(c / safe).ravel() for c in mesh])
+        m = psi(directions).reshape(g.shape).astype(np.complex128)
+        m[(0,) * d] = from_symbol(g, psi).m[(0,) * d]
+        assert from_symbol(g, psi).m.tobytes() == m.tobytes()
