@@ -22,9 +22,10 @@ from .sobolev import (SequenceFamily, SobolevElement, concentration_family,
                       scaled_oscillation_family, strong_null_probe,
                       surrogate_negative_norm, weak_null_probe, wkq_norm)
 from .commutator import CommutatorProbe, commutator_apply, compactness_probe
-from .functional import (HLimitEstimate, HPairingRecord, MuTensor,
-                         extrapolate_limit, h_pairing, mu_tensor,
-                         pairing_records, zero_mu_strong_convergence_check)
+from .fitting import LimitFit
+from .functional import (HPairingRecord, MuTensor, extrapolate_limit,
+                         h_pairing, mu_tensor, pairing_records,
+                         zero_mu_strong_convergence_check)
 from .localization import (TransportInstance, build_instance,
                            characteristic_pairing, companion_v_family,
                            i1_chain_check, localization_verdict,

@@ -343,13 +343,11 @@ def run_hdist_sweep(cfg, grid, outdir, stamp):
     }
     artifacts = ["records.csv", "limits.json"]
 
+    checks["flagged_limits"] = {
+        "limits": sorted(name for name, lim in limits.items() if lim["flagged"])}
     if "tensor" in cfg:
         hb = HermiteBasis.build(grid, int(cfg["tensor"]["m_max"]))
         sb = SphericalHarmonicBasis.build(grid.d, int(cfg["tensor"]["n_max"]))
-        tensor = mu_tensor(u_fam, v_fam, hb, sb)
-        dump_json({**stamp, "tensor": tensor.to_dict()}, outdir / "tensor.json")
-        artifacts.append("tensor.json")
-        checks["tensor_max_abs"] = {"value": tensor.max_abs()}
         if "zero_check" in cfg:
             zc = cfg["zero_check"]
             theta = make_field(grid, zc["theta"])
@@ -357,12 +355,18 @@ def run_hdist_sweep(cfg, grid, outdir, stamp):
                 u_fam, v_fam, theta, int(zc.get("k", 0)), float(zc.get("p", 2.0)),
                 hb, sb, baseline_phi=phi1,
             )
-            result.pop("tensor")
+            tensor = result.pop("tensor")
             probe = result.pop("probe")
             dump_json({**stamp, **jsonable(result), "probe": probe.to_dict()},
                       outdir / "zero_check.json")
             artifacts.append("zero_check.json")
             checks["zero_check_consistent"] = {"passed": result["consistent"]}
+        else:
+            tensor = mu_tensor(u_fam, v_fam, hb, sb)
+        dump_json({**stamp, "tensor": tensor.to_dict()}, outdir / "tensor.json")
+        artifacts.append("tensor.json")
+        checks["tensor_max_abs"] = {"value": tensor.max_abs()}
+        checks["flagged_limits"]["tensor_entries"] = int(tensor.flagged.sum())
     return checks, artifacts
 
 
@@ -431,6 +435,8 @@ def run_localization(cfg, grid, outdir, stamp):
                      "passed": max_chain <= 1e-8},
         "ratio": {"value": verdict["ratio"]},
         "rhs_exponent": {"value": verdict["rates"]["rhs_exponent"]},
+        "flagged_limits": {"limits": [
+            key for key in ("baseline", "char_pairing") if verdict[key]["flagged"]]},
     }
     return checks, ["localization.json", "rhs.csv"]
 

@@ -18,7 +18,6 @@ from .grid import GridFunction, linf_norm, lp_norm
 from .multiplier import from_symbol
 from .sobolev import DecayTable, SequenceFamily, weak_null_probe
 from .symbol import SphericalSymbol
-from .util import ordered_map
 
 
 def commutator_apply(psi: SphericalSymbol, b: GridFunction,
@@ -58,7 +57,7 @@ def compactness_probe(probe: CommutatorProbe) -> DecayTable:
     """
     family = probe.family
     ns = tuple(family.indices)
-    vs = ordered_map(family.u, ns)
+    vs = [family.u(n) for n in ns]
     qs = probe.exponents()
 
     meta = {"q_list": list(qs), "violations": []}

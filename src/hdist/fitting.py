@@ -56,43 +56,39 @@ class LimitFit:
       "offset"     : c0 + c1 * n^(-beta), beta in {1, 2}
       "decay"      : c1 * n^(-beta) with fitted beta, limit zero
       "negligible" : all values at rounding level, limit zero
+
+    For one sequence every field is a Python scalar; for a table of E
+    sequences value, residual, model, beta and flagged are arrays of
+    shape (E,).  ns holds the sorted indices.
     """
 
     value: complex
     residual: float
     model: str
     beta: float
-    c1: complex
     flagged: bool
+    ns: tuple = ()
+
+    def to_dict(self):
+        return {
+            "value": [self.value.real, self.value.imag],
+            "residual": self.residual,
+            "model": self.model,
+            "beta": self.beta,
+            "flagged": self.flagged,
+            "ns": list(self.ns),
+        }
 
 
-def _offset_fit(ns, values, beta):
-    design = np.column_stack([np.ones_like(ns), ns ** (-beta)]).astype(complex)
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    resid = values - design @ coef
-    return coef[0], coef[1], float(np.sqrt(np.mean(np.abs(resid) ** 2)))
-
-
-def _pure_decay_fit(ns, values):
-    """c1 * n^(-gamma) with gamma from the magnitudes; None if not decaying."""
-    mags = np.abs(values)
-    if np.any(mags <= ZERO_FLOOR):
-        return None
-    if mags[-1] > 0.75 * mags[0]:
-        return None
-    gamma, _ = np.polyfit(np.log(ns), np.log(mags), 1)
-    gamma = -float(gamma)
-    if gamma < 0.25:
-        return None
-    basis = (ns ** (-gamma)).astype(complex)
-    c1 = np.vdot(basis, values) / np.vdot(basis, basis)
-    resid = values - c1 * basis
-    return gamma, complex(c1), float(np.sqrt(np.mean(np.abs(resid) ** 2)))
+def _rms(resid):
+    return np.sqrt(np.mean(np.abs(resid) ** 2, axis=0))
 
 
 def fit_limit(ns, values, atol=1e-14, decay_preference=3.0) -> LimitFit:
     """Extrapolate lim values(n) from at least three indices.
 
+    values has shape (len(ns),) for one sequence or (len(ns), E) for a
+    table whose E columns are fitted independently with the same models.
     Candidate models: a constant offset plus n^(-1) or n^(-2) correction,
     and a zero-limit pure power decay for sequences vanishing at rates the
     offset models cannot represent.  The decay model is preferred whenever
@@ -100,27 +96,52 @@ def fit_limit(ns, values, atol=1e-14, decay_preference=3.0) -> LimitFit:
     offset residual: when a pure decay explains the data about as well, the
     offset's constant is spurious.
     """
-    ns = np.asarray(ns, dtype=float)
-    values = np.asarray(values, dtype=complex)
     if len(ns) < 3:
         raise ValueError("need at least 3 records to extrapolate")
-    if np.any(np.diff(ns) <= 0):
-        order = np.argsort(ns)
-        ns, values = ns[order], values[order]
-    scale = float(np.max(np.abs(values)))
-    if scale <= atol:
-        return LimitFit(0.0, 0.0, "negligible", 0.0, 0.0, False)
+    order = np.argsort(ns, kind="stable")
+    ns_sorted = tuple(int(ns[i]) for i in order)
+    ns = np.asarray(ns, dtype=float)[order]
+    values = np.asarray(values, dtype=complex)[order]
+    single = values.ndim == 1
+    table = values.reshape(len(ns), -1)
 
+    # offset models: one least-squares solve per beta for every column;
+    # on a tie the n^(-1) model wins
     offsets = []
     for beta in (1.0, 2.0):
-        c0, c1, resid = _offset_fit(ns, values, beta)
-        offsets.append(LimitFit(complex(c0), resid, "offset", beta, complex(c1), False))
-    best = min(offsets, key=lambda f: f.residual)
-    decay = _pure_decay_fit(ns, values)
-    if decay is not None:
-        gamma, c1, resid = decay
-        if resid <= decay_preference * best.residual:
-            best = LimitFit(0.0, resid, "decay", gamma, c1, False)
+        design = np.column_stack([np.ones_like(ns), ns ** (-beta)]).astype(complex)
+        coef, *_ = np.linalg.lstsq(design, table, rcond=None)
+        offsets.append((coef[0], _rms(table - design @ coef)))
+    (c0_1, r_1), (c0_2, r_2) = offsets
+    use_2 = r_2 < r_1
+    value = np.where(use_2, c0_2, c0_1)
+    residual = np.where(use_2, r_2, r_1)
+    beta = np.where(use_2, 2.0, 1.0)
 
-    flagged = best.residual > 0.1 * abs(best.value) + 1e-8
-    return LimitFit(best.value, best.residual, best.model, best.beta, best.c1, flagged)
+    # pure decay c1 * n^(-gamma), admissible only for nonzero magnitudes
+    # that fall by a quarter and decay at a rate of at least 1/4
+    mags = np.abs(table)
+    decay = np.all(mags > ZERO_FLOOR, axis=0) & (mags[-1] <= 0.75 * mags[0])
+    slope = np.polyfit(np.log(ns), np.log(np.where(decay, mags, 1.0)), 1)[0]
+    gamma = np.where(decay, -slope, 0.0)
+    decay &= gamma >= 0.25
+    basis = (ns[:, None] ** (-gamma)).astype(complex)
+    c1 = np.sum(basis.conj() * table, axis=0) / np.sum(basis.conj() * basis, axis=0)
+    decay_resid = _rms(table - c1 * basis)
+    decay &= decay_resid <= decay_preference * residual
+    value = np.where(decay, 0.0, value)
+    residual = np.where(decay, decay_resid, residual)
+    beta = np.where(decay, gamma, beta)
+    model = np.where(decay, "decay", "offset")
+
+    negligible = np.max(mags, axis=0) <= atol
+    value = np.where(negligible, 0.0, value)
+    residual = np.where(negligible, 0.0, residual)
+    beta = np.where(negligible, 0.0, beta)
+    model = np.where(negligible, "negligible", model)
+    flagged = residual > 0.1 * np.abs(value) + 1e-8
+
+    if single:
+        return LimitFit(complex(value[0]), float(residual[0]), str(model[0]),
+                        float(beta[0]), bool(flagged[0]), ns_sorted)
+    return LimitFit(value, residual, model, beta, flagged, ns_sorted)

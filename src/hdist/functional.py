@@ -47,33 +47,6 @@ class HPairingRecord:
         return self.form_gap <= rtol * (1.0 + abs(self.value_form_a))
 
 
-@dataclass(frozen=True)
-class HLimitEstimate:
-    """Extrapolated limit of a pairing sequence with its fit diagnostics."""
-
-    value: complex
-    residual: float
-    model: str
-    beta: float
-    flagged: bool
-    ns: tuple = ()
-
-    @classmethod
-    def from_fit(cls, fit: LimitFit, ns):
-        return cls(fit.value, fit.residual, fit.model, fit.beta, fit.flagged,
-                   tuple(int(n) for n in ns))
-
-    def to_dict(self):
-        return {
-            "value": [self.value.real, self.value.imag],
-            "residual": self.residual,
-            "model": self.model,
-            "beta": self.beta,
-            "flagged": self.flagged,
-            "ns": list(self.ns),
-        }
-
-
 def _leibniz_value(u: SobolevElement, v_n, phi1, phi2,
                    op: MultiplierOperator) -> complex:
     """Pairing via the derivative-expansion of a negative-order element.
@@ -136,12 +109,9 @@ def pairing_records(u_family: SequenceFamily, v_family: SequenceFamily,
     ]
 
 
-def extrapolate_limit(records) -> HLimitEstimate:
+def extrapolate_limit(records) -> LimitFit:
     """Fit the records' values and return the extrapolated limit."""
-    records = sorted(records, key=lambda r: r.n)
-    ns = [r.n for r in records]
-    fit = fit_limit(ns, [r.value_form_a for r in records])
-    return HLimitEstimate.from_fit(fit, ns)
+    return fit_limit([r.n for r in records], [r.value_form_a for r in records])
 
 
 def holder_bound_slack(record: HPairingRecord, u_n, v_n, phi1, phi2,
@@ -217,16 +187,10 @@ def mu_tensor(u_family: SequenceFamily, v_family: SequenceFamily,
             slab = hermite_basis.analyze(u * w.conj())
             per_n[i, :, b] = slab.ravel()
 
-    values = np.empty((m_flat, b_sphere), dtype=complex)
-    residuals = np.empty((m_flat, b_sphere))
-    flagged = np.zeros((m_flat, b_sphere), dtype=bool)
-    for mi in range(m_flat):
-        for b in range(b_sphere):
-            fit = fit_limit(ns, per_n[:, mi, b])
-            values[mi, b] = fit.value
-            residuals[mi, b] = fit.residual
-            flagged[mi, b] = fit.flagged
-    return MuTensor(values, residuals, flagged,
+    fit = fit_limit(ns, per_n.reshape(len(ns), -1))
+    shape = (m_flat, b_sphere)
+    return MuTensor(fit.value.reshape(shape), fit.residual.reshape(shape),
+                    fit.flagged.reshape(shape),
                     tuple(hermite_basis.indices()),
                     tuple(sphere_basis.indices), ns)
 

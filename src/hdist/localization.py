@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import fit_decay, fit_limit
-from .functional import HLimitEstimate
+from .fitting import LimitFit, fit_decay, fit_limit
 from .grid import FREQUENCY, Grid, GridFunction, dft, idft, pairing
 from .multiplier import (derivative, derivative_op, from_symbol, riesz,
                          riesz_potential)
@@ -173,10 +172,8 @@ def _index_pass(instance: TransportInstance, v_family: SequenceFamily,
             for n in ns]
 
 
-def _limit(rows, key: str) -> HLimitEstimate:
-    rows = sorted(rows, key=lambda r: r["n"])
-    ns = [r["n"] for r in rows]
-    return HLimitEstimate.from_fit(fit_limit(ns, [r[key] for r in rows]), ns)
+def _limit(rows, key: str) -> LimitFit:
+    return fit_limit([r["n"] for r in rows], [r[key] for r in rows])
 
 
 def _decay_table(rows, key: str, meta=None) -> DecayTable:
@@ -199,7 +196,7 @@ def rhs_smallness_probe(instance: TransportInstance, phi: GridFunction) -> Decay
 
 def characteristic_pairing(instance: TransportInstance, v_family: SequenceFamily,
                            phi1: GridFunction, phi2: GridFunction,
-                           psi: SphericalSymbol, ns=None) -> HLimitEstimate:
+                           psi: SphericalSymbol, ns=None) -> LimitFit:
     """Extrapolated sum over j of the A_j-weighted Riesz-composed pairings.
 
     The j-th symbol is (xi_j / i|xi|) psi, realized as the operator
@@ -211,7 +208,7 @@ def characteristic_pairing(instance: TransportInstance, v_family: SequenceFamily
 
 def baseline_pairing(instance: TransportInstance, v_family: SequenceFamily,
                      phi1: GridFunction, phi2: GridFunction,
-                     psi: SphericalSymbol, ns=None) -> HLimitEstimate:
+                     psi: SphericalSymbol, ns=None) -> LimitFit:
     """Unweighted pairing of the same families: the mass scale of the defect."""
     return _limit(_index_pass(instance, v_family, phi1, phi2, psi, ns), "baseline")
 

@@ -17,7 +17,7 @@ import numpy as np
 from .fitting import fit_decay
 from .grid import Grid, GridFunction, lp_norm, pairing
 from .multiplier import bessel_potential, derivative
-from .util import AliasingError, multi_indices, ordered_map
+from .util import AliasingError, multi_indices
 
 POSITIVE = "positive-order"
 NEGATIVE = "negative-order"
@@ -250,7 +250,7 @@ def weak_null_probe(family: SequenceFamily, tests, threshold=1e-10) -> DecayTabl
     if not tests:
         raise ValueError("need a nonempty test battery")
     ns = tuple(family.indices)
-    us = ordered_map(family.u, ns)
+    us = [family.u(n) for n in ns]
     columns, fits = {}, {}
     for i, phi in enumerate(tests):
         label = f"test_{i}"
@@ -268,10 +268,7 @@ def strong_null_probe(family: SequenceFamily, theta: GridFunction, k: int,
                       p: float) -> DecayTable:
     """Surrogate W^{-k,p} norms of theta * u_n with a fitted trend."""
     ns = tuple(family.indices)
-    norms = [
-        surrogate_negative_norm(theta * u, k, p)
-        for u in ordered_map(family.u, ns)
-    ]
+    norms = [surrogate_negative_norm(theta * family.u(n), k, p) for n in ns]
     fit = fit_decay(ns, norms)
     monotone = all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
     meta = {

@@ -11,7 +11,6 @@ weighted coefficient tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 import itertools
 
 import numpy as np
@@ -233,11 +232,6 @@ def se_analyze(theta, hermite_basis: HermiteBasis,
     )
 
 
-@lru_cache(maxsize=None)
-def _shell_key(n, m):
-    return int(np.floor(np.sqrt(n * n + sum(v * v for v in m))))
-
-
 def se_membership_score(coeffs: SECoefficients, r_list) -> dict:
     """Summability evidence for membership in the smooth test class.
 
@@ -250,34 +244,23 @@ def se_membership_score(coeffs: SECoefficients, r_list) -> dict:
     the true criterion quantifies over all r > 0.
     """
     k_full = min(coeffs.n_max, coeffs.m_max)
-    shells = {}
-    for i, (n, _) in enumerate(coeffs.sphere_indices):
-        for k, m in enumerate(coeffs.hermite_indices):
-            s = _shell_key(n, tuple(m))
-            shells.setdefault(s, []).append((i, k, n, m))
+    n = np.array([deg for deg, _ in coeffs.sphere_indices])
+    m = np.array(coeffs.hermite_indices)
+    radius2 = (n[:, None] ** 2 + np.sum(m ** 2, axis=1)[None, :]).ravel()
+    shell = np.floor(np.sqrt(radius2)).astype(int)
+    mags2 = (np.abs(coeffs.a) ** 2).ravel()
 
-    mags2 = np.abs(coeffs.a) ** 2
     report = {"r": {}, "verdict": None}
     verdicts = []
     for r in r_list:
-        shell_sums = {}
-        total = 0.0
-        for s, items in shells.items():
-            val = 0.0
-            for i, k, n, m in items:
-                w = (1.0 + n * n + sum(v * v for v in m)) ** r
-                val += mags2[i, k] * w
-            shell_sums[s] = val
-            total += val
-        head = shell_sums.get(0, 0.0)
+        shell_sums = np.bincount(shell, weights=mags2 * (1.0 + radius2) ** r,
+                                 minlength=k_full + 2)
+        total = float(np.sum(shell_sums))
+        head = shell_sums[0]
         # bin adjacent shells in pairs: parity-symmetric inputs leave every
         # other shell near-empty, which would wreck a log-log fit
-        centers, bins = [], []
-        for k in range(1, k_full + 1, 2):
-            val = shell_sums.get(k, 0.0) + shell_sums.get(k + 1, 0.0)
-            centers.append(k + 0.5)
-            bins.append(val)
-        centers, bins = np.array(centers), np.array(bins)
+        centers = np.arange(1, k_full + 1, 2) + 0.5
+        bins = shell_sums[1:k_full + 1:2] + shell_sums[2:k_full + 2:2]
         positive = True
         slope = None
         if len(bins) >= 2 and bins.sum() > 1e-14 * max(total, 1e-300):

@@ -1,16 +1,12 @@
-"""Small shared helpers: multi-indices, worker pool, canonical JSON."""
+"""Small shared helpers: multi-indices, canonical JSON."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-WORKERS_ENV = "HDIST_WORKERS"
 
 
 class AliasingError(ValueError):
@@ -40,30 +36,6 @@ def multi_binomial(alpha, beta):
 def sub_indices(alpha):
     """All beta with 0 <= beta <= alpha componentwise."""
     return list(itertools.product(*(range(a + 1) for a in alpha)))
-
-
-def worker_count():
-    """Worker cap from the environment; defaults to 1 (serial)."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def ordered_map(fn, items):
-    """Map preserving input order, threaded when HDIST_WORKERS > 1.
-
-    Work items must be independent; results are merged by position so the
-    output is identical to the serial run.
-    """
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def jsonable(obj):

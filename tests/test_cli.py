@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from hdist import cli, functional
 from hdist.cli import main, run_config, validate_config
 
 SWEEP_CFG = {
@@ -150,6 +151,36 @@ class TestMain:
 
 
 class TestExperiments:
+    def test_sweep_builds_and_fits_tensor_once(self, tmp_path, monkeypatch):
+        calls = {"mu_tensor": 0, "fit_limit": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((cli, "mu_tensor"), (functional, "mu_tensor"),
+                             (functional, "fit_limit")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        summary = run_config(SWEEP_CFG, output_dir=tmp_path)
+        assert calls == {"mu_tensor": 1,
+                         "fit_limit": len(SWEEP_CFG["symbols"]) + 1}
+        tensor = json.loads((tmp_path / "tensor.json").read_text())["tensor"]
+        assert (summary["checks"]["flagged_limits"]["tensor_entries"]
+                == sum(map(sum, tensor["flagged"])))
+
+    def test_flagged_limit_reported_in_summary(self, tmp_path):
+        # pairings of a family growing like n grow like n^2: no limit exists
+        cfg = json.loads(json.dumps(SWEEP_CFG))
+        cfg["families"]["u"]["prefactor_power"] = 1.0
+        del cfg["tensor"], cfg["zero_check"]
+        summary = run_config(cfg, output_dir=tmp_path)
+        limits = json.loads((tmp_path / "limits.json").read_text())["limits"]
+        assert limits["constant_one"]["flagged"]
+        flagged = sorted(name for name, lim in limits.items() if lim["flagged"])
+        assert summary["checks"]["flagged_limits"] == {"limits": flagged}
+
     def test_commutator_outputs(self, tmp_path):
         summary = run_config(COMMUTATOR_CFG, output_dir=tmp_path)
         assert summary["checks"]["preconditions"]["passed"]
@@ -165,6 +196,8 @@ class TestExperiments:
                     "rates"):
             assert key in data
         assert data["characteristic_flag"] is True
+        flagged = [k for k in ("baseline", "char_pairing") if data[k]["flagged"]]
+        assert summary["checks"]["flagged_limits"] == {"limits": flagged}
 
     def test_localization_zero_amplitude_is_strict_json(self, tmp_path):
         cfg = json.loads(json.dumps(LOCALIZATION_CFG))

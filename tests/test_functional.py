@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hdist.functional import (HLimitEstimate, extrapolate_limit, h_pairing,
-                              holder_bound_slack, mu_tensor, pairing_records,
+from hdist.functional import (extrapolate_limit, h_pairing, holder_bound_slack,
+                              mu_tensor, pairing_records,
                               zero_mu_strong_convergence_check)
 from hdist.grid import Grid, lp_norm, pairing
 from hdist.multiplier import derivative, from_symbol

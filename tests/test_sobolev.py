@@ -210,10 +210,3 @@ class TestProbes:
         fam = oscillation_family(grid, z, (1, 0), (8, 16))
         table = strong_null_probe(fam, gaussian, 1, 2.0)
         assert all(v == 0 for v in table.columns["surrogate_norm"])
-
-    def test_worker_env_var_is_deterministic(self, grid, gaussian, monkeypatch):
-        fam = oscillation_family(grid, gaussian, (1, 0), (8, 16, 32))
-        serial = weak_null_probe(fam, [gaussian])
-        monkeypatch.setenv("HDIST_WORKERS", "4")
-        threaded = weak_null_probe(fam, [gaussian])
-        assert serial.columns == threaded.columns
