@@ -22,15 +22,15 @@ import jsonschema
 
 from . import __version__
 from .commutator import CommutatorProbe, compactness_probe
-from .functional import (extrapolate_limit, mu_tensor, pairing_records,
-                         zero_mu_strong_convergence_check)
+from .functional import (FORM_RTOL, extrapolate_limit, mu_tensor,
+                         pairing_records, zero_mu_strong_convergence_check)
 from .grid import Grid, lp_norm
 from .localization import (build_instance, companion_v_family,
                            localization_verdict)
 from .registry import field_function, list_builtins, make_field, make_symbol
-from .sobolev import (SequenceFamily, representation_norm_upper,
-                      surrogate_negative_norm, wkq_norm)
-from .multiplier import derivative
+from .sobolev import (SequenceFamily, SobolevElement,
+                      representation_norm_upper, surrogate_negative_norm,
+                      wkq_norm)
 from .specbasis import HermiteBasis, se_analyze, se_membership_score
 from .symbol import SphericalHarmonicBasis
 from .util import (AliasingError, SupportError, canonical_hash, dump_json,
@@ -124,7 +124,6 @@ _COMMON = {
     "experiment": {"enum": list(EXPERIMENTS)},
     "grid": _GRID_SPEC,
     "output_dir": {"type": "string"},
-    "tolerances": {"type": "object", "additionalProperties": {"type": "number"}},
 }
 
 
@@ -338,7 +337,8 @@ def run_hdist_sweep(cfg, grid, outdir, stamp):
 
     checks = {
         "adjoint_form_agreement": {
-            "max_relative_gap": max_gap, "tol": 1e-9, "passed": max_gap <= 1e-9,
+            "max_relative_gap": max_gap, "tol": FORM_RTOL,
+            "passed": max_gap <= FORM_RTOL,
         }
     }
     artifacts = ["records.csv", "limits.json"]
@@ -479,10 +479,9 @@ def run_norm_suite(cfg, grid, outdir, stamp):
         for k in k_list:
             for p in p_list:
                 entry["wkq"][f"k={k},q={p:g}"] = wkq_norm(f, k, p)
-                alpha = (k,) + (0,) * (grid.d - 1)
-                u_parts = {alpha: f}
-                value = surrogate_negative_norm(derivative(f, alpha), k, p)
-                upper = representation_norm_upper(u_parts, p)
+                u = SobolevElement.negative({(k,) + (0,) * (grid.d - 1): f}, k, p)
+                value = surrogate_negative_norm(u, k, p)
+                upper = representation_norm_upper(u)
                 entry["negative"][f"k={k},p={p:g}"] = {
                     "surrogate": value, "representation_upper": upper,
                 }

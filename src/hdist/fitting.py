@@ -9,6 +9,11 @@ import numpy as np
 
 # magnitudes below this are treated as numerically zero when fitting logs
 ZERO_FLOOR = 1e-300
+# a sequence whose magnitudes all sit at or below this has limit zero
+NEGLIGIBLE = 1e-14
+# the decay model wins when its residual is within this factor of the best
+# offset residual
+DECAY_PREFERENCE = 3.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ def _rms(resid):
     return np.sqrt(np.mean(np.abs(resid) ** 2, axis=0))
 
 
-def fit_limit(ns, values, atol=1e-14, decay_preference=3.0) -> LimitFit:
+def fit_limit(ns, values) -> LimitFit:
     """Extrapolate lim values(n) from at least three indices.
 
     values has shape (len(ns),) for one sequence or (len(ns), E) for a
@@ -92,7 +97,7 @@ def fit_limit(ns, values, atol=1e-14, decay_preference=3.0) -> LimitFit:
     Candidate models: a constant offset plus n^(-1) or n^(-2) correction,
     and a zero-limit pure power decay for sequences vanishing at rates the
     offset models cannot represent.  The decay model is preferred whenever
-    it is admissible and fits within `decay_preference` times the best
+    it is admissible and fits within DECAY_PREFERENCE times the best
     offset residual: when a pure decay explains the data about as well, the
     offset's constant is spurious.
     """
@@ -128,13 +133,13 @@ def fit_limit(ns, values, atol=1e-14, decay_preference=3.0) -> LimitFit:
     basis = (ns[:, None] ** (-gamma)).astype(complex)
     c1 = np.sum(basis.conj() * table, axis=0) / np.sum(basis.conj() * basis, axis=0)
     decay_resid = _rms(table - c1 * basis)
-    decay &= decay_resid <= decay_preference * residual
+    decay &= decay_resid <= DECAY_PREFERENCE * residual
     value = np.where(decay, 0.0, value)
     residual = np.where(decay, decay_resid, residual)
     beta = np.where(decay, gamma, beta)
     model = np.where(decay, "decay", "offset")
 
-    negligible = np.max(mags, axis=0) <= atol
+    negligible = np.max(mags, axis=0) <= NEGLIGIBLE
     value = np.where(negligible, 0.0, value)
     residual = np.where(negligible, 0.0, residual)
     beta = np.where(negligible, 0.0, beta)

@@ -21,10 +21,13 @@ import numpy as np
 from .fitting import LimitFit, fit_limit
 from .grid import GridFunction, dft, idft, lp_norm, pairing
 from .multiplier import MultiplierOperator, derivative, from_symbol
-from .sobolev import NEGATIVE, SequenceFamily, SobolevElement, strong_null_probe
+from .sobolev import SequenceFamily, SobolevElement, strong_null_probe
 from .specbasis import HermiteBasis
 from .symbol import SphericalHarmonicBasis, SphericalSymbol
 from .util import multi_binomial, sub_indices
+
+# the two adjoint forms agree when |a - b| <= FORM_RTOL * (1 + |a|)
+FORM_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,8 @@ class HPairingRecord:
     def form_gap(self) -> float:
         return abs(self.value_form_a - self.value_form_b)
 
-    def forms_agree(self, rtol=1e-9) -> bool:
-        return self.form_gap <= rtol * (1.0 + abs(self.value_form_a))
+    def forms_agree(self) -> bool:
+        return self.form_gap <= FORM_RTOL * (1.0 + abs(self.value_form_a))
 
 
 def _leibniz_value(u: SobolevElement, v_n, phi1, phi2,
@@ -89,7 +92,7 @@ def h_pairing(n, u_n, v_n: GridFunction, phi1: GridFunction,
     form_b = pairing(fu, op.adjoint().apply(gv))
     leib = None
     if check_leibniz:
-        if not (isinstance(u_n, SobolevElement) and u_n.sign == NEGATIVE):
+        if not isinstance(u_n, SobolevElement):
             raise ValueError("Leibniz cross-check needs a negative-order element")
         leib = _leibniz_value(u_n, v_n, phi1, phi2, op)
     return HPairingRecord(
@@ -99,13 +102,12 @@ def h_pairing(n, u_n, v_n: GridFunction, phi1: GridFunction,
 
 
 def pairing_records(u_family: SequenceFamily, v_family: SequenceFamily,
-                    phi1, phi2, psi: SphericalSymbol, ns=None):
-    """Sweep the pairing over a shared index set, reusing the multiplier."""
-    ns = tuple(ns) if ns is not None else tuple(u_family.indices)
+                    phi1, phi2, psi: SphericalSymbol):
+    """Sweep the pairing over the u family's indices, reusing the multiplier."""
     op = from_symbol(u_family.grid, psi)
     return [
         h_pairing(n, u_family.u(n), v_family.u(n), phi1, phi2, psi, op=op)
-        for n in ns
+        for n in u_family.indices
     ]
 
 
@@ -160,22 +162,22 @@ class MuTensor:
 
 
 def mu_tensor(u_family: SequenceFamily, v_family: SequenceFamily,
-              hermite_basis: HermiteBasis, sphere_basis: SphericalHarmonicBasis,
-              ns=None, phi2: GridFunction = None) -> MuTensor:
+              hermite_basis: HermiteBasis,
+              sphere_basis: SphericalHarmonicBasis) -> MuTensor:
     """Tensor of extrapolated pairings over the product test basis.
 
-    Uses the adjoint form: phi2 v_n is transformed once per index, each
-    harmonic's w = A_conj(Y)(phi2 v_n) is one product and one inverse
+    Uses the adjoint form: v_n is transformed once per index, each
+    harmonic's w = A_conj(Y) v_n is one product and one inverse
     transform, and the whole Hermite slab of pairings <h_m u_n, w> is a
     single separable transform of u_n conj(w).
     """
     grid = hermite_basis.grid
-    ns = tuple(ns) if ns is not None else tuple(u_family.indices)
+    ns = tuple(u_family.indices)
     if len(ns) < 3:
         raise ValueError("need at least 3 indices for tensor extrapolation")
     us = [u_family.u(n) for n in ns]
     vs = [v_family.u(n) for n in ns] if v_family is not u_family else us
-    v_spectra = [dft(v if phi2 is None else phi2 * v) for v in vs]
+    v_spectra = [dft(v) for v in vs]
 
     m_flat = (hermite_basis.m_max + 1) ** grid.d
     b_sphere = sphere_basis.size
@@ -195,33 +197,24 @@ def mu_tensor(u_family: SequenceFamily, v_family: SequenceFamily,
                     tuple(sphere_basis.indices), ns)
 
 
-def baseline_scale(u_family: SequenceFamily, v_family: SequenceFamily,
-                   phi: GridFunction, ns=None) -> float:
-    """Magnitude scale of the plain (psi == 1, phi-localized) pairings."""
-    from .registry import constant_symbol
-
-    ns = tuple(ns) if ns is not None else tuple(u_family.indices)
-    records = pairing_records(u_family, v_family, phi, phi,
-                              constant_symbol(u_family.grid.d), ns=ns)
-    return max(abs(r.value_form_a) for r in records)
-
-
 def zero_mu_strong_convergence_check(
         u_family: SequenceFamily, v_family: SequenceFamily,
         theta: GridFunction, k: int, p: float,
         hermite_basis: HermiteBasis, sphere_basis: SphericalHarmonicBasis,
-        baseline_phi: GridFunction, threshold: float = None) -> dict:
+        baseline_phi: GridFunction) -> dict:
     """Confront the tensor-is-zero verdict with strong-norm decay.
 
     A tensor below threshold should come with decaying localized surrogate
     norms (fitted exponent < -0.25); a clearly nonzero tensor is consistent
-    with non-decaying norms.  The default threshold is 1e-3 of the baseline
-    pairing scale, so the verdict is invariant under rescaling the data.
+    with non-decaying norms.  The threshold is 1e-3 of the baseline scale
+    max_n |<phi u_n, phi v_n>|, so the verdict is invariant under rescaling
+    the data.
     """
     tensor = mu_tensor(u_family, v_family, hermite_basis, sphere_basis)
-    scale = baseline_scale(u_family, v_family, baseline_phi)
-    if threshold is None:
-        threshold = 1e-3 * scale + 1e-12
+    scale = max(abs(pairing(baseline_phi * u_family.u(n),
+                            baseline_phi * v_family.u(n)))
+                for n in u_family.indices)
+    threshold = 1e-3 * scale + 1e-12
     tensor_zero = tensor.max_abs() < threshold
 
     probe = strong_null_probe(u_family, theta, k, p)

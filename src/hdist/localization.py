@@ -28,6 +28,11 @@ from .sobolev import (DecayTable, SequenceFamily, scaled_oscillation_family,
 from .symbol import SphericalSymbol
 
 
+# a characteristic instance passes when |char limit| / |baseline limit| is at
+# most this
+TOL_CHAR = 0.05
+
+
 def _unit(d: int, axis: int) -> tuple:
     return tuple(1 if i == axis else 0 for i in range(d))
 
@@ -101,14 +106,10 @@ def build_instance(grid: Grid, coefficient_specs, amplitude_spec, direction,
                              k, p, q, tuple(indices), characteristic, u_family)
 
 
-def companion_v_family(instance: TransportInstance, amplitude=None,
-                       indices=None) -> SequenceFamily:
+def companion_v_family(instance: TransportInstance) -> SequenceFamily:
     """Weakly-null companion on the dual side: same direction, inverse scaling."""
     return scaled_oscillation_family(
-        instance.grid,
-        instance.amplitude if amplitude is None else amplitude,
-        instance.direction,
-        instance.indices if indices is None else indices,
+        instance.grid, instance.amplitude, instance.direction, instance.indices,
         k=instance.k, p=instance.q, order=-instance.k, label="transport-v",
     )
 
@@ -196,21 +197,21 @@ def rhs_smallness_probe(instance: TransportInstance, phi: GridFunction) -> Decay
 
 def characteristic_pairing(instance: TransportInstance, v_family: SequenceFamily,
                            phi1: GridFunction, phi2: GridFunction,
-                           psi: SphericalSymbol, ns=None) -> LimitFit:
+                           psi: SphericalSymbol) -> LimitFit:
     """Extrapolated sum over j of the A_j-weighted Riesz-composed pairings.
 
     The j-th symbol is (xi_j / i|xi|) psi, realized as the operator
     composition -R_j . A_conj(psi) so the potential identities hold exactly
     on the lattice.
     """
-    return _limit(_index_pass(instance, v_family, phi1, phi2, psi, ns), "weighted")
+    return _limit(_index_pass(instance, v_family, phi1, phi2, psi), "weighted")
 
 
 def baseline_pairing(instance: TransportInstance, v_family: SequenceFamily,
                      phi1: GridFunction, phi2: GridFunction,
-                     psi: SphericalSymbol, ns=None) -> LimitFit:
+                     psi: SphericalSymbol) -> LimitFit:
     """Unweighted pairing of the same families: the mass scale of the defect."""
-    return _limit(_index_pass(instance, v_family, phi1, phi2, psi, ns), "baseline")
+    return _limit(_index_pass(instance, v_family, phi1, phi2, psi), "baseline")
 
 
 def i1_chain_check(instance: TransportInstance, v_family: SequenceFamily,
@@ -235,7 +236,7 @@ def rellich_step_probe(instance: TransportInstance, v_family: SequenceFamily,
 
 def localization_verdict(instance: TransportInstance, v_family: SequenceFamily,
                          phi1: GridFunction, phi2: GridFunction,
-                         psi: SphericalSymbol, tol_char=0.05) -> dict:
+                         psi: SphericalSymbol) -> dict:
     """Full experiment summary for one instance, from one pass over n.
 
     The ratio is null when the baseline limit is 0; passes_tol_char is null
@@ -252,7 +253,7 @@ def localization_verdict(instance: TransportInstance, v_family: SequenceFamily,
         "baseline": base.to_dict(),
         "char_pairing": char.to_dict(),
         "ratio": ratio,
-        "passes_tol_char": bool(ratio <= tol_char) if check else None,
+        "passes_tol_char": bool(ratio <= TOL_CHAR) if check else None,
         "rates": {
             "rhs_exponent": rhs.fits["rhs_norm"].exponent,
             "rellich_exponent": rellich.fits["wkq_norm"].exponent,

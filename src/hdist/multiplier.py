@@ -15,12 +15,15 @@ import numpy as np
 from .grid import FREQUENCY, Grid, GridFunction, dft, idft
 from .symbol import SphericalSymbol, default_quadrature
 
+# harmonic degree of the sphere rule that averages a symbol without a known
+# sphere mean, for the zero mode
+MEAN_QUAD_DEGREE = 64
+
 
 @dataclass(frozen=True)
 class MultiplierOperator:
     grid: Grid
     m: np.ndarray = field(repr=False)  # complex lattice values, FFT layout
-    provenance: str = "custom"
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.m, dtype=np.complex128)
@@ -37,17 +40,15 @@ class MultiplierOperator:
         return idft(GridFunction(self.grid, self.m * dft(f).values, FREQUENCY))
 
     def adjoint(self) -> "MultiplierOperator":
-        return MultiplierOperator(self.grid, np.conj(self.m), f"adjoint({self.provenance})")
+        return MultiplierOperator(self.grid, np.conj(self.m))
 
     def compose(self, other: "MultiplierOperator") -> "MultiplierOperator":
         if other.grid != self.grid:
             raise ValueError("grid mismatch")
-        return MultiplierOperator(
-            self.grid, self.m * other.m, f"{self.provenance}*{other.provenance}"
-        )
+        return MultiplierOperator(self.grid, self.m * other.m)
 
 
-def from_symbol(grid: Grid, psi: SphericalSymbol, quad_degree=64) -> MultiplierOperator:
+def from_symbol(grid: Grid, psi: SphericalSymbol) -> MultiplierOperator:
     """Multiplier with values psi(xi/|xi|); zero mode = sphere average of psi."""
     if psi.d != grid.d:
         raise ValueError(f"symbol dimension {psi.d} != grid dimension {grid.d}")
@@ -56,10 +57,10 @@ def from_symbol(grid: Grid, psi: SphericalSymbol, quad_degree=64) -> MultiplierO
     if psi.sphere_mean is not None:
         mean = complex(psi.sphere_mean)
     else:
-        quad = default_quadrature(grid.d, quad_degree)
+        quad = default_quadrature(grid.d, MEAN_QUAD_DEGREE)
         mean = quad.integrate(psi(quad.nodes)) / np.sum(quad.weights)
     values[(0,) * grid.d] = mean
-    return MultiplierOperator(grid, values, f"homogeneous({psi.name})")
+    return MultiplierOperator(grid, values)
 
 
 def riesz(grid: Grid, axis: int) -> MultiplierOperator:
@@ -68,7 +69,7 @@ def riesz(grid: Grid, axis: int) -> MultiplierOperator:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
     m = np.where(grid.xi_norm == 0, 0.0,
                  grid.xi_axes[axis] / grid.xi_norm_safe) / 1j
-    return MultiplierOperator(grid, m, f"riesz({axis + 1})")
+    return MultiplierOperator(grid, m)
 
 
 def riesz_potential(grid: Grid) -> MultiplierOperator:
@@ -79,13 +80,13 @@ def riesz_potential(grid: Grid) -> MultiplierOperator:
     that involve the potential.
     """
     m = np.where(grid.xi_norm == 0, 0.0, 1.0 / (2 * np.pi * grid.xi_norm_safe))
-    return MultiplierOperator(grid, m, "riesz_potential")
+    return MultiplierOperator(grid, m)
 
 
 def bessel_potential(grid: Grid, s: float) -> MultiplierOperator:
     """Smoothing scale s: multiplier (1 + |2 pi xi|^2)^(s/2), no singularity."""
     m = (1.0 + (2 * np.pi * grid.xi_norm) ** 2) ** (s / 2.0)
-    return MultiplierOperator(grid, m.astype(np.complex128), f"bessel({s})")
+    return MultiplierOperator(grid, m.astype(np.complex128))
 
 
 def derivative_op(grid: Grid, alpha) -> MultiplierOperator:
@@ -97,7 +98,7 @@ def derivative_op(grid: Grid, alpha) -> MultiplierOperator:
     for axis, a in enumerate(alpha):
         if a:
             m = m * (2j * np.pi * grid.xi_axes[axis]) ** a
-    return MultiplierOperator(grid, m, f"derivative{alpha}")
+    return MultiplierOperator(grid, m)
 
 
 def derivative(f: GridFunction, alpha) -> GridFunction:

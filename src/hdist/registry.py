@@ -17,7 +17,7 @@ from .symbol import SphericalSymbol
 
 
 def _center(params, d):
-    c = params.get("center")
+    c = params["center"]
     if c is None:
         return np.zeros(d)
     c = np.asarray(c, dtype=float)
@@ -31,7 +31,7 @@ def _radius2(coords, center):
 
 
 def _gaussian(d, params):
-    w = float(params.get("width", 1.0))
+    w = float(params["width"])
     c = _center(params, d)
     return lambda *x: np.exp(-np.pi * _radius2(x, c) / w**2)
 
@@ -46,7 +46,7 @@ def _smooth_step(t):
 
 
 def _bump(d, params):
-    r = float(params.get("radius", 1.5))
+    r = float(params["radius"])
     c = _center(params, d)
 
     def f(*x):
@@ -64,7 +64,7 @@ def _constant_one(d, params):
 
 
 def _coordinate(d, params):
-    axis = int(params.get("axis", 0))
+    axis = int(params["axis"])
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for d={d}")
     return lambda *x: x[axis]
@@ -72,8 +72,8 @@ def _coordinate(d, params):
 
 def _shell_cutoff(d, params):
     """0 inside r_inner, 1 outside r_outer, smooth in between."""
-    r_in = float(params.get("r_inner", 2.0))
-    r_out = float(params.get("r_outer", 3.0))
+    r_in = float(params["r_inner"])
+    r_out = float(params["r_outer"])
     if not 0 < r_in < r_out:
         raise ValueError("need 0 < r_inner < r_outer")
     c = _center(params, d)
@@ -231,7 +231,7 @@ def tabulated_symbol(values, basis, name="tabulated") -> SphericalSymbol:
 
 
 SYMBOL_BUILTINS = {
-    "constant_one": (lambda d, params: constant_symbol(d, params.get("value", 1.0)),
+    "constant_one": (lambda d, params: constant_symbol(d, params["value"]),
                      {"value": 1.0}),
     "coordinate_1": (lambda d, params: coordinate_symbol(d, 0), {}),
     "coordinate_2": (lambda d, params: coordinate_symbol(d, 1), {}),
@@ -239,8 +239,8 @@ SYMBOL_BUILTINS = {
     "riesz_2": (lambda d, params: riesz_symbol(d, 1), {}),
     "riesz_3": (lambda d, params: riesz_symbol(d, 2), {}),
     "smoothed_sign": (
-        lambda d, params: smoothed_sign_symbol(d, int(params.get("axis", 0)),
-                                               float(params.get("eps", 0.25))),
+        lambda d, params: smoothed_sign_symbol(d, int(params["axis"]),
+                                               float(params["eps"])),
         {"axis": 0, "eps": 0.25},
     ),
 }

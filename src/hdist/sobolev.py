@@ -19,23 +19,14 @@ from .grid import Grid, GridFunction, lp_norm, pairing
 from .multiplier import bessel_potential, derivative
 from .util import AliasingError, multi_indices
 
-POSITIVE = "positive-order"
-NEGATIVE = "negative-order"
-
 
 @dataclass(frozen=True)
 class SobolevElement:
-    """Element of W^{k,q} (single function) or W^{-k,p} (derivative parts)."""
+    """Element sum_alpha d^alpha F_alpha of W^{-k,p}, |alpha| <= k."""
 
     k: int
     p: float
-    sign: str
-    function: Optional[GridFunction] = None
-    parts: Optional[dict] = None  # multi-index tuple -> GridFunction
-
-    @classmethod
-    def positive(cls, f: GridFunction, k: int, q: float):
-        return cls(k=k, p=q, sign=POSITIVE, function=f)
+    parts: dict  # multi-index tuple -> GridFunction
 
     @classmethod
     def negative(cls, parts: dict, k: int, p: float):
@@ -43,18 +34,14 @@ class SobolevElement:
         for alpha in parts:
             if sum(alpha) > k:
                 raise ValueError(f"part index {alpha} exceeds order k={k}")
-        return cls(k=k, p=p, sign=NEGATIVE, parts=parts)
+        return cls(k=k, p=p, parts=parts)
 
     @property
     def grid(self) -> Grid:
-        if self.sign == POSITIVE:
-            return self.function.grid
         return next(iter(self.parts.values())).grid
 
     def evaluate(self) -> GridFunction:
         """The element as a grid function (spectral derivatives of the parts)."""
-        if self.sign == POSITIVE:
-            return self.function
         total = None
         for alpha, f in sorted(self.parts.items()):
             term = derivative(f, alpha)
@@ -62,12 +49,10 @@ class SobolevElement:
         return total
 
 
-def wkq_norm(v, k: int, q: float) -> float:
+def wkq_norm(v: GridFunction, k: int, q: float) -> float:
     """(sum_{|alpha|<=k} |d^alpha v|_q^q)^(1/q) with spectral derivatives."""
     if isinstance(v, SobolevElement):
-        if v.sign != POSITIVE:
-            raise ValueError("wkq_norm expects a positive-order element")
-        v = v.function
+        raise ValueError("wkq_norm expects a grid function, not a W^{-k,p} element")
     total = 0.0
     for alpha in multi_indices(v.grid.d, k):
         total += lp_norm(derivative(v, alpha), q) ** q
@@ -80,18 +65,11 @@ def surrogate_negative_norm(u, k: int, p: float) -> float:
     return lp_norm(bessel_potential(g.grid, -float(k)).apply(g), p)
 
 
-def representation_norm_upper(u, p: float = None) -> float:
+def representation_norm_upper(u: SobolevElement) -> float:
     """(sum_alpha |F_alpha|_p^p)^(1/p): the size of one explicit
     representation, an upper bound for the infimum over all of them."""
-    if isinstance(u, SobolevElement):
-        if u.sign != NEGATIVE:
-            raise ValueError("needs a negative-order element with parts")
-        parts, p = u.parts, u.p if p is None else p
-    else:
-        parts = {tuple(a): f for a, f in u.items()}
-        if p is None:
-            raise ValueError("exponent p required with a bare parts dict")
-    return float(sum(lp_norm(f, p) ** p for f in parts.values()) ** (1.0 / p))
+    p = u.p
+    return float(sum(lp_norm(f, p) ** p for f in u.parts.values()) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +218,11 @@ class DecayTable:
         }
 
 
-def weak_null_probe(family: SequenceFamily, tests, threshold=1e-10) -> DecayTable:
+def weak_null_probe(family: SequenceFamily, tests) -> DecayTable:
     """Decay of |<u_n, phi>| over a battery of fixed test functions.
 
     The family counts as weakly null when every fitted exponent is below
-    -0.5 or the pairings are uniformly below `threshold`.
+    -0.5 or the pairings are uniformly below fit_decay's threshold.
     """
     tests = list(tests)
     if not tests:
@@ -256,7 +234,7 @@ def weak_null_probe(family: SequenceFamily, tests, threshold=1e-10) -> DecayTabl
         label = f"test_{i}"
         vals = [abs(pairing(u, phi)) for u in us]
         columns[label] = vals
-        fits[label] = fit_decay(ns, vals, threshold=threshold)
+        fits[label] = fit_decay(ns, vals)
     weakly_null = all(
         f.all_below_threshold or (f.exponent is not None and f.exponent < -0.5)
         for f in fits.values()

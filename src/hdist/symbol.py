@@ -213,7 +213,7 @@ def sh_synthesize(coeffs, basis: SphericalHarmonicBasis):
     return coeffs @ basis.table
 
 
-def hs_sphere_norm(coeffs, s, d, indices=None, basis=None):
+def hs_sphere_norm(coeffs, s, d, indices):
     """Sobolev norm on the sphere from harmonic coefficients.
 
     Weight per degree n is (n + (d-2)/2)^(2s) for d >= 3 and (n^2 + 1)^s on
@@ -221,10 +221,6 @@ def hs_sphere_norm(coeffs, s, d, indices=None, basis=None):
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if indices is None:
-        if basis is None:
-            raise ValueError("need indices or basis")
-        indices = basis.indices
     coeffs = np.asarray(coeffs, dtype=complex)
     degrees = np.array([n for n, _ in indices], dtype=float)
     if d == 2:
@@ -238,11 +234,17 @@ def hs_sphere_norm(coeffs, s, d, indices=None, basis=None):
 # C^k norms of the homogeneous extension
 
 _SHELL_HALF_WIDTH = 0.5  # shell radius parameter l in (0, 1)
+# harmonic degree of the sphere rule that samples sup norms
+SPHERE_DEGREE = 256
+# radii sampled across the shell
+N_RADIAL = 9
+# relative agreement at which step-halved finite differences are accepted
+FD_TOL = 1e-4
 
 
-def _shell_points(d, l, n_sphere, n_radial):
-    quad = default_quadrature(d, n_sphere)
-    radii = np.linspace(1.0 - l, 1.0 + l, n_radial)
+def _shell_points(d, l):
+    quad = default_quadrature(d, SPHERE_DEGREE)
+    radii = np.linspace(1.0 - l, 1.0 + l, N_RADIAL)
     pts = np.concatenate([r * quad.nodes for r in radii], axis=1)
     return pts
 
@@ -266,9 +268,9 @@ def _fd_derivative(psi: SphericalSymbol, beta, points, h):
     return rec(tuple(axes), points)
 
 
-def _derivative_sup(psi, beta, points, fd_tol):
+def _derivative_sup(psi, beta, points):
     """Sup of |d^beta psi*| over the given points, analytic when available,
-    otherwise step-halved central differences agreeing within fd_tol."""
+    otherwise step-halved central differences agreeing within FD_TOL."""
     if sum(beta) == 0:
         return float(np.max(np.abs(psi.extension(points))))
     if psi.deriv is not None:
@@ -278,7 +280,7 @@ def _derivative_sup(psi, beta, points, fd_tol):
     for _ in range(8):
         h /= 2
         cur = float(np.max(np.abs(_fd_derivative(psi, beta, points, h))))
-        if abs(cur - prev) <= fd_tol * (1.0 + abs(cur)):
+        if abs(cur - prev) <= FD_TOL * (1.0 + abs(cur)):
             return cur
         prev = cur
     raise ValueError(
@@ -286,35 +288,34 @@ def _derivative_sup(psi, beta, points, fd_tol):
     )
 
 
-def ck_norm(psi: SphericalSymbol, k: int, l=_SHELL_HALF_WIDTH,
-            n_sphere=256, n_radial=9, fd_tol=1e-4) -> float:
+def ck_norm(psi: SphericalSymbol, k: int, l=_SHELL_HALF_WIDTH) -> float:
     """C^k norm via the radial shell: sup over |alpha| <= k and the shell
     {1-l <= |x| <= 1+l} of |d^alpha psi*|, estimated on a dense sampling."""
     if k > psi.kappa:
         raise ValueError(f"order {k} exceeds symbol smoothness kappa={psi.kappa}")
     if not 0 < l < 1:
         raise ValueError("shell parameter l must lie in (0, 1)")
-    pts = _shell_points(psi.d, l, n_sphere, n_radial)
+    pts = _shell_points(psi.d, l)
     return max(
-        _derivative_sup(psi, beta, pts, fd_tol)
+        _derivative_sup(psi, beta, pts)
         for beta in multi_indices(psi.d, k)
     )
 
 
-def mihlin_constant(psi: SphericalSymbol, n_sphere=256, fd_tol=1e-4) -> float:
+def mihlin_constant(psi: SphericalSymbol) -> float:
     """max over |beta| <= kappa of sup_{S^{d-1}} |xi|^{|beta|} |d^beta psi*|.
 
     The integrand is homogeneous of degree zero, so the sup over nonzero
     frequencies reduces to the unit sphere.
     """
-    pts = default_quadrature(psi.d, n_sphere).nodes
+    pts = default_quadrature(psi.d, SPHERE_DEGREE).nodes
     return max(
-        _derivative_sup(psi, beta, pts, fd_tol)
+        _derivative_sup(psi, beta, pts)
         for beta in multi_indices(psi.d, psi.kappa)
     )
 
 
-def mp_bound(psi: SphericalSymbol, p: float, **kwargs) -> float:
+def mp_bound(psi: SphericalSymbol, p: float) -> float:
     """Multiplier-norm majorant max{p, 1/(p-1)} * (A + sup|psi|).
 
     An upper-bound certificate modulo the unspecified dimensional constant;
@@ -322,6 +323,6 @@ def mp_bound(psi: SphericalSymbol, p: float, **kwargs) -> float:
     """
     if not (1.0 < p < np.inf):
         raise ValueError(f"exponent must lie in (1, inf), got {p}")
-    a = mihlin_constant(psi, **kwargs)
-    sup = float(np.max(np.abs(psi(default_quadrature(psi.d, 256).nodes))))
+    a = mihlin_constant(psi)
+    sup = float(np.max(np.abs(psi(default_quadrature(psi.d, SPHERE_DEGREE).nodes))))
     return max(p, 1.0 / (p - 1.0)) * (a + sup)

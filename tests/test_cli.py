@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from hdist import cli, functional
-from hdist.cli import main, run_config, validate_config
+from hdist.cli import CONFIG_SCHEMAS, main, run_config, validate_config
+from hdist.grid import Grid
 
 SWEEP_CFG = {
     "experiment": "hdist_sweep",
@@ -67,6 +68,36 @@ NORM_CFG = {
 }
 
 
+# each experiment with every optional top-level key set
+FULL_CFGS = {
+    "hdist_sweep": SWEEP_CFG,
+    "commutator": {**COMMUTATOR_CFG, "r": 4.0, "q_list": [2.0, 4.0]},
+    "localization": {**LOCALIZATION_CFG, "p": 2.0, "q": 2.0},
+    "se_analysis": SE_CFG,
+    "norm_suite": NORM_CFG,
+}
+
+
+class KeyRecorder(dict):
+    """A config that records which top-level keys a runner reads."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
 def write_cfg(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=2))
@@ -93,6 +124,18 @@ class TestValidation:
         cfg["families"]["u"]["kind"] = "warp"
         errors = validate_config(cfg)
         assert any("families.u.kind" in e for e in errors)
+
+    @pytest.mark.parametrize("experiment", sorted(FULL_CFGS))
+    def test_every_schema_key_is_read(self, experiment, tmp_path):
+        # a key the schema accepts but no runner reads is a dead setting
+        cfg = FULL_CFGS[experiment]
+        assert validate_config(cfg) == []
+        recorder = KeyRecorder(cfg)
+        g = cfg["grid"]
+        cli.RUNNERS[experiment](recorder, Grid(g["d"], g["N"], g["L"]), tmp_path,
+                                {"config_hash": "0", "version": "0"})
+        read = recorder.read | {"experiment", "grid", "output_dir"}
+        assert read == set(CONFIG_SCHEMAS[experiment]["properties"])
 
     def test_missing_required(self):
         cfg = {k: v for k, v in COMMUTATOR_CFG.items() if k != "symbol"}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdist.fitting import ZERO_FLOOR, fit_decay, fit_limit
+from hdist.fitting import NEGLIGIBLE, ZERO_FLOOR, fit_decay, fit_limit
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +152,14 @@ class TestFitLimit:
         fit = fit_limit([8, 16, 32], [1e-16, -1e-17, 1e-16])
         assert fit.model == "negligible"
         assert fit.value == 0.0
+
+    def test_negligible_boundary(self):
+        # magnitudes at NEGLIGIBLE still count as zero; one ulp above do not
+        fit = fit_limit([8, 16, 32], [NEGLIGIBLE, 0.0, 0.0])
+        assert fit.model == "negligible"
+        assert fit.value == 0.0
+        above = fit_limit([8, 16, 32], [np.nextafter(NEGLIGIBLE, 1.0), 0.0, 0.0])
+        assert above.model != "negligible"
 
     def test_needs_three_records(self):
         with pytest.raises(ValueError):

@@ -41,7 +41,7 @@ class TestHPairing:
             for n in family.indices:
                 u = family.u(n)
                 rec = h_pairing(n, u, u, gaussian, gaussian, psi)
-                assert rec.forms_agree(rtol=1e-9)
+                assert rec.forms_agree()
 
     def test_disjoint_supports_vanish(self, grid, family):
         left = make_field(grid, {"name": "bump",
