@@ -28,7 +28,7 @@ from .grid import Grid, lp_norm
 from .localization import (build_instance, companion_v_family,
                            localization_verdict)
 from .registry import field_function, list_builtins, make_field, make_symbol
-from .sobolev import (SequenceFamily, SobolevElement,
+from .sobolev import (CONCENTRATION, SequenceFamily, SobolevElement,
                       representation_norm_upper, surrogate_negative_norm,
                       wkq_norm)
 from .specbasis import HermiteBasis, se_analyze, se_membership_score
@@ -214,6 +214,12 @@ CONFIG_SCHEMAS = {
                     "sphere_symbol": {"$ref": "#/$defs/symbol"},
                 },
                 "additionalProperties": False,
+                # exactly one x side and exactly one xi side
+                "allOf": [
+                    {"oneOf": [{"required": ["hermite"]}, {"required": ["x_field"]}]},
+                    {"oneOf": [{"required": ["harmonic"]},
+                               {"required": ["sphere_symbol"]}]},
+                ],
             },
             "m_max": {"type": "integer", "minimum": 0},
             "n_max": {"type": "integer", "minimum": 0},
@@ -270,30 +276,15 @@ def load_config(path):
 # builders
 
 def _family(grid: Grid, spec, label) -> SequenceFamily:
-    kind = spec["kind"]
-    kwargs = dict(
-        k=int(spec.get("k", 0)),
-        p=float(spec.get("p", 2.0)),
-        indices=tuple(spec["indices"]),
-        prefactor_power=float(spec.get("prefactor_power", 0.0)),
-        label=label,
-    )
-    if kind == "concentration":
-        return SequenceFamily(
-            grid, kind,
-            amplitude_fn=field_function(grid.d, spec["amplitude"]),
-            direction=(1,) + (0,) * (grid.d - 1),
-            center=tuple(spec["center"]) if "center" in spec else None,
-            profile_width=float(spec.get("profile_width", 1.0)),
-            **kwargs,
-        )
-    direction = tuple(spec.get("direction", (1,) + (0,) * (grid.d - 1)))
-    order = int(spec.get("order", kwargs["k"] if kind == "scaled_oscillation" else 0))
-    return SequenceFamily(
-        grid, kind,
-        amplitude=make_field(grid, spec["amplitude"]),
-        direction=direction, order=order, **kwargs,
-    )
+    # the family keys are SequenceFamily's own fields, which hold the defaults;
+    # JSON arrays become tuples so that families compare and hash by value
+    kw = {key: tuple(value) if isinstance(value, list) else value
+          for key, value in spec.items() if key != "amplitude"}
+    if spec["kind"] == CONCENTRATION:
+        kw["amplitude_fn"] = field_function(grid.d, spec["amplitude"])
+    else:
+        kw["amplitude"] = make_field(grid, spec["amplitude"])
+    return SequenceFamily(grid, label=label, **kw)
 
 
 def _stamp(cfg):
@@ -309,9 +300,10 @@ def _write_csv(path, header, rows, stamp):
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each returns (checks, files); files maps an artifact name to a
+# dict (JSON) or a (header, rows) pair (CSV)
 
-def run_hdist_sweep(cfg, grid, outdir, stamp):
+def run_hdist_sweep(cfg, grid):
     u_fam = _family(grid, cfg["families"]["u"], "u")
     v_fam = _family(grid, cfg["families"]["v"], "v") if "v" in cfg["families"] else u_fam
     phi1 = make_field(grid, cfg["test_functions"]["phi1"])
@@ -329,22 +321,19 @@ def run_hdist_sweep(cfg, grid, outdir, stamp):
                          repr(r.value_form_b.real), repr(r.value_form_b.imag),
                          repr(r.form_gap)])
             max_gap = max(max_gap, r.form_gap / (1.0 + abs(r.value_form_a)))
-    _write_csv(outdir / "records.csv",
-               ["psi", "phi1", "phi2", "n", "re_form_a", "im_form_a",
-                "re_form_b", "im_form_b", "gap"],
-               rows, stamp)
-    dump_json({**stamp, "limits": limits}, outdir / "limits.json")
-
+    files = {
+        "records.csv": (["psi", "phi1", "phi2", "n", "re_form_a", "im_form_a",
+                         "re_form_b", "im_form_b", "gap"], rows),
+        "limits.json": {"limits": limits},
+    }
     checks = {
         "adjoint_form_agreement": {
             "max_relative_gap": max_gap, "tol": FORM_RTOL,
             "passed": max_gap <= FORM_RTOL,
-        }
+        },
+        "flagged_limits": {
+            "limits": sorted(name for name, lim in limits.items() if lim["flagged"])},
     }
-    artifacts = ["records.csv", "limits.json"]
-
-    checks["flagged_limits"] = {
-        "limits": sorted(name for name, lim in limits.items() if lim["flagged"])}
     if "tensor" in cfg:
         hb = HermiteBasis.build(grid, int(cfg["tensor"]["m_max"]))
         sb = SphericalHarmonicBasis.build(grid.d, int(cfg["tensor"]["n_max"]))
@@ -356,21 +345,17 @@ def run_hdist_sweep(cfg, grid, outdir, stamp):
                 hb, sb, baseline_phi=phi1,
             )
             tensor = result.pop("tensor")
-            probe = result.pop("probe")
-            dump_json({**stamp, **jsonable(result), "probe": probe.to_dict()},
-                      outdir / "zero_check.json")
-            artifacts.append("zero_check.json")
+            files["zero_check.json"] = {**result, "probe": result["probe"].to_dict()}
             checks["zero_check_consistent"] = {"passed": result["consistent"]}
         else:
             tensor = mu_tensor(u_fam, v_fam, hb, sb)
-        dump_json({**stamp, "tensor": tensor.to_dict()}, outdir / "tensor.json")
-        artifacts.append("tensor.json")
+        files["tensor.json"] = {"tensor": tensor.to_dict()}
         checks["tensor_max_abs"] = {"value": tensor.max_abs()}
         checks["flagged_limits"]["tensor_entries"] = int(tensor.flagged.sum())
-    return checks, artifacts
+    return checks, files
 
 
-def run_commutator(cfg, grid, outdir, stamp):
+def run_commutator(cfg, grid):
     fam = _family(grid, cfg["family"], "v")
     probe = CommutatorProbe(
         psi=make_symbol(grid.d, cfg["symbol"]),
@@ -387,9 +372,6 @@ def run_commutator(cfg, grid, outdir, stamp):
         for n, v in zip(table.ns, vals):
             rows.append([n, repr(q), repr(v),
                          "" if exponent is None else repr(exponent)])
-    _write_csv(outdir / "commutator.csv", ["n", "q", "norm", "fitted_exponent"],
-               rows, stamp)
-    dump_json({**stamp, "table": table.to_dict()}, outdir / "commutator.json")
     checks = {
         "preconditions": {"violations": table.meta["violations"],
                           "passed": not table.meta["violations"]},
@@ -399,10 +381,13 @@ def run_commutator(cfg, grid, outdir, stamp):
             for label, fit in sorted(table.fits.items())
         },
     }
-    return checks, ["commutator.csv", "commutator.json"]
+    return checks, {
+        "commutator.csv": (["n", "q", "norm", "fitted_exponent"], rows),
+        "commutator.json": {"table": table.to_dict()},
+    }
 
 
-def run_localization(cfg, grid, outdir, stamp):
+def run_localization(cfg, grid):
     cutoff = cfg.get("cutoff", {})
     instance = build_instance(
         grid,
@@ -422,13 +407,11 @@ def run_localization(cfg, grid, outdir, stamp):
     phi2 = make_field(grid, cfg["test_functions"]["phi2"])
     psi = make_symbol(grid.d, cfg["symbol"])
     verdict = localization_verdict(instance, v_fam, phi1, phi2, psi)
-    dump_json({**stamp, **jsonable(verdict)}, outdir / "localization.json")
     rows = [
         [n, repr(v)]
         for n, v in zip(verdict["rhs_table"]["ns"],
                         verdict["rhs_table"]["columns"]["rhs_norm"])
     ]
-    _write_csv(outdir / "rhs.csv", ["n", "rhs_norm"], rows, stamp)
     max_chain = max(verdict["i1_chain_residuals"])
     checks = {
         "i1_chain": {"max_residual": max_chain, "tol": 1e-8,
@@ -438,35 +421,32 @@ def run_localization(cfg, grid, outdir, stamp):
         "flagged_limits": {"limits": [
             key for key in ("baseline", "char_pairing") if verdict[key]["flagged"]]},
     }
-    return checks, ["localization.json", "rhs.csv"]
+    return checks, {"localization.json": verdict,
+                    "rhs.csv": (["n", "rhs_norm"], rows)}
 
 
-def run_se_analysis(cfg, grid, outdir, stamp):
+def run_se_analysis(cfg, grid):
     hb = HermiteBasis.build(grid, int(cfg["m_max"]))
     sb = SphericalHarmonicBasis.build(grid.d, int(cfg["n_max"]))
+    # the schema admits exactly one x side and one xi side
     theta_cfg = cfg["theta"]
     if "hermite" in theta_cfg:
         fx = hb.function(tuple(theta_cfg["hermite"]))
-    elif "x_field" in theta_cfg:
-        fx = make_field(grid, theta_cfg["x_field"])
     else:
-        raise ConfigError("config.theta: need 'hermite' or 'x_field'")
+        fx = make_field(grid, theta_cfg["x_field"])
     if "harmonic" in theta_cfg:
         deg, j = theta_cfg["harmonic"]
         gs = sb.evaluate(int(deg), int(j), sb.quadrature.nodes)
-    elif "sphere_symbol" in theta_cfg:
-        gs = make_symbol(grid.d, theta_cfg["sphere_symbol"])(sb.quadrature.nodes)
     else:
-        raise ConfigError("config.theta: need 'harmonic' or 'sphere_symbol'")
+        gs = make_symbol(grid.d, theta_cfg["sphere_symbol"])(sb.quadrature.nodes)
     coeffs = se_analyze([(fx, gs)], hb, sb)
     score = se_membership_score(coeffs, list(cfg["r_list"]))
-    dump_json({**stamp, "coefficients": coeffs.to_dict()}, outdir / "se_coeffs.json")
-    dump_json({**stamp, "membership": jsonable(score)}, outdir / "se_membership.json")
     checks = {"membership_verdict": {"value": score["verdict"]}}
-    return checks, ["se_coeffs.json", "se_membership.json"]
+    return checks, {"se_coeffs.json": {"coefficients": coeffs.to_dict()},
+                    "se_membership.json": {"membership": score}}
 
 
-def run_norm_suite(cfg, grid, outdir, stamp):
+def run_norm_suite(cfg, grid):
     k_list = [int(k) for k in cfg.get("k_list", [0, 1])]
     p_list = [float(p) for p in cfg.get("p_list", [2.0])]
     table = []
@@ -488,11 +468,9 @@ def run_norm_suite(cfg, grid, outdir, stamp):
                 if upper > 0:
                     c_eq = max(c_eq, value / upper)
         table.append(entry)
-    dump_json({**stamp, "norms": table, "max_surrogate_over_upper": c_eq},
-              outdir / "norms.json")
     checks = {"norm_equivalence": {"max_surrogate_over_upper": c_eq,
                                    "passed": c_eq <= 4.0}}
-    return checks, ["norms.json"]
+    return checks, {"norms.json": {"norms": table, "max_surrogate_over_upper": c_eq}}
 
 
 RUNNERS = {
@@ -505,20 +483,29 @@ RUNNERS = {
 
 
 def run_config(cfg, output_dir=None) -> dict:
-    """Validate and execute a config; returns the summary dict."""
+    """Validate and execute a config; returns the summary dict.
+
+    The runner computes every artifact before the output directory is
+    created, so a run that raises writes no file.
+    """
     errors = validate_config(cfg)
     if errors:
         raise ConfigError("\n".join(errors))
+    grid = Grid(int(cfg["grid"]["d"]), int(cfg["grid"]["N"]), float(cfg["grid"]["L"]))
+    checks, files = RUNNERS[cfg["experiment"]](cfg, grid)
+    stamp = _stamp(cfg)
     outdir = Path(output_dir or cfg.get("output_dir") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = Grid(int(cfg["grid"]["d"]), int(cfg["grid"]["N"]), float(cfg["grid"]["L"]))
-    stamp = _stamp(cfg)
-    checks, artifacts = RUNNERS[cfg["experiment"]](cfg, grid, outdir, stamp)
+    for name, payload in sorted(files.items()):
+        if isinstance(payload, dict):
+            dump_json({**payload, **stamp}, outdir / name)
+        else:
+            _write_csv(outdir / name, *payload, stamp)
     summary = {
         **stamp,
         "experiment": cfg["experiment"],
         "checks": checks,
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(files),
     }
     dump_json(summary, outdir / "summary.json")
     return summary

@@ -151,12 +151,12 @@ class MuTensor:
 
     def to_dict(self):
         return {
-            "hermite_indices": [list(m) for m in self.hermite_indices],
-            "sphere_indices": [list(t) for t in self.sphere_indices],
-            "ns": list(self.ns),
-            "entries": [[[v.real, v.imag] for v in row] for row in self.values],
-            "residuals": [list(map(float, row)) for row in self.residuals],
-            "flagged": [list(map(bool, row)) for row in self.flagged],
+            "hermite_indices": self.hermite_indices,
+            "sphere_indices": self.sphere_indices,
+            "ns": self.ns,
+            "entries": self.values,
+            "residuals": self.residuals,
+            "flagged": self.flagged,
             "order_in_xi": "finite-basis surrogate; extension order not certified",
         }
 

@@ -114,19 +114,16 @@ def companion_v_family(instance: TransportInstance) -> SequenceFamily:
     )
 
 
-def _transport_side(instance: TransportInstance, phi1: GridFunction, n: int):
-    """u_n, f_n and |J_{-k-1}(phi1 f_n)|_p; f_n is summed on the frequency
-    side and inverted once."""
-    grid = instance.grid
-    u = instance.u_family.u(n)
-    f_hat = sum(derivative_op(grid, _unit(grid.d, j)).m * dft(a_j * u).values
-                for j, a_j in enumerate(instance.coefficients))
-    f = idft(GridFunction(grid, f_hat, FREQUENCY))
-    return u, f, surrogate_negative_norm(phi1 * f, instance.k + 1, instance.p)
+def _source(instance: TransportInstance, u: GridFunction, grad: list) -> GridFunction:
+    """f_n = sum_i d_i(A_i u_n) for u = u_n, summed on the frequency side and
+    inverted once."""
+    f_hat = sum(d_j.m * dft(a_j * u).values
+                for d_j, a_j in zip(grad, instance.coefficients))
+    return idft(GridFunction(instance.grid, f_hat, FREQUENCY))
 
 
 def _index_values(instance: TransportInstance, v_family: SequenceFamily,
-                  phi1: GridFunction, phi2: GridFunction, op_psi,
+                  phi1: GridFunction, phi2: GridFunction, ops: dict,
                   weight: GridFunction, n: int) -> dict:
     """What the probes read at one index; 2d + 7 transforms when k = 0.
 
@@ -134,23 +131,29 @@ def _index_values(instance: TransportInstance, v_family: SequenceFamily,
     <A_psi(phi1 u_n), phi2 v_n>; the chain compares the Riesz route
     sum_j <A_j phi1 u_n, -R_j t> ("weighted") with the I_1 route
     -<f_n, conj(phi1) w> - <u_n G, w>.  A function of its own so that each
-    index's fields are freed on return.
+    index's fields are freed on return.  The pass holds 2d + 3 lattice
+    arrays, so each field is dropped after its last use and f_n is formed
+    last: at most two fields are alive beside the transform temporaries.
     """
-    grid = instance.grid
-    u, f, rhs_norm = _transport_side(instance, phi1, n)
+    u = instance.u_family.u(n)
     b = phi2 * v_family.u(n)
-    baseline = pairing(idft(op_psi.apply(dft(phi1 * u))), b)
-    t_hat = op_psi.adjoint().apply(dft(b))
+    baseline = pairing(idft(ops["psi"].apply(dft(phi1 * u))), b)
+    t_hat = ops["psi"].adjoint().apply(dft(b))
+    del b
     lhs = sum(
-        pairing(a_j * phi1 * u, idft(riesz(grid, j).apply(t_hat) * (-1.0)))
-        for j, a_j in enumerate(instance.coefficients))
-    w = idft(riesz_potential(grid).apply(t_hat))
+        pairing(a_j * phi1 * u, idft(r_j.apply(t_hat) * (-1.0)))
+        for r_j, a_j in zip(ops["riesz"], instance.coefficients))
+    w = idft(ops["potential"].apply(t_hat))
+    del t_hat
+    wkq = wkq_norm(phi1 * w, instance.k, instance.q)
+    f = _source(instance, u, ops["grad"])
     rhs = -(pairing(f, phi1.conj() * w) + pairing(u * weight, w))
+    del u, w
+    rhs_norm = surrogate_negative_norm(phi1 * f, instance.k + 1, instance.p)
     return {"n": int(n), "baseline": complex(baseline), "weighted": complex(lhs),
             "chain": {"n": int(n), "lhs": complex(lhs), "rhs": complex(rhs),
                       "residual": float(abs(lhs - rhs) / (1.0 + abs(lhs)))},
-            "rhs_norm": rhs_norm,
-            "wkq_norm": wkq_norm(phi1 * w, instance.k, instance.q)}
+            "rhs_norm": rhs_norm, "wkq_norm": wkq}
 
 
 def _index_pass(instance: TransportInstance, v_family: SequenceFamily,
@@ -158,18 +161,21 @@ def _index_pass(instance: TransportInstance, v_family: SequenceFamily,
                 psi: SphericalSymbol, ns=None) -> list:
     """Per-index values for each n: the single pass behind every probe below.
 
-    A_psi and G = sum_j A_j conj(d_j conj(phi1)) are built once per pass; G
+    The multipliers (A_psi, d_j, R_j, I_1) and G are built once per pass; G
     turns sum_j <u_n A_j, d_j(conj phi1) w> into <u_n G, w>.
     """
     grid = instance.grid
-    op_psi = from_symbol(grid, psi)
+    ops = {"psi": from_symbol(grid, psi),
+           "grad": [derivative_op(grid, _unit(grid.d, j)) for j in range(grid.d)],
+           "riesz": [riesz(grid, j) for j in range(grid.d)],
+           "potential": riesz_potential(grid)}
     phi1_bar_hat = dft(phi1.conj())
-    d_phi1_bar = (idft(derivative_op(grid, _unit(grid.d, j)).apply(phi1_bar_hat))
-                  for j in range(grid.d))
+    d_phi1_bar = (idft(d_j.apply(phi1_bar_hat)) for d_j in ops["grad"])
     weight = GridFunction(grid, sum(a_j.values * np.conj(d.values) for a_j, d
                                     in zip(instance.coefficients, d_phi1_bar)))
+    del phi1_bar_hat
     ns = tuple(ns) if ns is not None else tuple(instance.indices)
-    return [_index_values(instance, v_family, phi1, phi2, op_psi, weight, n)
+    return [_index_values(instance, v_family, phi1, phi2, ops, weight, n)
             for n in ns]
 
 
@@ -190,8 +196,12 @@ def _rhs_table(instance: TransportInstance, rows) -> DecayTable:
 
 def rhs_smallness_probe(instance: TransportInstance, phi: GridFunction) -> DecayTable:
     """Surrogate W^{-k-1,p} norms of phi * f_n per index, with fitted rate."""
+    grid = instance.grid
+    grad = [derivative_op(grid, _unit(grid.d, j)) for j in range(grid.d)]
     return _rhs_table(instance, [
-        {"n": n, "rhs_norm": _transport_side(instance, phi, n)[2]}
+        {"n": n, "rhs_norm": surrogate_negative_norm(
+            phi * _source(instance, instance.u_family.u(n), grad),
+            instance.k + 1, instance.p)}
         for n in instance.indices])
 
 

@@ -12,6 +12,23 @@ import numpy as np
 from .grid import Grid, GridFunction
 from .symbol import SphericalSymbol
 
+
+def _resolve(kind: str, builtins: dict, spec):
+    """(name, builder, params) of a named spec or bare name, with the
+    builtin's defaults merged and unknown parameters rejected."""
+    if isinstance(spec, str):
+        spec = {"name": spec}
+    name = spec["name"]
+    if name not in builtins:
+        raise ValueError(f"unknown {kind} {name!r}; see list_builtins()")
+    fn, defaults = builtins[name]
+    params = {**defaults, **spec.get("params", {})}
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown parameters for {kind} {name!r}: {sorted(unknown)}")
+    return name, fn, params
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -95,25 +112,15 @@ def field_function(d: int, spec):
     Accepts a bare name, {"name", "params"}, {"product": [specs]} or
     {"scale": c, "of": spec}.
     """
-    if isinstance(spec, str):
-        spec = {"name": spec}
-    if "product" in spec:
+    if isinstance(spec, dict) and "product" in spec:
         parts = [field_function(d, s) for s in spec["product"]]
         return lambda *x: np.prod([p(*x) for p in parts], axis=0)
-    if "scale" in spec:
+    if isinstance(spec, dict) and "scale" in spec:
         c = spec["scale"]
         scale = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
         inner = field_function(d, spec["of"])
         return lambda *x: scale * inner(*x)
-    name = spec["name"]
-    if name not in FIELD_BUILTINS:
-        raise ValueError(f"unknown field {name!r}; see list_builtins()")
-    fn, defaults = FIELD_BUILTINS[name]
-    params = dict(defaults)
-    params.update(spec.get("params", {}))
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown parameters for field {name!r}: {sorted(unknown)}")
+    _, fn, params = _resolve("field", FIELD_BUILTINS, spec)
     return fn(d, params)
 
 
@@ -248,17 +255,7 @@ SYMBOL_BUILTINS = {
 
 def make_symbol(d: int, spec) -> SphericalSymbol:
     """Resolve a symbol spec ({"name", "params"} or bare name)."""
-    if isinstance(spec, str):
-        spec = {"name": spec}
-    name = spec["name"]
-    if name not in SYMBOL_BUILTINS:
-        raise ValueError(f"unknown symbol {name!r}; see list_builtins()")
-    fn, defaults = SYMBOL_BUILTINS[name]
-    params = dict(defaults)
-    params.update(spec.get("params", {}))
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown parameters for symbol {name!r}: {sorted(unknown)}")
+    name, fn, params = _resolve("symbol", SYMBOL_BUILTINS, spec)
     if name.endswith("_2") and d < 2 or name.endswith("_3") and d < 3:
         raise ValueError(f"symbol {name!r} needs dimension >= {name[-1]}")
     return fn(d, params)

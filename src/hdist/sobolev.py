@@ -15,8 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fitting import fit_decay
-from .grid import Grid, GridFunction, lp_norm, pairing
-from .multiplier import bessel_potential, derivative
+from .grid import Grid, GridFunction, dft, idft, lp_norm, pairing
+from .multiplier import bessel_potential, derivative, derivative_op
 from .util import AliasingError, multi_indices
 
 
@@ -53,9 +53,12 @@ def wkq_norm(v: GridFunction, k: int, q: float) -> float:
     """(sum_{|alpha|<=k} |d^alpha v|_q^q)^(1/q) with spectral derivatives."""
     if isinstance(v, SobolevElement):
         raise ValueError("wkq_norm expects a grid function, not a W^{-k,p} element")
+    # one transform per call; alpha = 0 is v itself, so k = 0 costs none
+    v_hat = dft(v) if k > 0 else None
     total = 0.0
     for alpha in multi_indices(v.grid.d, k):
-        total += lp_norm(derivative(v, alpha), q) ** q
+        d_v = idft(derivative_op(v.grid, alpha).apply(v_hat)) if any(alpha) else v
+        total += lp_norm(d_v, q) ** q
     return float(total ** (1.0 / q))
 
 
@@ -93,7 +96,8 @@ class SequenceFamily:
     concentration      : u_n = n^{d/p} a(n (x - x0)), sampled unperiodized.
 
     An extra n^{prefactor_power} factor (default 0) lets families decay or
-    grow on top of the kind's own scaling.
+    grow on top of the kind's own scaling.  direction defaults to e_1 of the
+    grid, and order to k for a scaled oscillation (unused otherwise).
     """
 
     grid: Grid
@@ -101,10 +105,10 @@ class SequenceFamily:
     k: int = 0
     p: float = 2.0
     indices: tuple = (8, 16, 32)
-    direction: tuple = (1, 0)
+    direction: Optional[tuple] = None
     amplitude: Optional[GridFunction] = field(default=None, compare=False)
     amplitude_fn: Optional[Callable] = field(default=None, compare=False)
-    order: int = 0
+    order: Optional[int] = None
     prefactor_power: float = 0.0
     center: Optional[tuple] = None
     profile_width: float = 1.0
@@ -113,6 +117,11 @@ class SequenceFamily:
     def __post_init__(self):
         if self.kind not in (OSCILLATION, SCALED_OSCILLATION, CONCENTRATION):
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if self.direction is None:
+            object.__setattr__(self, "direction", (1,) + (0,) * (self.grid.d - 1))
+        if self.order is None:
+            object.__setattr__(
+                self, "order", self.k if self.kind == SCALED_OSCILLATION else 0)
         if self.kind == CONCENTRATION:
             if self.amplitude_fn is None:
                 raise ValueError("concentration families need amplitude_fn")
@@ -169,25 +178,19 @@ class SequenceFamily:
         return out
 
 
-def oscillation_family(grid, amplitude, direction, indices, k=0, p=2.0, **kw):
-    return SequenceFamily(grid, OSCILLATION, k=k, p=p, indices=tuple(indices),
-                          direction=tuple(direction), amplitude=amplitude, **kw)
+def oscillation_family(grid, amplitude, direction, indices, **kw):
+    return SequenceFamily(grid, OSCILLATION, indices=indices,
+                          direction=direction, amplitude=amplitude, **kw)
 
 
-def scaled_oscillation_family(grid, amplitude, direction, indices, k, p=2.0,
-                              order=None, **kw):
-    order = k if order is None else order
-    return SequenceFamily(grid, SCALED_OSCILLATION, k=k, p=p,
-                          indices=tuple(indices), direction=tuple(direction),
-                          amplitude=amplitude, order=order, **kw)
+def scaled_oscillation_family(grid, amplitude, direction, indices, k, **kw):
+    return SequenceFamily(grid, SCALED_OSCILLATION, k=k, indices=indices,
+                          direction=direction, amplitude=amplitude, **kw)
 
 
-def concentration_family(grid, amplitude_fn, indices, k=0, p=2.0, center=None,
-                         profile_width=1.0, **kw):
-    return SequenceFamily(grid, CONCENTRATION, k=k, p=p, indices=tuple(indices),
-                          direction=(1,) + (0,) * (grid.d - 1),
-                          amplitude_fn=amplitude_fn, center=center,
-                          profile_width=profile_width, **kw)
+def concentration_family(grid, amplitude_fn, indices, **kw):
+    return SequenceFamily(grid, CONCENTRATION, indices=indices,
+                          amplitude_fn=amplitude_fn, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +207,8 @@ class DecayTable:
 
     def to_dict(self):
         return {
-            "ns": list(self.ns),
-            "columns": {k: list(v) for k, v in self.columns.items()},
+            "ns": self.ns,
+            "columns": self.columns,
             "fits": {
                 k: {
                     "exponent": f.exponent,
@@ -214,7 +217,7 @@ class DecayTable:
                 }
                 for k, f in self.fits.items()
             },
-            "meta": dict(self.meta),
+            "meta": self.meta,
         }
 
 

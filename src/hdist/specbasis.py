@@ -189,9 +189,9 @@ class SECoefficients:
             "d": self.d,
             "m_max": self.m_max,
             "n_max": self.n_max,
-            "sphere_indices": [list(t) for t in self.sphere_indices],
-            "hermite_indices": [list(t) for t in self.hermite_indices],
-            "entries": [[ [v.real, v.imag] for v in row] for row in self.a],
+            "sphere_indices": self.sphere_indices,
+            "hermite_indices": self.hermite_indices,
+            "entries": self.a,
         }
 
 

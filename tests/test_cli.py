@@ -132,14 +132,25 @@ class TestValidation:
         assert validate_config(cfg) == []
         recorder = KeyRecorder(cfg)
         g = cfg["grid"]
-        cli.RUNNERS[experiment](recorder, Grid(g["d"], g["N"], g["L"]), tmp_path,
-                                {"config_hash": "0", "version": "0"})
+        cli.RUNNERS[experiment](recorder, Grid(g["d"], g["N"], g["L"]))
         read = recorder.read | {"experiment", "grid", "output_dir"}
         assert read == set(CONFIG_SCHEMAS[experiment]["properties"])
 
     def test_missing_required(self):
         cfg = {k: v for k, v in COMMUTATOR_CFG.items() if k != "symbol"}
         assert validate_config(cfg)
+
+    @pytest.mark.parametrize("theta", [
+        {"x_field": "gaussian"},  # no xi side
+        {"hermite": [2, 0], "x_field": "gaussian", "harmonic": [1, 1]},  # two x sides
+    ])
+    def test_se_theta_needs_one_side_each(self, theta, tmp_path, capsys):
+        path = write_cfg(tmp_path, {**SE_CFG, "theta": theta})
+        assert main(["validate", str(path)]) == 2
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        assert "config.theta" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMain:
@@ -178,6 +189,27 @@ class TestMain:
         path = write_cfg(tmp_path, cfg)
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 3
         assert "guard" in capsys.readouterr().err
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        # the pairing stage succeeds; the tensor stage trips the Hermite
+        # support guard (m_max = 12 does not fit a box of side 8)
+        ok = json.loads(json.dumps(SWEEP_CFG))
+        ok["grid"] = {"d": 2, "N": 64, "L": 8.0}
+        ok["families"]["u"]["indices"] = [4, 8, 16]
+        del ok["tensor"], ok["zero_check"]
+        bad = {**ok, "tensor": {"m_max": 12, "n_max": 1}}
+        bad_path = write_cfg(tmp_path, bad, "bad.json")
+
+        fresh = tmp_path / "fresh"
+        assert main(["run", str(bad_path), "--output-dir", str(fresh)]) == 3
+        assert "guard" in capsys.readouterr().err
+        assert not fresh.exists()
+
+        used = tmp_path / "used"
+        assert main(["run", str(write_cfg(tmp_path, ok)), "--output-dir", str(used)]) == 0
+        before = {f.name: f.read_bytes() for f in used.iterdir()}
+        assert main(["run", str(bad_path), "--output-dir", str(used)]) == 3
+        assert {f.name: f.read_bytes() for f in used.iterdir()} == before
 
     def test_run_sweep(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SWEEP_CFG)

@@ -159,6 +159,15 @@ class TestFamilies:
             SequenceFamily(grid, "oscillation", amplitude=gaussian,
                            direction=(0, 0))
 
+    def test_defaults_follow_grid_and_kind(self, grid, gaussian):
+        g3 = Grid(3, 16, 8.0)
+        a3 = make_field(g3, "gaussian")
+        fam = SequenceFamily(g3, "oscillation", amplitude=a3, indices=(1, 2, 3))
+        assert fam.direction == (1, 0, 0)
+        assert fam.order == 0
+        scaled = SequenceFamily(grid, "scaled_oscillation", amplitude=gaussian, k=2)
+        assert scaled.direction == (1, 0) and scaled.order == 2
+
 
 class TestProbes:
     def test_weak_null_oscillation(self, grid, gaussian):
