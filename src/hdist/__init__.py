@@ -18,7 +18,7 @@ from .multiplier import (MultiplierOperator, bessel_potential, derivative,
                          derivative_commutation_check, derivative_op,
                          from_symbol, riesz, riesz_potential)
 from .sobolev import (SequenceFamily, SobolevElement, concentration_family,
-                      oscillation_family, representation_norm_upper,
+                      norm_table, oscillation_family, representation_norm_upper,
                       scaled_oscillation_family, strong_null_probe,
                       surrogate_negative_norm, weak_null_probe, wkq_norm)
 from .commutator import CommutatorProbe, commutator_apply, compactness_probe

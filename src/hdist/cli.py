@@ -24,13 +24,11 @@ from . import __version__
 from .commutator import CommutatorProbe, compactness_probe
 from .functional import (FORM_RTOL, extrapolate_limit, mu_tensor,
                          pairing_records, zero_mu_strong_convergence_check)
-from .grid import Grid, lp_norm
+from .grid import Grid
 from .localization import (build_instance, companion_v_family,
                            localization_verdict)
 from .registry import field_function, list_builtins, make_field, make_symbol
-from .sobolev import (CONCENTRATION, SequenceFamily, SobolevElement,
-                      representation_norm_upper, surrogate_negative_norm,
-                      wkq_norm)
+from .sobolev import CONCENTRATION, SequenceFamily, norm_table
 from .specbasis import HermiteBasis, se_analyze, se_membership_score
 from .symbol import SphericalHarmonicBasis
 from .util import (AliasingError, SupportError, canonical_hash, dump_json,
@@ -232,8 +230,10 @@ CONFIG_SCHEMAS = {
         {
             "fields": {"type": "array", "items": {"$ref": "#/$defs/field"},
                        "minItems": 1},
-            "k_list": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-            "p_list": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 1}},
+            "k_list": {"type": "array", "items": {"type": "integer", "minimum": 0},
+                       "minItems": 1},
+            "p_list": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 1},
+                       "minItems": 1},
         },
         ["fields"],
     ),
@@ -309,10 +309,13 @@ def run_hdist_sweep(cfg, grid):
     phi1 = make_field(grid, cfg["test_functions"]["phi1"])
     phi2 = make_field(grid, cfg["test_functions"]["phi2"])
     symbols = [make_symbol(grid.d, s) for s in cfg["symbols"]]
+    # every stage reads these samples: v_n is sampled at the u indices
+    ns = tuple(u_fam.indices)
+    us = [u_fam.u(n) for n in ns]
+    vs = us if v_fam is u_fam else [v_fam.u(n) for n in ns]
 
     rows, limits, max_gap = [], {}, 0.0
-    for psi in symbols:
-        records = pairing_records(u_fam, v_fam, phi1, phi2, psi)
+    for psi, records in zip(symbols, pairing_records(ns, us, vs, phi1, phi2, symbols)):
         est = extrapolate_limit(records)
         limits[psi.name] = est.to_dict()
         for r in records:
@@ -341,14 +344,14 @@ def run_hdist_sweep(cfg, grid):
             zc = cfg["zero_check"]
             theta = make_field(grid, zc["theta"])
             result = zero_mu_strong_convergence_check(
-                u_fam, v_fam, theta, int(zc.get("k", 0)), float(zc.get("p", 2.0)),
+                ns, us, vs, theta, int(zc.get("k", 0)), float(zc.get("p", 2.0)),
                 hb, sb, baseline_phi=phi1,
             )
             tensor = result.pop("tensor")
             files["zero_check.json"] = {**result, "probe": result["probe"].to_dict()}
             checks["zero_check_consistent"] = {"passed": result["consistent"]}
         else:
-            tensor = mu_tensor(u_fam, v_fam, hb, sb)
+            tensor = mu_tensor(ns, us, vs, hb, sb)
         files["tensor.json"] = {"tensor": tensor.to_dict()}
         checks["tensor_max_abs"] = {"value": tensor.max_abs()}
         checks["flagged_limits"]["tensor_entries"] = int(tensor.flagged.sum())
@@ -449,25 +452,18 @@ def run_se_analysis(cfg, grid):
 def run_norm_suite(cfg, grid):
     k_list = [int(k) for k in cfg.get("k_list", [0, 1])]
     p_list = [float(p) for p in cfg.get("p_list", [2.0])]
-    table = []
-    c_eq = 0.0
-    for i, spec in enumerate(cfg["fields"]):
-        f = make_field(grid, spec)
-        entry = {"field": i, "lp": {}, "wkq": {}, "negative": {}}
-        for p in p_list:
-            entry["lp"][f"{p:g}"] = lp_norm(f, p)
-        for k in k_list:
-            for p in p_list:
-                entry["wkq"][f"k={k},q={p:g}"] = wkq_norm(f, k, p)
-                u = SobolevElement.negative({(k,) + (0,) * (grid.d - 1): f}, k, p)
-                value = surrogate_negative_norm(u, k, p)
-                upper = representation_norm_upper(u)
-                entry["negative"][f"k={k},p={p:g}"] = {
-                    "surrogate": value, "representation_upper": upper,
-                }
-                if upper > 0:
-                    c_eq = max(c_eq, value / upper)
-        table.append(entry)
+    fields = (make_field(grid, spec) for spec in cfg["fields"])
+    kp = [(k, p) for k in k_list for p in p_list]
+    table, c_eq = [], 0.0
+    for i, (lp, wkq, neg) in enumerate(norm_table(grid, fields, k_list, p_list)):
+        # d^(k,0,...) f has the one part f: its representation bound is |f|_p
+        table.append({
+            "field": i, "lp": {f"{p:g}": lp[p] for p in p_list},
+            "wkq": {f"k={k},q={p:g}": wkq[k, p] for k, p in kp},
+            "negative": {f"k={k},p={p:g}": {"surrogate": neg[k, p],
+                                            "representation_upper": lp[p]}
+                         for k, p in kp}})
+        c_eq = max([c_eq] + [neg[k, p] / lp[p] for k, p in kp if lp[p] > 0])
     checks = {"norm_equivalence": {"max_surrogate_over_upper": c_eq,
                                    "passed": c_eq <= 4.0}}
     return checks, {"norms.json": {"norms": table, "max_surrogate_over_upper": c_eq}}

@@ -8,12 +8,13 @@ functional evaluates
 whose limit along n tests the product phi1 conj(phi2) psi.  Limits are
 extrapolated from finitely many indices; sweeping phi over Hermite functions
 and psi over spherical harmonics yields a finite coefficient tensor, the
-artifact's concrete stand-in for the limiting object.
+artifact's concrete stand-in for the limiting object.  The sequences enter
+as samples: u_n = us[i] and v_n = vs[i] at the index n = ns[i].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .fitting import LimitFit, fit_limit
 from .grid import GridFunction, dft, idft, lp_norm, pairing
 from .multiplier import MultiplierOperator, derivative, from_symbol
-from .sobolev import SequenceFamily, SobolevElement, strong_null_probe
+from .sobolev import SobolevElement, strong_null_probe
 from .specbasis import HermiteBasis
 from .symbol import SphericalHarmonicBasis, SphericalSymbol
 from .util import multi_binomial, sub_indices
@@ -72,9 +73,25 @@ def _leibniz_value(u: SobolevElement, v_n, phi1, phi2,
     return complex(total)
 
 
+def pairing_records(ns, us, vs, phi1, phi2, symbols) -> list:
+    """One list of records per symbol.  phi1 u_n and phi2 v_n are transformed
+    once per index and shared by every symbol; forms A and B each take one
+    inverse transform per symbol and index."""
+    ops = [from_symbol(phi1.grid, psi) for psi in symbols]
+    out = [[] for _ in symbols]
+    for n, u, v in zip(ns, us, vs):
+        fu, gv = phi1 * u, phi2 * v
+        fu_hat, gv_hat = dft(fu), dft(gv)
+        for records, psi, op in zip(out, symbols, ops):
+            form_a = pairing(idft(op.apply(fu_hat)), gv)
+            form_b = pairing(fu, idft(op.adjoint().apply(gv_hat)))
+            records.append(HPairingRecord(int(n), form_a, form_b, phi1.name or "phi1",
+                                          phi2.name or "phi2", psi.name))
+    return out
+
+
 def h_pairing(n, u_n, v_n: GridFunction, phi1: GridFunction,
               phi2: GridFunction, psi: SphericalSymbol,
-              op: MultiplierOperator = None,
               check_leibniz=False) -> HPairingRecord:
     """Evaluate both adjoint forms of the pairing at index n.
 
@@ -82,33 +99,14 @@ def h_pairing(n, u_n, v_n: GridFunction, phi1: GridFunction,
     parts; in the latter case `check_leibniz` additionally evaluates the
     derivative-expansion form, which must agree with form A to 1e-8.
     """
-    if op is None:
-        grid = v_n.grid
-        op = from_symbol(grid, psi)
     u_field = u_n.evaluate() if isinstance(u_n, SobolevElement) else u_n
-    fu = phi1 * u_field
-    gv = phi2 * v_n
-    form_a = pairing(op.apply(fu), gv)
-    form_b = pairing(fu, op.adjoint().apply(gv))
-    leib = None
-    if check_leibniz:
-        if not isinstance(u_n, SobolevElement):
-            raise ValueError("Leibniz cross-check needs a negative-order element")
-        leib = _leibniz_value(u_n, v_n, phi1, phi2, op)
-    return HPairingRecord(
-        int(n), form_a, form_b,
-        phi1.name or "phi1", phi2.name or "phi2", psi.name, leib,
-    )
-
-
-def pairing_records(u_family: SequenceFamily, v_family: SequenceFamily,
-                    phi1, phi2, psi: SphericalSymbol):
-    """Sweep the pairing over the u family's indices, reusing the multiplier."""
-    op = from_symbol(u_family.grid, psi)
-    return [
-        h_pairing(n, u_family.u(n), v_family.u(n), phi1, phi2, psi, op=op)
-        for n in u_family.indices
-    ]
+    [[record]] = pairing_records([n], [u_field], [v_n], phi1, phi2, [psi])
+    if not check_leibniz:
+        return record
+    if not isinstance(u_n, SobolevElement):
+        raise ValueError("Leibniz cross-check needs a negative-order element")
+    op = from_symbol(v_n.grid, psi)
+    return replace(record, leibniz_value=_leibniz_value(u_n, v_n, phi1, phi2, op))
 
 
 def extrapolate_limit(records) -> LimitFit:
@@ -161,8 +159,7 @@ class MuTensor:
         }
 
 
-def mu_tensor(u_family: SequenceFamily, v_family: SequenceFamily,
-              hermite_basis: HermiteBasis,
+def mu_tensor(ns, us, vs, hermite_basis: HermiteBasis,
               sphere_basis: SphericalHarmonicBasis) -> MuTensor:
     """Tensor of extrapolated pairings over the product test basis.
 
@@ -172,11 +169,9 @@ def mu_tensor(u_family: SequenceFamily, v_family: SequenceFamily,
     single separable transform of u_n conj(w).
     """
     grid = hermite_basis.grid
-    ns = tuple(u_family.indices)
+    ns = tuple(ns)
     if len(ns) < 3:
         raise ValueError("need at least 3 indices for tensor extrapolation")
-    us = [u_family.u(n) for n in ns]
-    vs = [v_family.u(n) for n in ns] if v_family is not u_family else us
     v_spectra = [dft(v) for v in vs]
 
     m_flat = (hermite_basis.m_max + 1) ** grid.d
@@ -198,8 +193,7 @@ def mu_tensor(u_family: SequenceFamily, v_family: SequenceFamily,
 
 
 def zero_mu_strong_convergence_check(
-        u_family: SequenceFamily, v_family: SequenceFamily,
-        theta: GridFunction, k: int, p: float,
+        ns, us, vs, theta: GridFunction, k: int, p: float,
         hermite_basis: HermiteBasis, sphere_basis: SphericalHarmonicBasis,
         baseline_phi: GridFunction) -> dict:
     """Confront the tensor-is-zero verdict with strong-norm decay.
@@ -210,14 +204,13 @@ def zero_mu_strong_convergence_check(
     max_n |<phi u_n, phi v_n>|, so the verdict is invariant under rescaling
     the data.
     """
-    tensor = mu_tensor(u_family, v_family, hermite_basis, sphere_basis)
-    scale = max(abs(pairing(baseline_phi * u_family.u(n),
-                            baseline_phi * v_family.u(n)))
-                for n in u_family.indices)
+    tensor = mu_tensor(ns, us, vs, hermite_basis, sphere_basis)
+    scale = max(abs(pairing(baseline_phi * u, baseline_phi * v))
+                for u, v in zip(us, vs))
     threshold = 1e-3 * scale + 1e-12
     tensor_zero = tensor.max_abs() < threshold
 
-    probe = strong_null_probe(u_family, theta, k, p)
+    probe = strong_null_probe(ns, us, theta, k, p)
     strongly_null = probe.meta["strongly_null"]
 
     if tensor_zero and strongly_null:

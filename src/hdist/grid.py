@@ -191,11 +191,14 @@ def lp_norm(f: GridFunction, p: float) -> float:
     """Riemann-sum L^p norm, 1 < p < infinity; see linf_norm for the sup norm."""
     if f.side != PHYSICAL:
         raise ValueError("lp_norm expects a physical-side function")
+    return magnitude_lp_norm(f.grid, np.abs(f.values), p)
+
+
+def magnitude_lp_norm(grid: Grid, mag: np.ndarray, p: float) -> float:
+    """lp_norm from the lattice magnitudes |f|, so that one |f| serves every p."""
     if not (1.0 < p < np.inf):
         raise ValueError(f"exponent must lie in (1, inf), got {p}")
-    return float(
-        (f.grid.cell_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p)
-    )
+    return float((grid.cell_volume * np.sum(mag ** p)) ** (1.0 / p))
 
 
 def linf_norm(f: GridFunction) -> float:

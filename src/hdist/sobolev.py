@@ -15,7 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fitting import fit_decay
-from .grid import Grid, GridFunction, dft, idft, lp_norm, pairing
+from .grid import (FREQUENCY, Grid, GridFunction, dft, idft, lp_norm,
+                   magnitude_lp_norm, pairing)
 from .multiplier import bessel_potential, derivative, derivative_op
 from .util import AliasingError, multi_indices
 
@@ -49,23 +50,57 @@ class SobolevElement:
         return total
 
 
+def _derivatives(grid: Grid, k: int) -> dict:
+    """alpha -> the lattice array (2 pi i xi)^alpha, for 0 < |alpha| <= k."""
+    return {a: derivative_op(grid, a).m for a in multi_indices(grid.d, k) if any(a)}
+
+
+def _lp_norms(f: GridFunction, ops: dict, p_list) -> dict:
+    """key -> p -> |idft(ops[key] f_hat)|_p, and |f|_p under alpha = 0: one
+    forward transform, one inverse per multiplier, one magnitude for all p."""
+    f_hat = dft(f).values if ops else None
+    norms = {}
+    for key, m in [((0,) * f.grid.d, None), *ops.items()]:
+        g = f if m is None else idft(GridFunction(f.grid, m * f_hat, FREQUENCY))
+        mag = np.abs(g.values)
+        norms[key] = {p: magnitude_lp_norm(f.grid, mag, p) for p in p_list}
+    return norms
+
+
+def _wkq(norms: dict, d: int, k: int, q: float) -> float:
+    """The W^{k,q} norm from alpha -> q -> |d^alpha v|_q."""
+    return float(sum(norms[alpha][q] ** q for alpha in multi_indices(d, k)) ** (1.0 / q))
+
+
 def wkq_norm(v: GridFunction, k: int, q: float) -> float:
     """(sum_{|alpha|<=k} |d^alpha v|_q^q)^(1/q) with spectral derivatives."""
     if isinstance(v, SobolevElement):
         raise ValueError("wkq_norm expects a grid function, not a W^{-k,p} element")
-    # one transform per call; alpha = 0 is v itself, so k = 0 costs none
-    v_hat = dft(v) if k > 0 else None
-    total = 0.0
-    for alpha in multi_indices(v.grid.d, k):
-        d_v = idft(derivative_op(v.grid, alpha).apply(v_hat)) if any(alpha) else v
-        total += lp_norm(d_v, q) ** q
-    return float(total ** (1.0 / q))
+    return _wkq(_lp_norms(v, _derivatives(v.grid, k), [q]), v.grid.d, k, q)
 
 
 def surrogate_negative_norm(u, k: int, p: float) -> float:
     """Computable stand-in |J_{-k} u|_{L^p} for the W^{-k,p} size of u."""
     g = u.evaluate() if isinstance(u, SobolevElement) else u
+    if k == 0:  # J_0 is the identity
+        return lp_norm(g, p)
     return lp_norm(bessel_potential(g.grid, -float(k)).apply(g), p)
+
+
+def norm_table(grid: Grid, fields, k_list, p_list) -> list:
+    """(lp, wkq, surrogate) per field f: p -> |f|_p, (k, q) -> wkq_norm(f, k, q)
+    and (k, p) -> surrogate_negative_norm of the element d^{(k,0,...)} f, whose
+    representation bound is |f|_p.  Each multiplier is built once, with
+    J_{-k} d^{(k,0,...)} as one array, so a field takes
+    1 + #{0 < |alpha| <= max k} + #{k > 0} transforms."""
+    e1 = [(k,) + (0,) * (grid.d - 1) for k in range(max(k_list) + 1)]
+    ops = _derivatives(grid, max(k_list))
+    ops.update({k: bessel_potential(grid, -float(k)).m * ops[e1[k]]
+                for k in set(k_list) if k > 0})
+    return [(norms[e1[0]],
+             {(k, p): _wkq(norms, grid.d, k, p) for k in k_list for p in p_list},
+             {(k, p): norms[k or e1[0]][p] for k in k_list for p in p_list})
+            for norms in (_lp_norms(f, ops, p_list) for f in fields)]
 
 
 def representation_norm_upper(u: SobolevElement) -> float:
@@ -167,10 +202,12 @@ class SequenceFamily:
             )
             out = GridFunction(g, vals, "physical")
         else:
-            xi0 = np.asarray(self.direction, dtype=float)
-            coords = g.meshgrid_x()
-            phase = sum(c * x for c, x in zip(coords, xi0)) * (2j * np.pi * n / g.L)
-            out = GridFunction(g, self.amplitude.values * np.exp(phase), "physical")
+            vals = self.amplitude.values  # times a product of d 1-D waves
+            for axis, c in enumerate(self.direction):
+                if c:
+                    wave = np.exp((2j * np.pi * n * c / g.L) * g.axis_x)
+                    vals = vals * wave.reshape((-1,) + (1,) * (g.d - 1 - axis))
+            out = GridFunction(g, vals, "physical")
             if self.kind == SCALED_OSCILLATION and self.order != 0:
                 out = out * (2 * np.pi * self.frequency_shift(n)) ** self.order
         if self.prefactor_power != 0.0:
@@ -245,11 +282,12 @@ def weak_null_probe(family: SequenceFamily, tests) -> DecayTable:
     return DecayTable(ns, columns, fits, {"weakly_null": weakly_null})
 
 
-def strong_null_probe(family: SequenceFamily, theta: GridFunction, k: int,
+def strong_null_probe(ns, us, theta: GridFunction, k: int,
                       p: float) -> DecayTable:
-    """Surrogate W^{-k,p} norms of theta * u_n with a fitted trend."""
-    ns = tuple(family.indices)
-    norms = [surrogate_negative_norm(theta * family.u(n), k, p) for n in ns]
+    """Surrogate W^{-k,p} norms of theta * u_n, u_n = us[i] at n = ns[i],
+    with a fitted trend."""
+    ns = tuple(ns)
+    norms = [surrogate_negative_norm(theta * u, k, p) for u in us]
     fit = fit_decay(ns, norms)
     monotone = all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
     meta = {

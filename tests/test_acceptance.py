@@ -75,11 +75,13 @@ def zero_check_runs():
     sb = SphericalHarmonicBasis.build(2, 2)
     ns = (16, 32, 64)
     v_fam = oscillation_family(g, a, (1, 0), ns)
+    vs = [v_fam.u(n) for n in ns]
     results = {}
     for power, name in [(-0.5, "scaled"), (0.0, "unscaled")]:
         u_fam = oscillation_family(g, a, (1, 0), ns, prefactor_power=power)
         results[name] = zero_mu_strong_convergence_check(
-            u_fam, v_fam, theta, 0, 2.0, hb, sb, baseline_phi=phi)
+            ns, [u_fam.u(n) for n in ns], vs, theta, 0, 2.0, hb, sb,
+            baseline_phi=phi)
     return results
 
 
@@ -99,10 +101,11 @@ def test_criterion_1_adjoint_identity():
          make_field(g, {"name": "gaussian",
                         "params": {"center": [0.5, -0.5]}})),
     ]
+    us = [fam.u(n) for n in fam.indices]
     worst, count = 0.0, 0
-    for psi in symbols:
-        for phi1, phi2 in pairs:
-            for rec in pairing_records(fam, fam, phi1, phi2, psi):
+    for phi1, phi2 in pairs:
+        for records in pairing_records(fam.indices, us, us, phi1, phi2, symbols):
+            for rec in records:
                 gap = rec.form_gap / (1.0 + abs(rec.value_form_a))
                 worst = max(worst, gap)
                 count += 1
@@ -117,8 +120,10 @@ def test_criterion_2_oscillation_h_measure():
     a = make_field(g, "gaussian")
     phi = make_field(g, "gaussian")
     fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
-    est = extrapolate_limit(pairing_records(fam, fam, phi, phi,
-                                            riesz_symbol(2, 0)))
+    us = [fam.u(n) for n in fam.indices]
+    [records] = pairing_records(fam.indices, us, us, phi, phi,
+                                [riesz_symbol(2, 0)])
+    est = extrapolate_limit(records)
     # frequency-shift oracle: psi(xi0/|xi0|) * integral |phi|^2 |a|^2;
     # for unit-width Gaussians the mass integral is exactly 1/4 in d = 2
     oracle = -0.25j

@@ -1,11 +1,19 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hdist import cli, functional
+from hdist import cli, functional, sobolev
 from hdist.cli import CONFIG_SCHEMAS, main, run_config, validate_config
-from hdist.grid import Grid
+from hdist.grid import Grid, lp_norm
+from hdist.sobolev import (SequenceFamily, SobolevElement,
+                           representation_norm_upper, surrogate_negative_norm,
+                           wkq_norm)
+from hdist.symbol import SphericalHarmonicBasis
+from hdist.util import multi_indices
+
+from .test_grid import random_smooth
 
 SWEEP_CFG = {
     "experiment": "hdist_sweep",
@@ -139,6 +147,16 @@ class TestValidation:
     def test_missing_required(self):
         cfg = {k: v for k, v in COMMUTATOR_CFG.items() if k != "symbol"}
         assert validate_config(cfg)
+
+    @pytest.mark.parametrize("key", ["k_list", "p_list"])
+    def test_norm_suite_lists_nonempty(self, key, tmp_path, capsys):
+        # an empty list would compute no norms and pass the check vacuously
+        path = write_cfg(tmp_path, {**NORM_CFG, key: []})
+        assert main(["validate", str(path)]) == 2
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        assert f"config.{key}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("theta", [
         {"x_field": "gaussian"},  # no xi side
@@ -335,3 +353,79 @@ class TestExperiments:
         for name in ("summary.json", "limits.json", "tensor.json",
                      "zero_check.json", "records.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+NORM_ORACLE_CFG = {**NORM_CFG, "fields": ["gaussian", "bump"],
+                   "k_list": [0, 1, 2], "p_list": [1.5, 2.0, 4.0]}
+
+
+def counted(counts, key, fn):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def grid_of(cfg):
+    return Grid(cfg["grid"]["d"], cfg["grid"]["N"], cfg["grid"]["L"])
+
+
+class TestOnePass:
+    def test_norm_suite_counts(self, monkeypatch):
+        cfg = NORM_ORACLE_CFG
+        grid = grid_of(cfg)
+        counts = {"fft": 0, "build": 0}
+        monkeypatch.setattr(np.fft, "fftn", counted(counts, "fft", np.fft.fftn))
+        monkeypatch.setattr(np.fft, "ifftn", counted(counts, "fft", np.fft.ifftn))
+        for name in ("derivative_op", "bessel_potential"):
+            monkeypatch.setattr(sobolev, name,
+                                counted(counts, "build", getattr(sobolev, name)))
+        cli.RUNNERS["norm_suite"](cfg, grid)
+        k_max = max(cfg["k_list"])
+        derivs = len(multi_indices(grid.d, k_max)) - 1  # 0 < |alpha| <= max k
+        smoothing = len({k for k in cfg["k_list"] if k > 0})
+        assert counts["fft"] == len(cfg["fields"]) * (1 + derivs + smoothing)
+        assert counts["build"] == derivs + smoothing
+
+    def test_sweep_counts(self, monkeypatch):
+        grid = grid_of(SWEEP_CFG)
+        ns = SWEEP_CFG["families"]["u"]["indices"]
+        symbols = len(SWEEP_CFG["symbols"])
+        harmonics = SphericalHarmonicBasis.build(
+            grid.d, SWEEP_CFG["tensor"]["n_max"]).size
+        counts = {"forward": 0, "inverse": 0, "u": 0}
+        monkeypatch.setattr(np.fft, "fftn", counted(counts, "forward", np.fft.fftn))
+        monkeypatch.setattr(np.fft, "ifftn", counted(counts, "inverse", np.fft.ifftn))
+        monkeypatch.setattr(SequenceFamily, "u", counted(counts, "u", SequenceFamily.u))
+        cli.RUNNERS["hdist_sweep"](SWEEP_CFG, grid)
+        assert counts["u"] == len(ns)  # v is u: one sample per index, shared
+        # records: phi1 u_n and phi2 v_n forward once per index, forms A and
+        # B one inverse each per symbol and index; tensor: v_n forward once
+        # per index, one inverse per harmonic and index; the k = 0 strong
+        # probe takes none
+        assert counts["forward"] == 2 * len(ns) + len(ns)
+        assert counts["inverse"] == 2 * symbols * len(ns) + harmonics * len(ns)
+
+
+def test_norm_suite_matches_one_at_a_time(tmp_path, monkeypatch):
+    cfg = NORM_ORACLE_CFG
+    grid = grid_of(cfg)
+    fields = {name: random_smooth(grid, seed=i + 1)
+              for i, name in enumerate(cfg["fields"])}
+    monkeypatch.setattr(cli, "make_field", lambda grid, spec: fields[spec])
+    run_config(cfg, output_dir=tmp_path)
+    table = json.loads((tmp_path / "norms.json").read_text())["norms"]
+    assert len(table) == len(fields)
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    for entry, f in zip(table, fields.values()):
+        for p in cfg["p_list"]:
+            close(entry["lp"][f"{p:g}"], lp_norm(f, p))
+            for k in cfg["k_list"]:
+                close(entry["wkq"][f"k={k},q={p:g}"], wkq_norm(f, k, p))
+                u = SobolevElement.negative({(k,) + (0,) * (grid.d - 1): f}, k, p)
+                neg = entry["negative"][f"k={k},p={p:g}"]
+                close(neg["surrogate"], surrogate_negative_norm(u, k, p))
+                close(neg["representation_upper"], representation_norm_upper(u))

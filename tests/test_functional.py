@@ -14,6 +14,10 @@ from hdist.symbol import SphericalHarmonicBasis
 from .test_grid import random_smooth
 
 
+def samples(family):
+    return [family.u(n) for n in family.indices]
+
+
 @pytest.fixture(scope="module")
 def grid():
     return Grid(2, 128, 16.0)
@@ -116,7 +120,9 @@ class TestExtrapolation:
         a = make_field(g, "gaussian")
         phi = make_field(g, "gaussian")
         fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
-        recs = pairing_records(fam, fam, phi, phi, riesz_symbol(2, 0))
+        us = samples(fam)
+        [recs] = pairing_records(fam.indices, us, us, phi, phi,
+                                 [riesz_symbol(2, 0)])
         est = extrapolate_limit(recs)
         oracle = -0.25j  # (1/i) * integral exp(-4 pi |x|^2) = -i/4
         assert abs(est.value - oracle) <= 0.01 * abs(oracle)
@@ -131,14 +137,18 @@ class TestExtrapolation:
         one = make_field(g, "constant_one")
         fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
         psi = riesz_symbol(2, 0)
-        split = extrapolate_limit(pairing_records(fam, fam, phi1, phi2, psi))
+        ns, us = fam.indices, samples(fam)
+        [split] = pairing_records(ns, us, us, phi1, phi2, [psi])
+        split = extrapolate_limit(split)
         theta = phi1 * phi2.conj()
-        merged = extrapolate_limit(pairing_records(fam, fam, theta, one, psi))
+        [merged] = pairing_records(ns, us, us, theta, one, [psi])
+        merged = extrapolate_limit(merged)
         assert abs(split.value - merged.value) <= 0.02 * abs(split.value)
 
     def test_estimate_serialization(self, family, gaussian):
-        recs = pairing_records(family, family, gaussian, gaussian,
-                               constant_symbol(2))
+        us = samples(family)
+        [recs] = pairing_records(family.indices, us, us, gaussian, gaussian,
+                                 [constant_symbol(2)])
         est = extrapolate_limit(recs)
         d = est.to_dict()
         assert set(d) == {"value", "residual", "model", "beta", "flagged", "ns"}
@@ -151,7 +161,8 @@ class TestMuTensor:
         fam = oscillation_family(grid, z, (1, 0), (8, 16, 32))
         hb = HermiteBasis.build(grid, 1)
         sb = SphericalHarmonicBasis.build(2, 1)
-        tensor = mu_tensor(fam, fam, hb, sb)
+        us = samples(fam)
+        tensor = mu_tensor(fam.indices, us, us, hb, sb)
         assert tensor.max_abs() == 0.0
 
     def test_oscillation_separates(self):
@@ -162,7 +173,8 @@ class TestMuTensor:
         fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
         hb = HermiteBasis.build(g, 2)
         sb = SphericalHarmonicBasis.build(2, 2)
-        tensor = mu_tensor(fam, fam, hb, sb)
+        us = samples(fam)
+        tensor = mu_tensor(fam.indices, us, us, hb, sb)
         mass = a * a.conj()
         herm_coeffs = hb.analyze(mass).ravel()
         direction = np.array([[1.0], [0.0]])
@@ -176,7 +188,8 @@ class TestMuTensor:
     def test_serialization(self, grid, family):
         hb = HermiteBasis.build(grid, 1)
         sb = SphericalHarmonicBasis.build(2, 1)
-        tensor = mu_tensor(family, family, hb, sb)
+        us = samples(family)
+        tensor = mu_tensor(family.indices, us, us, hb, sb)
         d = tensor.to_dict()
         assert len(d["entries"]) == 4  # (m_max+1)^2 hermite rows
         assert len(d["entries"][0]) == sb.size
@@ -204,7 +217,8 @@ class TestZeroCheck:
         u = oscillation_family(g, a, (1, 0), setup["ns"], prefactor_power=-0.5)
         v = oscillation_family(g, a, (1, 0), setup["ns"])
         res = zero_mu_strong_convergence_check(
-            u, v, setup["theta"], 0, 2.0, setup["hb"], setup["sb"], setup["phi"])
+            setup["ns"], samples(u), samples(v), setup["theta"], 0, 2.0,
+            setup["hb"], setup["sb"], setup["phi"])
         assert res["tensor_is_zero"]
         assert res["strongly_null"]
         assert res["consistent"]
@@ -213,8 +227,10 @@ class TestZeroCheck:
     def test_unscaled_family_contrapositive(self, setup):
         g, a = setup["grid"], setup["a"]
         u = oscillation_family(g, a, (1, 0), setup["ns"])
+        us = samples(u)
         res = zero_mu_strong_convergence_check(
-            u, u, setup["theta"], 0, 2.0, setup["hb"], setup["sb"], setup["phi"])
+            setup["ns"], us, us, setup["theta"], 0, 2.0, setup["hb"],
+            setup["sb"], setup["phi"])
         assert not res["tensor_is_zero"]
         assert res["tensor_max"] >= 10 * res["threshold"]
         assert not res["strongly_null"]
@@ -224,9 +240,10 @@ class TestZeroCheck:
         g = setup["grid"]
         z = g.sample(lambda x, y: np.zeros_like(x))
         fam = oscillation_family(g, z, (1, 0), setup["ns"])
+        us = samples(fam)
         res = zero_mu_strong_convergence_check(
-            fam, fam, setup["theta"], 0, 2.0, setup["hb"], setup["sb"],
-            setup["phi"])
+            setup["ns"], us, us, setup["theta"], 0, 2.0, setup["hb"],
+            setup["sb"], setup["phi"])
         assert res["tensor_max"] == 0.0
         assert res["tensor_is_zero"]
         assert res["consistent"]
