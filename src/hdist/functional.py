@@ -14,18 +14,16 @@ as samples: u_n = us[i] and v_n = vs[i] at the index n = ns[i].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fitting import LimitFit, fit_limit
-from .grid import GridFunction, dft, idft, lp_norm, pairing
-from .multiplier import MultiplierOperator, derivative, from_symbol
-from .sobolev import SobolevElement, strong_null_probe
+from .grid import GridFunction, dft, idft, pairing
+from .multiplier import from_symbol
+from .sobolev import strong_null_probe
 from .specbasis import HermiteBasis
-from .symbol import SphericalHarmonicBasis, SphericalSymbol
-from .util import multi_binomial, sub_indices
+from .symbol import SphericalHarmonicBasis
 
 # the two adjoint forms agree when |a - b| <= FORM_RTOL * (1 + |a|)
 FORM_RTOL = 1e-9
@@ -41,36 +39,10 @@ class HPairingRecord:
     phi1: str = "phi1"
     phi2: str = "phi2"
     psi: str = "psi"
-    leibniz_value: Optional[complex] = None
 
     @property
     def form_gap(self) -> float:
         return abs(self.value_form_a - self.value_form_b)
-
-    def forms_agree(self) -> bool:
-        return self.form_gap <= FORM_RTOL * (1.0 + abs(self.value_form_a))
-
-
-def _leibniz_value(u: SobolevElement, v_n, phi1, phi2,
-                   op: MultiplierOperator) -> complex:
-    """Pairing via the derivative-expansion of a negative-order element.
-
-    Moves each d^alpha off the parts with two nested product expansions:
-    sum_alpha (-1)^|a| sum_{b<=a} C(a,b) sum_{g<=b} C(b,g)
-        < A_psi(F_a d^{a-b} phi1), d^{b-g} phi2 . d^g v_n >.
-    """
-    total = 0.0 + 0.0j
-    for alpha, f_part in sorted(u.parts.items()):
-        sign = (-1.0) ** sum(alpha)
-        for beta in sub_indices(alpha):
-            a_minus_b = tuple(a - b for a, b in zip(alpha, beta))
-            left = op.apply(f_part * derivative(phi1, a_minus_b))
-            for gamma in sub_indices(beta):
-                b_minus_g = tuple(b - g for b, g in zip(beta, gamma))
-                coef = sign * multi_binomial(alpha, beta) * multi_binomial(beta, gamma)
-                right = derivative(phi2, b_minus_g) * derivative(v_n, gamma)
-                total += coef * pairing(left, right)
-    return complex(total)
 
 
 def pairing_records(ns, us, vs, phi1, phi2, symbols) -> list:
@@ -90,38 +62,9 @@ def pairing_records(ns, us, vs, phi1, phi2, symbols) -> list:
     return out
 
 
-def h_pairing(n, u_n, v_n: GridFunction, phi1: GridFunction,
-              phi2: GridFunction, psi: SphericalSymbol,
-              check_leibniz=False) -> HPairingRecord:
-    """Evaluate both adjoint forms of the pairing at index n.
-
-    u_n may be a grid function or a negative-order element with explicit
-    parts; in the latter case `check_leibniz` additionally evaluates the
-    derivative-expansion form, which must agree with form A to 1e-8.
-    """
-    u_field = u_n.evaluate() if isinstance(u_n, SobolevElement) else u_n
-    [[record]] = pairing_records([n], [u_field], [v_n], phi1, phi2, [psi])
-    if not check_leibniz:
-        return record
-    if not isinstance(u_n, SobolevElement):
-        raise ValueError("Leibniz cross-check needs a negative-order element")
-    op = from_symbol(v_n.grid, psi)
-    return replace(record, leibniz_value=_leibniz_value(u_n, v_n, phi1, phi2, op))
-
-
 def extrapolate_limit(records) -> LimitFit:
     """Fit the records' values and return the extrapolated limit."""
     return fit_limit([r.n for r in records], [r.value_form_a for r in records])
-
-
-def holder_bound_slack(record: HPairingRecord, u_n, v_n, phi1, phi2,
-                       psi: SphericalSymbol, p: float) -> float:
-    """|mu_n| minus its product-norm bound (negative when the bound holds)."""
-    q = p / (p - 1.0)
-    u_field = u_n.evaluate() if isinstance(u_n, SobolevElement) else u_n
-    op = from_symbol(v_n.grid, psi).adjoint()
-    bound = lp_norm(phi1 * u_field, p) * lp_norm(op.apply(phi2 * v_n), q)
-    return abs(record.value_form_b) - bound
 
 
 # ---------------------------------------------------------------------------

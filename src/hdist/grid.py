@@ -217,6 +217,3 @@ def pairing(u: GridFunction, v: GridFunction) -> complex:
         raise ValueError("pairing expects physical-side functions")
     return complex(u.grid.cell_volume * np.vdot(v.values, u.values))
 
-
-def l2_norm(f: GridFunction) -> float:
-    return lp_norm(f, 2.0)

@@ -8,8 +8,9 @@ symbols must then vanish in the limit, while a non-characteristic control
 keeps them at baseline size.
 
 Every operator involved (A_psi, R_j, I_1, J_s, d_j) is a Fourier multiplier,
-so all probes share one pass over the indices that transforms each field once
-and applies every operator as a lattice product on those spectra.
+so every number of the verdict comes from one pass over the indices that
+transforms each field once and applies every operator as a lattice product
+on those spectra.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import LimitFit, fit_decay, fit_limit
-from .grid import FREQUENCY, Grid, GridFunction, dft, idft, pairing
-from .multiplier import (derivative, derivative_op, from_symbol, riesz,
-                         riesz_potential)
+from .grid import FREQUENCY, Grid, GridFunction, dft, idft, lp_norm, pairing
+from .multiplier import (bessel_potential, derivative, derivative_op,
+                         from_symbol, riesz, riesz_potential)
 from .registry import make_field
 from .sobolev import (DecayTable, SequenceFamily, scaled_oscillation_family,
-                      surrogate_negative_norm, wkq_norm)
+                      wkq_norm)
 from .symbol import SphericalSymbol
 
 
@@ -125,13 +126,14 @@ def _source(instance: TransportInstance, u: GridFunction, grad: list) -> GridFun
 def _index_values(instance: TransportInstance, v_family: SequenceFamily,
                   phi1: GridFunction, phi2: GridFunction, ops: dict,
                   weight: GridFunction, n: int) -> dict:
-    """What the probes read at one index; 2d + 7 transforms when k = 0.
+    """What the verdict reads at one index; 2d + 7 transforms when k = 0.
 
     With t = A_conj(psi)(phi2 v_n) and w = I_1 t: "baseline" is form A of
     <A_psi(phi1 u_n), phi2 v_n>; the chain compares the Riesz route
     sum_j <A_j phi1 u_n, -R_j t> ("weighted") with the I_1 route
-    -<f_n, conj(phi1) w> - <u_n G, w>.  A function of its own so that each
-    index's fields are freed on return.  The pass holds 2d + 3 lattice
+    -<f_n, conj(phi1) w> - <u_n G, w>; "rhs_norm" is |J_{-k-1}(phi1 f_n)|_p
+    and "wkq_norm" is |phi1 w|_{W^{k,q}}.  A function of its own so that each
+    index's fields are freed on return.  The pass holds 2d + 4 lattice
     arrays, so each field is dropped after its last use and f_n is formed
     last: at most two fields are alive beside the transform temporaries.
     """
@@ -149,7 +151,7 @@ def _index_values(instance: TransportInstance, v_family: SequenceFamily,
     f = _source(instance, u, ops["grad"])
     rhs = -(pairing(f, phi1.conj() * w) + pairing(u * weight, w))
     del u, w
-    rhs_norm = surrogate_negative_norm(phi1 * f, instance.k + 1, instance.p)
+    rhs_norm = lp_norm(ops["smooth"].apply(phi1 * f), instance.p)
     return {"n": int(n), "baseline": complex(baseline), "weighted": complex(lhs),
             "chain": {"n": int(n), "lhs": complex(lhs), "rhs": complex(rhs),
                       "residual": float(abs(lhs - rhs) / (1.0 + abs(lhs)))},
@@ -159,16 +161,18 @@ def _index_values(instance: TransportInstance, v_family: SequenceFamily,
 def _index_pass(instance: TransportInstance, v_family: SequenceFamily,
                 phi1: GridFunction, phi2: GridFunction,
                 psi: SphericalSymbol, ns=None) -> list:
-    """Per-index values for each n: the single pass behind every probe below.
+    """Per-index values for each n: the single pass behind the verdict and
+    the chain check.
 
-    The multipliers (A_psi, d_j, R_j, I_1) and G are built once per pass; G
-    turns sum_j <u_n A_j, d_j(conj phi1) w> into <u_n G, w>.
+    The multipliers (A_psi, d_j, R_j, I_1, J_{-k-1}) and G are built once
+    per pass; G turns sum_j <u_n A_j, d_j(conj phi1) w> into <u_n G, w>.
     """
     grid = instance.grid
     ops = {"psi": from_symbol(grid, psi),
            "grad": [derivative_op(grid, _unit(grid.d, j)) for j in range(grid.d)],
            "riesz": [riesz(grid, j) for j in range(grid.d)],
-           "potential": riesz_potential(grid)}
+           "potential": riesz_potential(grid),
+           "smooth": bessel_potential(grid, -float(instance.k + 1))}
     phi1_bar_hat = dft(phi1.conj())
     d_phi1_bar = (idft(d_j.apply(phi1_bar_hat)) for d_j in ops["grad"])
     weight = GridFunction(grid, sum(a_j.values * np.conj(d.values) for a_j, d
@@ -188,42 +192,6 @@ def _decay_table(rows, key: str, meta=None) -> DecayTable:
     return DecayTable(ns, {key: norms}, {key: fit_decay(ns, norms)}, meta or {})
 
 
-def _rhs_table(instance: TransportInstance, rows) -> DecayTable:
-    return _decay_table(rows, "rhs_norm", {
-        "characteristic": instance.characteristic,
-        "characteristic_defect": instance.characteristic_defect()})
-
-
-def rhs_smallness_probe(instance: TransportInstance, phi: GridFunction) -> DecayTable:
-    """Surrogate W^{-k-1,p} norms of phi * f_n per index, with fitted rate."""
-    grid = instance.grid
-    grad = [derivative_op(grid, _unit(grid.d, j)) for j in range(grid.d)]
-    return _rhs_table(instance, [
-        {"n": n, "rhs_norm": surrogate_negative_norm(
-            phi * _source(instance, instance.u_family.u(n), grad),
-            instance.k + 1, instance.p)}
-        for n in instance.indices])
-
-
-def characteristic_pairing(instance: TransportInstance, v_family: SequenceFamily,
-                           phi1: GridFunction, phi2: GridFunction,
-                           psi: SphericalSymbol) -> LimitFit:
-    """Extrapolated sum over j of the A_j-weighted Riesz-composed pairings.
-
-    The j-th symbol is (xi_j / i|xi|) psi, realized as the operator
-    composition -R_j . A_conj(psi) so the potential identities hold exactly
-    on the lattice.
-    """
-    return _limit(_index_pass(instance, v_family, phi1, phi2, psi), "weighted")
-
-
-def baseline_pairing(instance: TransportInstance, v_family: SequenceFamily,
-                     phi1: GridFunction, phi2: GridFunction,
-                     psi: SphericalSymbol) -> LimitFit:
-    """Unweighted pairing of the same families: the mass scale of the defect."""
-    return _limit(_index_pass(instance, v_family, phi1, phi2, psi), "baseline")
-
-
 def i1_chain_check(instance: TransportInstance, v_family: SequenceFamily,
                    phi1: GridFunction, phi2: GridFunction,
                    psi: SphericalSymbol, n: int) -> dict:
@@ -237,13 +205,6 @@ def i1_chain_check(instance: TransportInstance, v_family: SequenceFamily,
     return _index_pass(instance, v_family, phi1, phi2, psi, (n,))[0]["chain"]
 
 
-def rellich_step_probe(instance: TransportInstance, v_family: SequenceFamily,
-                       phi: GridFunction, phi2: GridFunction,
-                       psi: SphericalSymbol) -> DecayTable:
-    """Decay of |phi . I_1(A_conj(psi)(phi2 v_n))| in the W^{k,q} norm."""
-    return _decay_table(_index_pass(instance, v_family, phi, phi2, psi), "wkq_norm")
-
-
 def localization_verdict(instance: TransportInstance, v_family: SequenceFamily,
                          phi1: GridFunction, phi2: GridFunction,
                          psi: SphericalSymbol) -> dict:
@@ -254,12 +215,16 @@ def localization_verdict(instance: TransportInstance, v_family: SequenceFamily,
     """
     rows = _index_pass(instance, v_family, phi1, phi2, psi)
     base, char = _limit(rows, "baseline"), _limit(rows, "weighted")
-    rhs, rellich = _rhs_table(instance, rows), _decay_table(rows, "wkq_norm")
+    defect = instance.characteristic_defect()
+    rhs = _decay_table(rows, "rhs_norm", {
+        "characteristic": instance.characteristic,
+        "characteristic_defect": defect})
+    rellich = _decay_table(rows, "wkq_norm")
     ratio = abs(char.value) / abs(base.value) if abs(base.value) > 0 else None
     check = instance.characteristic and ratio is not None
     return {
         "characteristic_flag": bool(instance.characteristic),
-        "characteristic_defect": instance.characteristic_defect(),
+        "characteristic_defect": defect,
         "baseline": base.to_dict(),
         "char_pairing": char.to_dict(),
         "ratio": ratio,

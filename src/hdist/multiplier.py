@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import FREQUENCY, Grid, GridFunction, dft, idft
-from .symbol import SphericalSymbol, default_quadrature
-
-# harmonic degree of the sphere rule that averages a symbol without a known
-# sphere mean, for the zero mode
-MEAN_QUAD_DEGREE = 64
+from .symbol import SphericalSymbol
 
 
 @dataclass(frozen=True)
@@ -42,11 +38,6 @@ class MultiplierOperator:
     def adjoint(self) -> "MultiplierOperator":
         return MultiplierOperator(self.grid, np.conj(self.m))
 
-    def compose(self, other: "MultiplierOperator") -> "MultiplierOperator":
-        if other.grid != self.grid:
-            raise ValueError("grid mismatch")
-        return MultiplierOperator(self.grid, self.m * other.m)
-
 
 def from_symbol(grid: Grid, psi: SphericalSymbol) -> MultiplierOperator:
     """Multiplier with values psi(xi/|xi|); zero mode = sphere average of psi."""
@@ -54,12 +45,7 @@ def from_symbol(grid: Grid, psi: SphericalSymbol) -> MultiplierOperator:
         raise ValueError(f"symbol dimension {psi.d} != grid dimension {grid.d}")
     directions = np.stack([(c / grid.xi_norm_safe).ravel() for c in grid.xi_axes])
     values = psi(directions).reshape(grid.shape).astype(np.complex128)
-    if psi.sphere_mean is not None:
-        mean = complex(psi.sphere_mean)
-    else:
-        quad = default_quadrature(grid.d, MEAN_QUAD_DEGREE)
-        mean = quad.integrate(psi(quad.nodes)) / np.sum(quad.weights)
-    values[(0,) * grid.d] = mean
+    values[(0,) * grid.d] = complex(psi.sphere_mean)
     return MultiplierOperator(grid, values)
 
 
@@ -107,19 +93,3 @@ def derivative(f: GridFunction, alpha) -> GridFunction:
         return f
     return derivative_op(f.grid, alpha).apply(f)
 
-
-def derivative_commutation_check(psi: SphericalSymbol, alpha, f: GridFunction) -> float:
-    """Relative L^2 gap between d^alpha (A_psi f) and A_psi (d^alpha f).
-
-    Both routes reduce to the same frequency-side product (the combined
-    multiplier (2 pi i xi)^alpha psi(xi/|xi|)), so the residual is pure
-    rounding; contract: <= 1e-10.
-    """
-    op = from_symbol(f.grid, psi)
-    lhs = derivative(op.apply(f), alpha)
-    rhs = op.apply(derivative(f, alpha))
-    denom = float(np.sqrt(np.sum(np.abs(f.values) ** 2)))
-    if denom == 0:
-        return 0.0
-    gap = float(np.sqrt(np.sum(np.abs(lhs.values - rhs.values) ** 2)))
-    return gap / denom

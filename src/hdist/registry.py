@@ -143,36 +143,12 @@ def make_field(grid: Grid, spec) -> GridFunction:
 # ---------------------------------------------------------------------------
 # symbols
 
-def _coordinate_extension_derivative(j, beta, pts):
-    """Analytic d^beta of x_j / |x| for |beta| <= 2."""
-    axes = [i for i, b in enumerate(beta) for _ in range(b)]
-    r = np.sqrt(np.sum(pts * pts, axis=0))
-    if len(axes) == 0:
-        return pts[j] / r
-    if len(axes) == 1:
-        k = axes[0]
-        return (1.0 if j == k else 0.0) / r - pts[j] * pts[k] / r**3
-    if len(axes) == 2:
-        k, l = axes
-        d_jk = 1.0 if j == k else 0.0
-        d_jl = 1.0 if j == l else 0.0
-        d_kl = 1.0 if k == l else 0.0
-        return (
-            -(d_jk * pts[l] + d_jl * pts[k] + d_kl * pts[j]) / r**3
-            + 3.0 * pts[j] * pts[k] * pts[l] / r**5
-        )
-    raise ValueError("analytic derivatives available only up to order 2")
-
-
 def constant_symbol(d, value=1.0):
     v = complex(value)
     return SphericalSymbol(
         d,
         lambda xi: np.full(xi.shape[1], v),
         name="constant_one" if v == 1.0 else f"constant_{value}",
-        deriv=lambda beta, pts: (
-            np.full(pts.shape[1], v) if sum(beta) == 0 else np.zeros(pts.shape[1], complex)
-        ),
         sphere_mean=v,
     )
 
@@ -184,7 +160,6 @@ def coordinate_symbol(d, axis=0):
         d,
         lambda xi: xi[axis].astype(complex),
         name=f"coordinate_{axis + 1}",
-        deriv=lambda beta, pts: _coordinate_extension_derivative(axis, beta, pts).astype(complex),
         sphere_mean=0.0,
     )
 
@@ -197,7 +172,6 @@ def riesz_symbol(d, axis=0):
         d,
         lambda xi: -1j * xi[axis],
         name=f"riesz_{axis + 1}",
-        deriv=lambda beta, pts: -1j * _coordinate_extension_derivative(axis, beta, pts),
         sphere_mean=0.0,
     )
 
@@ -212,29 +186,6 @@ def smoothed_sign_symbol(d, axis=0, eps=0.25):
         name=f"smoothed_sign_{axis + 1}",
         sphere_mean=0.0,  # odd in xi_j
     )
-
-
-def tabulated_symbol(values, basis, name="tabulated") -> SphericalSymbol:
-    """Symbol from samples at a harmonic basis' quadrature nodes.
-
-    The values are expanded in spherical harmonics through the basis degree
-    and evaluated anywhere on the sphere from the coefficients; exact for
-    band-limited data, a least-squares smoothing otherwise.
-    """
-    from .symbol import sh_analyze
-
-    coeffs = sh_analyze(np.asarray(values, dtype=complex), basis)
-
-    def ev(xi):
-        out = np.zeros(xi.shape[1], dtype=complex)
-        for c, (n, j) in zip(coeffs, basis.indices):
-            if c != 0:
-                out += c * basis.evaluate(n, j, xi)
-        return out
-
-    area = 2 * np.pi if basis.d == 2 else 4 * np.pi
-    mean = complex(coeffs[0]) / np.sqrt(area)
-    return SphericalSymbol(basis.d, ev, name=name, sphere_mean=mean)
 
 
 SYMBOL_BUILTINS = {

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fitting import fit_decay
 from .grid import (FREQUENCY, Grid, GridFunction, dft, idft, lp_norm,
-                   magnitude_lp_norm, pairing)
+                   magnitude_lp_norm)
 from .multiplier import bessel_potential, derivative, derivative_op
 from .util import AliasingError, multi_indices
 
@@ -36,10 +36,6 @@ class SobolevElement:
             if sum(alpha) > k:
                 raise ValueError(f"part index {alpha} exceeds order k={k}")
         return cls(k=k, p=p, parts=parts)
-
-    @property
-    def grid(self) -> Grid:
-        return next(iter(self.parts.values())).grid
 
     def evaluate(self) -> GridFunction:
         """The element as a grid function (spectral derivatives of the parts)."""
@@ -225,11 +221,6 @@ def scaled_oscillation_family(grid, amplitude, direction, indices, k, **kw):
                           direction=direction, amplitude=amplitude, **kw)
 
 
-def concentration_family(grid, amplitude_fn, indices, **kw):
-    return SequenceFamily(grid, CONCENTRATION, indices=indices,
-                          amplitude_fn=amplitude_fn, **kw)
-
-
 # ---------------------------------------------------------------------------
 # convergence probes
 
@@ -256,30 +247,6 @@ class DecayTable:
             },
             "meta": self.meta,
         }
-
-
-def weak_null_probe(family: SequenceFamily, tests) -> DecayTable:
-    """Decay of |<u_n, phi>| over a battery of fixed test functions.
-
-    The family counts as weakly null when every fitted exponent is below
-    -0.5 or the pairings are uniformly below fit_decay's threshold.
-    """
-    tests = list(tests)
-    if not tests:
-        raise ValueError("need a nonempty test battery")
-    ns = tuple(family.indices)
-    us = [family.u(n) for n in ns]
-    columns, fits = {}, {}
-    for i, phi in enumerate(tests):
-        label = f"test_{i}"
-        vals = [abs(pairing(u, phi)) for u in us]
-        columns[label] = vals
-        fits[label] = fit_decay(ns, vals)
-    weakly_null = all(
-        f.all_below_threshold or (f.exponent is not None and f.exponent < -0.5)
-        for f in fits.values()
-    )
-    return DecayTable(ns, columns, fits, {"weakly_null": weakly_null})
 
 
 def strong_null_probe(ns, us, theta: GridFunction, k: int,

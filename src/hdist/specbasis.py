@@ -1,11 +1,10 @@
-"""Hermite functions, rapid-decay seminorms, and product-space coefficients.
+"""Hermite functions and coefficients on R^d x S^{d-1}.
 
 The Hermite functions are eigenfunctions of the harmonic oscillator
-x^2 - d^2/dx^2 with eigenvalue 2m+1; their coefficient decay measures
-Schwartz-class regularity.  Tensor products h_m(x) Y_{n,j}(xi) form an
-orthonormal basis of L^2(R^d x S^{d-1}), and membership of a function of
-(x, xi) in the smooth test class is probed through the summability of its
-weighted coefficient tensor.
+x^2 - d^2/dx^2 with eigenvalue 2m+1.  Tensor products h_m(x) Y_{n,j}(xi)
+form an orthonormal basis of L^2(R^d x S^{d-1}), and membership of a
+function of (x, xi) in the smooth test class is probed through the
+summability of its weighted coefficient tensor.
 """
 
 from __future__ import annotations
@@ -95,23 +94,6 @@ class HermiteBasis:
             c = np.moveaxis(c, 0, -1)
         return self.grid.cell_volume * c
 
-    def synthesize(self, coeffs: np.ndarray) -> GridFunction:
-        """Sum_m coeffs[m] h_m back onto the grid."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != self.shape:
-            raise ValueError(f"expected coefficient shape {self.shape}")
-        c = coeffs
-        for _ in range(self.grid.d):
-            c = np.tensordot(c, self.axis_table, axes=(0, 0))
-        return GridFunction(self.grid, c, PHYSICAL)
-
-
-def hermite_eval(grid: Grid, m) -> GridFunction:
-    """Sampled tensor Hermite function h_m (with support guard)."""
-    m = tuple(int(v) for v in m)
-    _check_support(grid, max(m))
-    basis = HermiteBasis.build(grid, max(m))
-    return basis.function(m)
 
 
 def oscillator_apply(f: GridFunction) -> GridFunction:
@@ -130,41 +112,6 @@ def oscillator_eigenvalue(m) -> float:
     return float(np.prod([2 * v + 1 for v in m]))
 
 
-@dataclass(frozen=True)
-class SeminormReport:
-    value: float
-    tail: float
-    lower_bound_only: bool
-    m_max: int
-
-
-def schwartz_seminorm(f: GridFunction, k: int, m_max: int = None) -> SeminormReport:
-    """Rapid-decay seminorm sum_m prod_i (2 m_i + 1)^{2k} |a_m|^2.
-
-    Truncated at m_max per axis; the outermost coefficient shell gives the
-    reported tail estimate.  If that shell does not decay relative to the
-    previous one the value is flagged as a lower bound only.
-    """
-    d = f.grid.d
-    if m_max is None:
-        m_max = 16 if d == 2 else 8
-    basis = HermiteBasis.build(f.grid, m_max)
-    a = basis.analyze(f)
-    w1 = (2.0 * np.arange(m_max + 1) + 1.0) ** (2 * k)
-    weights = w1
-    for _ in range(d - 1):
-        weights = np.multiply.outer(weights, w1)
-    terms = weights * np.abs(a) ** 2
-
-    axes_max = np.maximum.reduce(np.meshgrid(
-        *([np.arange(m_max + 1)] * d), indexing="ij"))
-    outer = float(np.sum(terms[axes_max == m_max]))
-    prev = float(np.sum(terms[axes_max == m_max - 1])) if m_max >= 1 else 0.0
-    total = float(np.sum(terms))
-    lower_only = outer > prev and outer > 1e-14 * max(total, 1e-300)
-    return SeminormReport(total, outer, lower_only, m_max)
-
-
 # ---------------------------------------------------------------------------
 # coefficients on R^d x S^{d-1}
 
@@ -178,11 +125,6 @@ class SECoefficients:
     m_max: int = 0
     n_max: int = 0
     d: int = 2
-
-    def entry(self, nj, m):
-        i = self.sphere_indices.index(tuple(nj))
-        k = self.hermite_indices.index(tuple(m))
-        return self.a[i, k]
 
     def to_dict(self):
         return {

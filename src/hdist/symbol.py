@@ -1,24 +1,19 @@
-"""Zero-homogeneous multiplier symbols on the unit sphere.
+"""Zero-homogeneous multiplier symbols, sphere quadratures and spherical
+harmonics.
 
-A symbol is given by an evaluator on unit vectors; everything radial is
-recovered through the homogeneous extension psi*(x) = psi(x/|x|).  Smoothness
-bookkeeping uses kappa = floor(d/2) + 1, the derivative order needed for the
-multiplier bound machinery in d = 2, 3.
+A symbol is given by an evaluator on unit vectors and its exact mean over
+the sphere; the induced multiplier takes psi(xi/|xi|) off the zero mode
+and the mean on it.  Spherical harmonics through a degree n_max, tabulated
+on a quadrature exact through 2 n_max, give the xi side of the test basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import roots_legendre, sph_harm_y
-
-from .util import multi_indices
-
-
-def smoothness_order(d: int) -> int:
-    return d // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -30,45 +25,18 @@ class SphericalSymbol:
     d : ambient dimension (2 or 3).
     eval : vectorized map from unit vectors, shape (d, M) -> (M,) complex.
     name : registry identifier.
-    deriv : optional analytic derivatives of the homogeneous extension;
-        signature (beta, points (d, M)) -> (M,) complex for |beta| <= kappa.
-        Points are arbitrary nonzero vectors.
-    sphere_mean : optional exact mean over the sphere, used for the zero
-        frequency mode of the induced multiplier.
+    sphere_mean : exact mean over the sphere, the zero frequency mode of the
+        induced multiplier.
     """
 
     d: int
     eval: Callable = field(compare=False)
     name: str = "anonymous"
-    deriv: Optional[Callable] = field(default=None, compare=False)
-    sphere_mean: Optional[complex] = None
-
-    @property
-    def kappa(self) -> int:
-        return smoothness_order(self.d)
+    sphere_mean: complex = field(kw_only=True)
 
     def __call__(self, xi):
         """Evaluate at unit vectors, shape (d, M)."""
         return np.asarray(self.eval(np.asarray(xi, dtype=float)), dtype=complex)
-
-    def extension(self, x):
-        """Homogeneous extension psi*(x) = psi(x/|x|) at nonzero points (d, M)."""
-        x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x * x, axis=0))
-        if np.any(r == 0):
-            raise ValueError("extension is undefined at the origin")
-        return self(x / r)
-
-    def scaled(self, c):
-        """The symbol c * psi, inheriting analytic derivatives."""
-        der = None
-        if self.deriv is not None:
-            base = self.deriv
-            der = lambda beta, pts: c * base(beta, pts)
-        mean = None if self.sphere_mean is None else c * self.sphere_mean
-        return SphericalSymbol(
-            self.d, lambda xi: c * self.eval(xi), f"{c!r}*{self.name}", der, mean
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +54,6 @@ class SphereQuadrature:
     nodes: np.ndarray = field(repr=False)    # (d, M) unit vectors
     weights: np.ndarray = field(repr=False)  # (M,) positive, summing to |S^{d-1}|
     degree: int = 0
-
-    def integrate(self, values):
-        return complex(np.sum(self.weights * np.asarray(values)))
 
 
 def circle_quadrature(n_nodes: int) -> SphereQuadrature:
@@ -204,15 +169,6 @@ def sh_analyze(values, basis: SphericalHarmonicBasis):
     return np.conj(basis.table) @ (basis.quadrature.weights * values)
 
 
-def sh_synthesize(coeffs, basis: SphericalHarmonicBasis):
-    """Node values of a coefficient table; inverse of sh_analyze on
-    band-limited data."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (basis.size,):
-        raise ValueError(f"expected {basis.size} coefficients")
-    return coeffs @ basis.table
-
-
 def hs_sphere_norm(coeffs, s, d, indices):
     """Sobolev norm on the sphere from harmonic coefficients.
 
@@ -229,100 +185,3 @@ def hs_sphere_norm(coeffs, s, d, indices):
         weights = (degrees + (d - 2) / 2.0) ** (2 * s)
     return float(np.sqrt(np.sum(weights * np.abs(coeffs) ** 2)))
 
-
-# ---------------------------------------------------------------------------
-# C^k norms of the homogeneous extension
-
-_SHELL_HALF_WIDTH = 0.5  # shell radius parameter l in (0, 1)
-# harmonic degree of the sphere rule that samples sup norms
-SPHERE_DEGREE = 256
-# radii sampled across the shell
-N_RADIAL = 9
-# relative agreement at which step-halved finite differences are accepted
-FD_TOL = 1e-4
-
-
-def _shell_points(d, l):
-    quad = default_quadrature(d, SPHERE_DEGREE)
-    radii = np.linspace(1.0 - l, 1.0 + l, N_RADIAL)
-    pts = np.concatenate([r * quad.nodes for r in radii], axis=1)
-    return pts
-
-
-def _fd_derivative(psi: SphericalSymbol, beta, points, h):
-    """Central finite differences of the homogeneous extension, nested per
-    axis; points may drift off the sphere, the extension handles that."""
-    vals = {(): points}
-
-    def rec(rem, pts):
-        if not rem:
-            return psi.extension(pts)
-        axis = rem[0]
-        e = np.zeros((pts.shape[0], 1))
-        e[axis, 0] = h
-        return (rec(rem[1:], pts + e) - rec(rem[1:], pts - e)) / (2 * h)
-
-    axes = []
-    for i, b in enumerate(beta):
-        axes.extend([i] * b)
-    return rec(tuple(axes), points)
-
-
-def _derivative_sup(psi, beta, points):
-    """Sup of |d^beta psi*| over the given points, analytic when available,
-    otherwise step-halved central differences agreeing within FD_TOL."""
-    if sum(beta) == 0:
-        return float(np.max(np.abs(psi.extension(points))))
-    if psi.deriv is not None:
-        return float(np.max(np.abs(psi.deriv(beta, points))))
-    h = 1e-2
-    prev = float(np.max(np.abs(_fd_derivative(psi, beta, points, h))))
-    for _ in range(8):
-        h /= 2
-        cur = float(np.max(np.abs(_fd_derivative(psi, beta, points, h))))
-        if abs(cur - prev) <= FD_TOL * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise ValueError(
-        f"finite differences for d^{beta} {psi.name} did not stabilize"
-    )
-
-
-def ck_norm(psi: SphericalSymbol, k: int, l=_SHELL_HALF_WIDTH) -> float:
-    """C^k norm via the radial shell: sup over |alpha| <= k and the shell
-    {1-l <= |x| <= 1+l} of |d^alpha psi*|, estimated on a dense sampling."""
-    if k > psi.kappa:
-        raise ValueError(f"order {k} exceeds symbol smoothness kappa={psi.kappa}")
-    if not 0 < l < 1:
-        raise ValueError("shell parameter l must lie in (0, 1)")
-    pts = _shell_points(psi.d, l)
-    return max(
-        _derivative_sup(psi, beta, pts)
-        for beta in multi_indices(psi.d, k)
-    )
-
-
-def mihlin_constant(psi: SphericalSymbol) -> float:
-    """max over |beta| <= kappa of sup_{S^{d-1}} |xi|^{|beta|} |d^beta psi*|.
-
-    The integrand is homogeneous of degree zero, so the sup over nonzero
-    frequencies reduces to the unit sphere.
-    """
-    pts = default_quadrature(psi.d, SPHERE_DEGREE).nodes
-    return max(
-        _derivative_sup(psi, beta, pts)
-        for beta in multi_indices(psi.d, psi.kappa)
-    )
-
-
-def mp_bound(psi: SphericalSymbol, p: float) -> float:
-    """Multiplier-norm majorant max{p, 1/(p-1)} * (A + sup|psi|).
-
-    An upper-bound certificate modulo the unspecified dimensional constant;
-    it is not asserted to dominate the true operator norm.
-    """
-    if not (1.0 < p < np.inf):
-        raise ValueError(f"exponent must lie in (1, inf), got {p}")
-    a = mihlin_constant(psi)
-    sup = float(np.max(np.abs(psi(default_quadrature(psi.d, SPHERE_DEGREE).nodes))))
-    return max(p, 1.0 / (p - 1.0)) * (a + sup)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 
 import numpy as np
 
@@ -26,16 +25,6 @@ def multi_indices(d, k):
     ]
     out.sort()
     return out
-
-
-def multi_binomial(alpha, beta):
-    """Product of per-component binomial coefficients C(alpha_i, beta_i)."""
-    return math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
-
-
-def sub_indices(alpha):
-    """All beta with 0 <= beta <= alpha componentwise."""
-    return list(itertools.product(*(range(a + 1) for a in alpha)))
 
 
 def jsonable(obj):

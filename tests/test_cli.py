@@ -134,7 +134,7 @@ class TestValidation:
         assert any("families.u.kind" in e for e in errors)
 
     @pytest.mark.parametrize("experiment", sorted(FULL_CFGS))
-    def test_every_schema_key_is_read(self, experiment, tmp_path):
+    def test_every_schema_key_is_read(self, experiment):
         # a key the schema accepts but no runner reads is a dead setting
         cfg = FULL_CFGS[experiment]
         assert validate_config(cfg) == []

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hdist.grid import (FREQUENCY, Grid, GridFunction, dft, idft, l2_norm,
-                        linf_norm, lp_norm, pairing)
+from hdist.grid import (FREQUENCY, Grid, GridFunction, dft, idft, linf_norm,
+                        lp_norm, pairing)
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ class TestPairing:
         f = random_smooth(grid, seed=5)
         val = pairing(f, f)
         assert val.imag == pytest.approx(0.0, abs=1e-12)
-        assert val.real == pytest.approx(l2_norm(f) ** 2, rel=1e-12)
+        assert val.real == pytest.approx(lp_norm(f, 2) ** 2, rel=1e-12)
 
     def test_orthogonal_plane_waves(self, grid):
         u = plane_wave(grid, (2, 1))

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from hdist import localization
 from hdist.fitting import fit_limit
 from hdist.grid import Grid, lp_norm, pairing
-from hdist.localization import (build_instance, baseline_pairing,
-                                characteristic_pairing, companion_v_family,
-                                i1_chain_check, localization_verdict,
-                                rellich_step_probe, rhs_smallness_probe)
+from hdist.localization import (build_instance, companion_v_family,
+                                i1_chain_check, localization_verdict)
 from hdist.multiplier import (bessel_potential, derivative, from_symbol, riesz,
                               riesz_potential)
 from hdist.registry import constant_symbol, make_field, riesz_symbol
@@ -82,15 +81,22 @@ def zero_inst():
                           indices=(2, 4, 8), characteristic=True)
 
 
-class TestZeroCoefficients:
-    def test_rhs_vanishes(self, zero_inst, tests_pair):
-        table = rhs_smallness_probe(zero_inst, tests_pair[0])
-        assert all(v == 0 for v in table.columns["rhs_norm"])
+@pytest.fixture(scope="module")
+def zero_verdict(zero_inst, tests_pair):
+    v = companion_v_family(zero_inst)
+    return localization_verdict(zero_inst, v, *tests_pair, constant_symbol(3))
 
-    def test_pairing_vanishes(self, zero_inst, tests_pair):
-        v = companion_v_family(zero_inst)
-        est = characteristic_pairing(zero_inst, v, *tests_pair, constant_symbol(3))
-        assert est.value == 0.0
+
+def limit_value(entry):
+    return complex(*entry["value"])
+
+
+class TestZeroCoefficients:
+    def test_rhs_vanishes(self, zero_verdict):
+        assert all(v == 0 for v in zero_verdict["rhs_table"]["columns"]["rhs_norm"])
+
+    def test_pairing_vanishes(self, zero_verdict):
+        assert limit_value(zero_verdict["char_pairing"]) == 0.0
 
     def test_chain_both_sides_zero(self, zero_inst, tests_pair):
         v = companion_v_family(zero_inst)
@@ -110,14 +116,21 @@ def fine_tests(fine_grid):
     return phi, phi
 
 
+@pytest.fixture(scope="module")
+def fine_verdicts(fine_grid, fine_tests):
+    """Characteristic and control verdicts at n = 4, 8, 16, constant symbol."""
+    out = {}
+    for name, characteristic in (("char", True), ("ctrl", False)):
+        inst = make(fine_grid, characteristic, indices=(4, 8, 16))
+        out[name] = localization_verdict(inst, companion_v_family(inst),
+                                         *fine_tests, constant_symbol(3))
+    return out
+
+
 class TestProbes:
-    def test_rhs_decays_only_when_characteristic(self, fine_grid, fine_tests):
-        char = rhs_smallness_probe(make(fine_grid, True, indices=(4, 8, 16)),
-                                   fine_tests[0])
-        ctrl = rhs_smallness_probe(make(fine_grid, False, indices=(4, 8, 16)),
-                                   fine_tests[0])
-        c_vals = char.columns["rhs_norm"]
-        n_vals = ctrl.columns["rhs_norm"]
+    def test_rhs_decays_only_when_characteristic(self, fine_verdicts):
+        c_vals = fine_verdicts["char"]["rhs_table"]["columns"]["rhs_norm"]
+        n_vals = fine_verdicts["ctrl"]["rhs_table"]["columns"]["rhs_norm"]
         assert c_vals[-1] < 0.5 * c_vals[0]
         assert n_vals[-1] > 0.8 * n_vals[0]  # plateau
 
@@ -138,21 +151,13 @@ class TestProbes:
         out = i1_chain_check(inst, v, *fine_tests, constant_symbol(3), 8)
         assert out["residual"] <= 1e-8
 
-    def test_baseline_nonzero(self, fine_grid, fine_tests):
-        inst = make(fine_grid, True, indices=(4, 8, 16))
-        v = companion_v_family(inst)
-        est = baseline_pairing(inst, v, *fine_tests, constant_symbol(3))
-        assert abs(est.value) > 0.05
+    def test_baseline_nonzero(self, fine_verdicts):
+        assert abs(limit_value(fine_verdicts["char"]["baseline"])) > 0.05
 
-    def test_characteristic_contrast(self, fine_grid, fine_tests):
-        psi = constant_symbol(3)
-        char = make(fine_grid, True, indices=(4, 8, 16))
-        ctrl = make(fine_grid, False, indices=(4, 8, 16))
-        v_c = companion_v_family(char)
-        v_n = companion_v_family(ctrl)
-        base = abs(baseline_pairing(char, v_c, *fine_tests, psi).value)
-        val_char = abs(characteristic_pairing(char, v_c, *fine_tests, psi).value)
-        val_ctrl = abs(characteristic_pairing(ctrl, v_n, *fine_tests, psi).value)
+    def test_characteristic_contrast(self, fine_verdicts):
+        base = abs(limit_value(fine_verdicts["char"]["baseline"]))
+        val_char = abs(limit_value(fine_verdicts["char"]["char_pairing"]))
+        val_ctrl = abs(limit_value(fine_verdicts["ctrl"]["char_pairing"]))
         assert val_char <= 0.05 * base
         assert val_ctrl >= 0.5 * base
 
@@ -162,7 +167,7 @@ class TestOnePass:
         inst = make(grid, False)
         v = companion_v_family(inst)
         ns = inst.indices
-        counts = {"fft": 0, "u": 0}
+        counts = {"fft": 0, "u": 0, "smooth": 0}
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -173,9 +178,12 @@ class TestOnePass:
         monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn, "fft"))
         monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn, "fft"))
         monkeypatch.setattr(SequenceFamily, "u", counted(SequenceFamily.u, "u"))
+        monkeypatch.setattr(localization, "bessel_potential",
+                            counted(localization.bessel_potential, "smooth"))
         localization_verdict(inst, v, *tests_pair, constant_symbol(3))
         assert counts["fft"] <= 13 * len(ns) + 4
         assert counts["u"] == 2 * len(ns)
+        assert counts["smooth"] == 1  # J_{-k-1}, once per verdict
 
 
 def operator_chain(inst, v_fam, phi1, phi2, psi):
@@ -221,7 +229,7 @@ def test_one_pass_matches_operator_chain(fine_grid, fine_tests, characteristic, 
     v = companion_v_family(inst)
     psi = riesz_symbol(3, 0)
     verdict = localization_verdict(inst, v, *fine_tests, psi)
-    rellich = rellich_step_probe(inst, v, *fine_tests, psi)
+    one_pass = localization._index_pass(inst, v, *fine_tests, psi)
     rows = operator_chain(inst, v, *fine_tests, psi)
     ns = list(inst.indices)
     for key, entry in (("baseline", "baseline"), ("weighted", "char_pairing")):
@@ -229,6 +237,6 @@ def test_one_pass_matches_operator_chain(fine_grid, fine_tests, characteristic, 
         assert_close(complex(*verdict[entry]["value"]), want)
     assert_close(verdict["rhs_table"]["columns"]["rhs_norm"],
                  [r["rhs_norm"] for r in rows])
-    assert_close(rellich.columns["wkq_norm"], [r["rellich"] for r in rows])
+    assert_close([r["wkq_norm"] for r in one_pass], [r["rellich"] for r in rows])
     assert max(verdict["i1_chain_residuals"]) <= 1e-8
     assert max(r["residual"] for r in rows) <= 1e-8

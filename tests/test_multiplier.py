@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdist.grid import Grid, GridFunction, linf_norm, lp_norm, pairing
-from hdist.multiplier import (bessel_potential, derivative,
-                              derivative_commutation_check, derivative_op,
-                              from_symbol, riesz, riesz_potential)
-from hdist.registry import constant_symbol, riesz_symbol, smoothed_sign_symbol
+from hdist.multiplier import (MultiplierOperator, bessel_potential, derivative,
+                              derivative_op, from_symbol, riesz, riesz_potential)
+from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, make_symbol,
+                            riesz_symbol, smoothed_sign_symbol)
 
 from .test_grid import plane_wave, random_smooth
 
@@ -55,16 +56,6 @@ class TestHomogeneousMultiplier:
         lhs = pairing(op.apply(f), g)
         rhs = pairing(f, op.adjoint().apply(g))
         assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
-
-    def test_composition_is_symbol_product(self, grid):
-        psi1, psi2 = riesz_symbol(2, 0), riesz_symbol(2, 1)
-        product = type(psi1)(
-            2, lambda xi: psi1.eval(xi) * psi2.eval(xi), "r1*r2", sphere_mean=0.0
-        )
-        f = random_smooth(grid, seed=30)
-        via_compose = from_symbol(grid, psi1).compose(from_symbol(grid, psi2)).apply(f)
-        via_product = from_symbol(grid, product).apply(f)
-        assert np.max(np.abs(via_compose.values - via_product.values)) < 1e-12
 
     def test_riesz_skew_adjoint_on_real(self, grid):
         f = grid.sample(lambda x, y: np.exp(-(x**2 + y**2)) * (1 + 0.3 * x))
@@ -122,34 +113,38 @@ class TestPotentials:
         assert np.max(np.abs(out.values - f.values)) < 1e-12 * linf_norm(f)
 
 
-class TestDerivativeCommutation:
-    def test_constant_symbol(self, grid):
-        f = random_smooth(grid, seed=11)
-        assert derivative_commutation_check(constant_symbol(2), (1, 1), f) < 1e-12
+@st.composite
+def _operator_pair(draw):
+    """(grid, two operator specs, field seed): a spec is a registry symbol
+    name or a derivative multi-index."""
+    d = draw(st.sampled_from([2, 3]))
+    grid = Grid(d, draw(st.sampled_from([8, 16, 32] if d == 2 else [8, 16])),
+                draw(st.floats(2.0, 20.0)))
+    names = [n for n in sorted(SYMBOL_BUILTINS) if d == 3 or not n.endswith("_3")]
+    spec = st.one_of(st.sampled_from(names),
+                     st.tuples(*[st.integers(0, 2)] * d))
+    return grid, draw(spec), draw(spec), draw(st.integers(0, 2**16))
 
-    def test_riesz_gaussian(self, grid):
-        f = grid.sample(lambda x, y: np.exp(-np.pi * (x**2 + y**2)))
-        assert derivative_commutation_check(riesz_symbol(2, 0), (1, 0), f) < 1e-10
 
-    def test_zero_index(self, grid):
-        f = random_smooth(grid, seed=12)
-        assert derivative_commutation_check(riesz_symbol(2, 0), (0, 0), f) == 0.0
+def _operator(grid, spec):
+    if isinstance(spec, str):
+        return from_symbol(grid, make_symbol(grid.d, spec))
+    return derivative_op(grid, spec)
 
-    def test_matches_combined_symbol(self, grid):
-        # d^alpha A_psi equals the single multiplier (2 pi i xi)^alpha psi
-        psi = riesz_symbol(2, 0)
-        alpha = (1, 1)
-        f = random_smooth(grid, seed=13)
-        combined = derivative_op(grid, alpha).compose(from_symbol(grid, psi))
-        lhs = derivative(from_symbol(grid, psi).apply(f), alpha)
-        rhs = combined.apply(f)
-        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-10 * linf_norm(rhs)
 
-    def test_bad_multi_index(self, grid):
-        with pytest.raises(ValueError):
-            derivative_op(grid, (1,))
-        with pytest.raises(ValueError):
-            derivative_op(grid, (-1, 0))
+class TestComposition:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_operator_pair())
+    def test_applying_in_turn_is_the_product_multiplier(self, case):
+        grid, spec_a, spec_b, seed = case
+        a, b = _operator(grid, spec_a), _operator(grid, spec_b)
+        rng = np.random.default_rng(seed)
+        f = GridFunction(grid, rng.normal(size=grid.shape)
+                         + 1j * rng.normal(size=grid.shape))
+        in_turn = b.apply(a.apply(f))
+        product = MultiplierOperator(grid, a.m * b.m).apply(f)
+        gap = np.max(np.abs(in_turn.values - product.values))
+        assert gap <= 1e-12 * linf_norm(product)
 
 
 class TestLatticeArrays:
@@ -182,3 +177,9 @@ class TestLatticeArrays:
         m = psi(directions).reshape(g.shape).astype(np.complex128)
         m[(0,) * d] = from_symbol(g, psi).m[(0,) * d]
         assert from_symbol(g, psi).m.tobytes() == m.tobytes()
+
+    def test_bad_multi_index(self, grid):
+        with pytest.raises(ValueError):
+            derivative_op(grid, (1,))
+        with pytest.raises(ValueError):
+            derivative_op(grid, (-1, 0))

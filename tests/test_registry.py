@@ -93,17 +93,3 @@ class TestSymbols:
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
             make_symbol(2, "mystery")
-
-    def test_tabulated_symbol_round_trip(self):
-        # the Riesz symbol is a degree-1 harmonic combination, so the
-        # tabulated reconstruction is exact up to quadrature rounding
-        from hdist.registry import tabulated_symbol
-        from hdist.symbol import SphericalHarmonicBasis
-
-        for d in (2, 3):
-            basis = SphericalHarmonicBasis.build(d, 4)
-            original = make_symbol(d, "riesz_1")
-            tab = tabulated_symbol(original(basis.quadrature.nodes), basis)
-            probe = basis.quadrature.nodes[:, ::7]
-            np.testing.assert_allclose(tab(probe), original(probe), atol=1e-9)
-            assert abs(tab.sphere_mean) < 1e-12

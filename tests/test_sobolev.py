@@ -3,10 +3,10 @@ import pytest
 
 from hdist.grid import Grid, GridFunction, lp_norm
 from hdist.registry import field_function, make_field
-from hdist.sobolev import (SequenceFamily, SobolevElement, concentration_family,
+from hdist.sobolev import (CONCENTRATION, SequenceFamily, SobolevElement,
                            oscillation_family, representation_norm_upper,
                            scaled_oscillation_family, strong_null_probe,
-                           surrogate_negative_norm, weak_null_probe, wkq_norm)
+                           surrogate_negative_norm, wkq_norm)
 from hdist.multiplier import derivative
 from hdist.util import AliasingError
 
@@ -141,14 +141,15 @@ class TestFamilies:
 
     def test_concentration_lp_constant(self):
         g = Grid(2, 256, 8.0)
-        fam = concentration_family(g, field_function(2, "gaussian"), (2, 4, 8),
-                                   p=2.0)
+        fam = SequenceFamily(g, CONCENTRATION, p=2.0, indices=(2, 4, 8),
+                             amplitude_fn=field_function(2, "gaussian"))
         norms = [lp_norm(fam.u(n), 2.0) for n in fam.indices]
         assert norms[0] == pytest.approx(norms[-1], rel=1e-6)
 
     def test_concentration_resolution_guard(self):
         g = Grid(2, 64, 8.0)
-        fam = concentration_family(g, field_function(2, "gaussian"), (2,))
+        fam = SequenceFamily(g, CONCENTRATION, indices=(2,),
+                             amplitude_fn=field_function(2, "gaussian"))
         with pytest.raises(AliasingError):
             fam.u(16)
 
@@ -170,35 +171,6 @@ class TestFamilies:
 
 
 class TestProbes:
-    def test_weak_null_oscillation(self, grid, gaussian):
-        fam = oscillation_family(grid, gaussian, (1, 0), (8, 16, 32))
-        table = weak_null_probe(fam, [gaussian])
-        assert table.meta["weakly_null"]
-        vals = table.columns["test_0"]
-        assert vals[-1] < 0.01 * vals[0]
-        assert table.fits["test_0"].exponent < -2.0  # much faster than 1/n
-
-    def test_weak_null_zero_family(self, grid):
-        z = grid.sample(lambda x, y: np.zeros_like(x))
-        fam = oscillation_family(grid, z, (1, 0), (8, 16, 32))
-        table = weak_null_probe(fam, [make_field(grid, "gaussian")])
-        assert table.meta["weakly_null"]
-        assert all(v == 0 for v in table.columns["test_0"])
-
-    def test_weak_null_concentration_rate(self):
-        # pairing against a constant test decays like n^(d/p - d) = 1/n
-        g = Grid(2, 256, 8.0)
-        fam = concentration_family(g, field_function(2, "gaussian"), (2, 4, 8),
-                                   p=2.0)
-        one = make_field(g, "constant_one")
-        table = weak_null_probe(fam, [one])
-        assert table.fits["test_0"].exponent == pytest.approx(-1.0, abs=0.1)
-
-    def test_empty_battery(self, grid, gaussian):
-        fam = oscillation_family(grid, gaussian, (1, 0), (8,))
-        with pytest.raises(ValueError):
-            weak_null_probe(fam, [])
-
     def test_strong_null_scaled_decay(self, grid, gaussian):
         fam = oscillation_family(grid, gaussian, (1, 0), (8, 16, 32),
                                  prefactor_power=-0.5)
