@@ -57,6 +57,16 @@ class TestHomogeneousMultiplier:
         rhs = pairing(f, op.adjoint().apply(g))
         assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
 
+    def test_composition_is_symbol_product(self, grid):
+        psi1, psi2 = riesz_symbol(2, 0), riesz_symbol(2, 1)
+        product = type(psi1)(
+            2, lambda xi: psi1.eval(xi) * psi2.eval(xi), "r1*r2", sphere_mean=0.0
+        )
+        f = random_smooth(grid, seed=30)
+        in_turn = from_symbol(grid, psi1).apply(from_symbol(grid, psi2).apply(f))
+        via_product = from_symbol(grid, product).apply(f)
+        assert np.max(np.abs(in_turn.values - via_product.values)) < 1e-12
+
     def test_riesz_skew_adjoint_on_real(self, grid):
         f = grid.sample(lambda x, y: np.exp(-(x**2 + y**2)) * (1 + 0.3 * x))
         val = pairing(riesz(grid, 0).apply(f), f)
@@ -111,6 +121,45 @@ class TestPotentials:
         f = random_smooth(grid, seed=10)
         out = bessel_potential(grid, -1.5).apply(bessel_potential(grid, 1.5).apply(f))
         assert np.max(np.abs(out.values - f.values)) < 1e-12 * linf_norm(f)
+
+
+def commutation_gap(psi, alpha, f):
+    """Relative L^2 gap between d^alpha (A_psi f) and A_psi (d^alpha f)."""
+    op = from_symbol(f.grid, psi)
+    lhs = derivative(op.apply(f), alpha)
+    rhs = op.apply(derivative(f, alpha))
+    return lp_norm(lhs - rhs, 2) / lp_norm(f, 2)
+
+
+class TestDerivativeCommutation:
+    def test_constant_symbol(self, grid):
+        f = random_smooth(grid, seed=11)
+        assert commutation_gap(constant_symbol(2), (1, 1), f) < 1e-12
+
+    def test_riesz_gaussian(self, grid):
+        f = grid.sample(lambda x, y: np.exp(-np.pi * (x**2 + y**2)))
+        assert commutation_gap(riesz_symbol(2, 0), (1, 0), f) < 1e-10
+
+    def test_zero_index(self, grid):
+        f = random_smooth(grid, seed=12)
+        assert commutation_gap(riesz_symbol(2, 0), (0, 0), f) == 0.0
+
+    def test_matches_combined_symbol(self, grid):
+        # d^alpha A_psi equals the single multiplier (2 pi i xi)^alpha psi
+        psi = riesz_symbol(2, 0)
+        alpha = (1, 1)
+        f = random_smooth(grid, seed=13)
+        combined = MultiplierOperator(
+            grid, derivative_op(grid, alpha).m * from_symbol(grid, psi).m)
+        lhs = derivative(from_symbol(grid, psi).apply(f), alpha)
+        rhs = combined.apply(f)
+        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-10 * linf_norm(rhs)
+
+    def test_bad_multi_index(self, grid):
+        with pytest.raises(ValueError):
+            derivative_op(grid, (1,))
+        with pytest.raises(ValueError):
+            derivative_op(grid, (-1, 0))
 
 
 @st.composite
@@ -177,9 +226,3 @@ class TestLatticeArrays:
         m = psi(directions).reshape(g.shape).astype(np.complex128)
         m[(0,) * d] = from_symbol(g, psi).m[(0,) * d]
         assert from_symbol(g, psi).m.tobytes() == m.tobytes()
-
-    def test_bad_multi_index(self, grid):
-        with pytest.raises(ValueError):
-            derivative_op(grid, (1,))
-        with pytest.raises(ValueError):
-            derivative_op(grid, (-1, 0))

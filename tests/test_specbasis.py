@@ -77,7 +77,9 @@ class TestHermiteFunctions:
             basis.function((9, 0))
 
 
-class TestHermiteCoefficients:
+class TestSchwartzSeminorm:
+    """Hermite coefficients, the data the S(R^d) seminorms are read from."""
+
     def test_plain_gaussian_coefficients(self, grid):
         # exp(-pi |x|^2) is not the ground state; coefficients decay
         # geometrically
