@@ -24,8 +24,7 @@ from .fitting import LimitFit
 from .functional import (HPairingRecord, MuTensor, extrapolate_limit,
                          mu_tensor, pairing_records,
                          zero_mu_strong_convergence_check)
-from .localization import (TransportInstance, build_instance,
-                           companion_v_family, i1_chain_check,
+from .localization import (TransportInstance, build_instance, i1_chain_check,
                            localization_verdict)
 from .specbasis import (HermiteBasis, SECoefficients, oscillator_apply,
                         se_analyze, se_membership_score)

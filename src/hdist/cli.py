@@ -1,10 +1,11 @@
 """Config-driven experiment runner.
 
-Subcommands: run / validate / list.  Configs are JSON documents validated
-against a published schema (unknown keys rejected) before any computation;
-outputs are CSV record streams plus JSON summaries, every file stamped with
-the config hash and package version.  Identical configs produce
-byte-identical outputs.
+Subcommands: run / validate / list.  A config is a JSON document checked
+against a published schema (unknown keys rejected) and then built, which
+resolves every registry name and runs every index guard; `validate` stops
+there and `run` computes.  Outputs are CSV record streams plus JSON
+summaries, every file stamped with the config hash and package version.
+Identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 config or schema violation, 3 numerical guard
 violation (aliasing, box-support overflow).
@@ -25,8 +26,7 @@ from .commutator import CommutatorProbe, compactness_probe
 from .functional import (FORM_RTOL, extrapolate_limit, mu_tensor,
                          pairing_records, zero_mu_strong_convergence_check)
 from .grid import Grid
-from .localization import (build_instance, companion_v_family,
-                           localization_verdict)
+from .localization import build_instance, localization_verdict
 from .registry import field_function, list_builtins, make_field, make_symbol
 from .sobolev import CONCENTRATION, SequenceFamily, norm_table
 from .specbasis import HermiteBasis, se_analyze, se_membership_score
@@ -34,21 +34,23 @@ from .symbol import SphericalHarmonicBasis
 from .util import (AliasingError, SupportError, canonical_hash, dump_json,
                    jsonable)
 
-EXPERIMENTS = ("hdist_sweep", "commutator", "localization", "se_analysis",
-               "norm_suite")
-
 # ---------------------------------------------------------------------------
 # schema
 
+# a registry name, bare or with params
+_NAMED_SPEC = [
+    {"type": "string"},
+    {
+        "type": "object",
+        "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
+        "required": ["name"],
+        "additionalProperties": False,
+    },
+]
+
 _FIELD_SPEC = {
     "oneOf": [
-        {"type": "string"},
-        {
-            "type": "object",
-            "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
-            "required": ["name"],
-            "additionalProperties": False,
-        },
+        *_NAMED_SPEC,
         {
             "type": "object",
             "properties": {"product": {"type": "array", "items": {"$ref": "#/$defs/field"}}},
@@ -69,17 +71,7 @@ _FIELD_SPEC = {
     ]
 }
 
-_SYMBOL_SPEC = {
-    "oneOf": [
-        {"type": "string"},
-        {
-            "type": "object",
-            "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
-            "required": ["name"],
-            "additionalProperties": False,
-        },
-    ]
-}
+_SYMBOL_SPEC = {"oneOf": _NAMED_SPEC}
 
 _FAMILY_SPEC = {
     "type": "object",
@@ -119,14 +111,15 @@ _TESTS_SPEC = {
 }
 
 _COMMON = {
-    "experiment": {"enum": list(EXPERIMENTS)},
+    "experiment": {"type": "string"},  # validate_config dispatches on it
     "grid": _GRID_SPEC,
     "output_dir": {"type": "string"},
 }
 
 
-def _schema(extra, required):
+def _schema(extra, required, **rules):
     return {
+        **rules,
         "$schema": "https://json-schema.org/draft/2020-12/schema",
         "type": "object",
         "properties": {**_COMMON, **extra},
@@ -142,7 +135,9 @@ CONFIG_SCHEMAS = {
         {
             "families": {
                 "type": "object",
-                "properties": {"u": {"$ref": "#/$defs/family"},
+                # the limit fits need three indices
+                "properties": {"u": {"$ref": "#/$defs/family",
+                                     "properties": {"indices": {"minItems": 3}}},
                                "v": {"$ref": "#/$defs/family"}},
                 "required": ["u"],
                 "additionalProperties": False,
@@ -167,6 +162,7 @@ CONFIG_SCHEMAS = {
             },
         },
         ["families", "test_functions", "symbols"],
+        dependentRequired={"zero_check": ["tensor"]},  # it checks the tensor
     ),
     "commutator": _schema(
         {
@@ -174,19 +170,22 @@ CONFIG_SCHEMAS = {
             "b": {"$ref": "#/$defs/field"},
             "family": {"$ref": "#/$defs/family"},
             "r": {"type": "number", "exclusiveMinimum": 2},
-            "q_list": {"type": "array", "items": {"type": "number", "minimum": 2}},
+            "q_list": {"type": "array", "items": {"type": "number", "minimum": 2},
+                       "minItems": 1},
         },
         ["symbol", "b", "family"],
     ),
     "localization": _schema(
         {
-            "coefficients": {"type": "array", "items": {"$ref": "#/$defs/field"}},
+            "coefficients": {"type": "array", "items": {"$ref": "#/$defs/field"},
+                             "minItems": 3, "maxItems": 3},
             "amplitude": {"$ref": "#/$defs/field"},
             "direction": {"type": "array", "items": {"type": "integer"}},
             "k": {"type": "integer", "minimum": 0},
             "p": {"type": "number", "exclusiveMinimum": 1},
             "q": {"type": "number", "exclusiveMinimum": 1},
-            "indices": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+            "indices": {"type": "array", "items": {"type": "integer", "minimum": 1},
+                        "minItems": 3},
             "characteristic": {"type": "boolean"},
             "cutoff": {
                 "type": "object",
@@ -249,8 +248,8 @@ def validate_config(cfg) -> list:
     if not isinstance(cfg, dict):
         return ["config: top level must be an object"]
     exp = cfg.get("experiment")
-    if exp not in CONFIG_SCHEMAS:
-        return [f"config.experiment: expected one of {list(EXPERIMENTS)}, got {exp!r}"]
+    if not isinstance(exp, str) or exp not in CONFIG_SCHEMAS:
+        return [f"config.experiment: expected one of {list(CONFIG_SCHEMAS)}, got {exp!r}"]
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMAS[exp])
     errors = []
     for err in sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path)):
@@ -276,6 +275,7 @@ def load_config(path):
 # builders
 
 def _family(grid: Grid, spec, label) -> SequenceFamily:
+    """The family of a config spec, with every index it will sample guarded."""
     # the family keys are SequenceFamily's own fields, which hold the defaults;
     # JSON arrays become tuples so that families compare and hash by value
     kw = {key: tuple(value) if isinstance(value, list) else value
@@ -284,11 +284,15 @@ def _family(grid: Grid, spec, label) -> SequenceFamily:
         kw["amplitude_fn"] = field_function(grid.d, spec["amplitude"])
     else:
         kw["amplitude"] = make_field(grid, spec["amplitude"])
-    return SequenceFamily(grid, label=label, **kw)
+    family = SequenceFamily(grid, label=label, **kw)
+    for n in family.indices:
+        family.guard(n)
+    return family
 
 
-def _stamp(cfg):
-    return {"config_hash": canonical_hash(cfg), "version": __version__}
+def _present(cfg, **types) -> dict:
+    """The optional keys the config sets, converted: the callee holds the defaults."""
+    return {key: to(cfg[key]) for key, to in types.items() if key in cfg}
 
 
 def _write_csv(path, header, rows, stamp):
@@ -300,132 +304,138 @@ def _write_csv(path, header, rows, stamp):
 
 
 # ---------------------------------------------------------------------------
-# experiments: each returns (checks, files); files maps an artifact name to a
-# dict (JSON) or a (header, rows) pair (CSV)
+# experiments: each reads every config key and builds every object its
+# numerics need (fields, symbols, guarded families, bases), with no transform
+# and no family sample, then returns the compute: a closure over the built
+# objects that returns (checks, files).  files maps an artifact name to a
+# dict (JSON) or a (header, rows) pair (CSV).
 
 def run_hdist_sweep(cfg, grid):
     u_fam = _family(grid, cfg["families"]["u"], "u")
-    v_fam = _family(grid, cfg["families"]["v"], "v") if "v" in cfg["families"] else u_fam
+    v_spec = cfg["families"].get("v")
+    if v_spec and tuple(v_spec["indices"]) != u_fam.indices:
+        raise ValueError("families.v.indices must equal families.u.indices: "
+                         "v_n is sampled at the u indices")
+    v_fam = _family(grid, v_spec, "v") if v_spec else u_fam
     phi1 = make_field(grid, cfg["test_functions"]["phi1"])
     phi2 = make_field(grid, cfg["test_functions"]["phi2"])
     symbols = [make_symbol(grid.d, s) for s in cfg["symbols"]]
-    # every stage reads these samples: v_n is sampled at the u indices
-    ns = tuple(u_fam.indices)
-    us = [u_fam.u(n) for n in ns]
-    vs = us if v_fam is u_fam else [v_fam.u(n) for n in ns]
+    tensor_cfg, zc = cfg.get("tensor"), cfg.get("zero_check")
+    if tensor_cfg:
+        hb = HermiteBasis.build(grid, int(tensor_cfg["m_max"]))
+        sb = SphericalHarmonicBasis.build(grid.d, int(tensor_cfg["n_max"]))
+    if zc:
+        theta = make_field(grid, zc["theta"])
+        k, p = int(zc.get("k", 0)), float(zc.get("p", 2.0))
 
-    rows, limits, max_gap = [], {}, 0.0
-    for psi, records in zip(symbols, pairing_records(ns, us, vs, phi1, phi2, symbols)):
-        est = extrapolate_limit(records)
-        limits[psi.name] = est.to_dict()
-        for r in records:
-            rows.append([psi.name, r.phi1, r.phi2, r.n,
-                         repr(r.value_form_a.real), repr(r.value_form_a.imag),
-                         repr(r.value_form_b.real), repr(r.value_form_b.imag),
-                         repr(r.form_gap)])
-            max_gap = max(max_gap, r.form_gap / (1.0 + abs(r.value_form_a)))
-    files = {
-        "records.csv": (["psi", "phi1", "phi2", "n", "re_form_a", "im_form_a",
-                         "re_form_b", "im_form_b", "gap"], rows),
-        "limits.json": {"limits": limits},
-    }
-    checks = {
-        "adjoint_form_agreement": {
-            "max_relative_gap": max_gap, "tol": FORM_RTOL,
-            "passed": max_gap <= FORM_RTOL,
-        },
-        "flagged_limits": {
-            "limits": sorted(name for name, lim in limits.items() if lim["flagged"])},
-    }
-    if "tensor" in cfg:
-        hb = HermiteBasis.build(grid, int(cfg["tensor"]["m_max"]))
-        sb = SphericalHarmonicBasis.build(grid.d, int(cfg["tensor"]["n_max"]))
-        if "zero_check" in cfg:
-            zc = cfg["zero_check"]
-            theta = make_field(grid, zc["theta"])
+    def compute():
+        # every stage reads these samples: v_n is sampled at the u indices
+        ns = u_fam.indices
+        us = [u_fam.u(n) for n in ns]
+        vs = us if v_fam is u_fam else [v_fam.u(n) for n in ns]
+        rows, limits, max_gap = [], {}, 0.0
+        for psi, records in zip(symbols, pairing_records(ns, us, vs, phi1, phi2,
+                                                         symbols)):
+            est = extrapolate_limit(records)
+            limits[psi.name] = est.to_dict()
+            for r in records:
+                rows.append([psi.name, r.phi1, r.phi2, r.n,
+                             repr(r.value_form_a.real), repr(r.value_form_a.imag),
+                             repr(r.value_form_b.real), repr(r.value_form_b.imag),
+                             repr(r.form_gap)])
+                max_gap = max(max_gap, r.form_gap / (1.0 + abs(r.value_form_a)))
+        files = {
+            "records.csv": (["psi", "phi1", "phi2", "n", "re_form_a", "im_form_a",
+                             "re_form_b", "im_form_b", "gap"], rows),
+            "limits.json": {"limits": limits},
+        }
+        checks = {
+            "adjoint_form_agreement": {
+                "max_relative_gap": max_gap, "tol": FORM_RTOL,
+                "passed": max_gap <= FORM_RTOL,
+            },
+            "flagged_limits": {
+                "limits": sorted(name for name, lim in limits.items() if lim["flagged"])},
+        }
+        if tensor_cfg:
+            tensor = mu_tensor(ns, us, vs, hb, sb)
+            files["tensor.json"] = {"tensor": tensor.to_dict()}
+            checks["tensor_max_abs"] = {"value": tensor.max_abs()}
+            checks["flagged_limits"]["tensor_entries"] = int(tensor.flagged.sum())
+        if zc:
             result = zero_mu_strong_convergence_check(
-                ns, us, vs, theta, int(zc.get("k", 0)), float(zc.get("p", 2.0)),
-                hb, sb, baseline_phi=phi1,
-            )
-            tensor = result.pop("tensor")
+                ns, us, vs, theta, k, p, tensor, baseline_phi=phi1)
             files["zero_check.json"] = {**result, "probe": result["probe"].to_dict()}
             checks["zero_check_consistent"] = {"passed": result["consistent"]}
-        else:
-            tensor = mu_tensor(ns, us, vs, hb, sb)
-        files["tensor.json"] = {"tensor": tensor.to_dict()}
-        checks["tensor_max_abs"] = {"value": tensor.max_abs()}
-        checks["flagged_limits"]["tensor_entries"] = int(tensor.flagged.sum())
-    return checks, files
+        return checks, files
+
+    return compute
 
 
 def run_commutator(cfg, grid):
-    fam = _family(grid, cfg["family"], "v")
     probe = CommutatorProbe(
         psi=make_symbol(grid.d, cfg["symbol"]),
         b=make_field(grid, cfg["b"]),
-        family=fam,
-        r=float(cfg.get("r", 4.0)),
-        q_list=tuple(cfg["q_list"]) if "q_list" in cfg else None,
+        family=_family(grid, cfg["family"], "v"),
+        **_present(cfg, r=float, q_list=tuple),
     )
-    table = compactness_probe(probe)
-    rows = []
-    for label, vals in sorted(table.columns.items()):
-        q = float(label.split("=")[1])
-        exponent = table.fits[label].exponent
-        for n, v in zip(table.ns, vals):
-            rows.append([n, repr(q), repr(v),
-                         "" if exponent is None else repr(exponent)])
-    checks = {
-        "preconditions": {"violations": table.meta["violations"],
-                          "passed": not table.meta["violations"]},
-        "decay": {
-            label: {"exponent": fit.exponent,
-                    "all_below_threshold": fit.all_below_threshold}
-            for label, fit in sorted(table.fits.items())
-        },
-    }
-    return checks, {
-        "commutator.csv": (["n", "q", "norm", "fitted_exponent"], rows),
-        "commutator.json": {"table": table.to_dict()},
-    }
+
+    def compute():
+        table = compactness_probe(probe)
+        rows = []
+        for label, vals in sorted(table.columns.items()):
+            q = float(label.split("=")[1])
+            exponent = table.fits[label].exponent
+            for n, v in zip(table.ns, vals):
+                rows.append([n, repr(q), repr(v),
+                             "" if exponent is None else repr(exponent)])
+        checks = {
+            "preconditions": {"violations": table.meta["violations"],
+                              "passed": not table.meta["violations"]},
+            "decay": {
+                label: {"exponent": fit.exponent,
+                        "all_below_threshold": fit.all_below_threshold}
+                for label, fit in sorted(table.fits.items())
+            },
+        }
+        return checks, {
+            "commutator.csv": (["n", "q", "norm", "fitted_exponent"], rows),
+            "commutator.json": {"table": table.to_dict()},
+        }
+
+    return compute
 
 
 def run_localization(cfg, grid):
-    cutoff = cfg.get("cutoff", {})
     instance = build_instance(
-        grid,
-        cfg["coefficients"],
-        cfg["amplitude"],
-        cfg["direction"],
-        k=int(cfg.get("k", 0)),
-        p=float(cfg.get("p", 2.0)),
-        q=float(cfg.get("q", 2.0)),
-        indices=tuple(cfg["indices"]),
-        characteristic=bool(cfg["characteristic"]),
-        cutoff_inner=float(cutoff.get("r_inner", 2.0)),
-        cutoff_outer=float(cutoff.get("r_outer", 3.0)),
+        grid, cfg["coefficients"], cfg["amplitude"], cfg["direction"],
+        indices=cfg["indices"], characteristic=cfg["characteristic"],
+        **_present(cfg, k=int, p=float, q=float, cutoff=dict),
     )
-    v_fam = companion_v_family(instance)
     phi1 = make_field(grid, cfg["test_functions"]["phi1"])
     phi2 = make_field(grid, cfg["test_functions"]["phi2"])
     psi = make_symbol(grid.d, cfg["symbol"])
-    verdict = localization_verdict(instance, v_fam, phi1, phi2, psi)
-    rows = [
-        [n, repr(v)]
-        for n, v in zip(verdict["rhs_table"]["ns"],
-                        verdict["rhs_table"]["columns"]["rhs_norm"])
-    ]
-    max_chain = max(verdict["i1_chain_residuals"])
-    checks = {
-        "i1_chain": {"max_residual": max_chain, "tol": 1e-8,
-                     "passed": max_chain <= 1e-8},
-        "ratio": {"value": verdict["ratio"]},
-        "rhs_exponent": {"value": verdict["rates"]["rhs_exponent"]},
-        "flagged_limits": {"limits": [
-            key for key in ("baseline", "char_pairing") if verdict[key]["flagged"]]},
-    }
-    return checks, {"localization.json": verdict,
-                    "rhs.csv": (["n", "rhs_norm"], rows)}
+
+    def compute():
+        verdict = localization_verdict(instance, phi1, phi2, psi)
+        rows = [
+            [n, repr(v)]
+            for n, v in zip(verdict["rhs_table"]["ns"],
+                            verdict["rhs_table"]["columns"]["rhs_norm"])
+        ]
+        max_chain = max(verdict["i1_chain_residuals"])
+        checks = {
+            "i1_chain": {"max_residual": max_chain, "tol": 1e-8,
+                         "passed": max_chain <= 1e-8},
+            "ratio": {"value": verdict["ratio"]},
+            "rhs_exponent": {"value": verdict["rates"]["rhs_exponent"]},
+            "flagged_limits": {"limits": [
+                key for key in ("baseline", "char_pairing") if verdict[key]["flagged"]]},
+        }
+        return checks, {"localization.json": verdict,
+                        "rhs.csv": (["n", "rhs_norm"], rows)}
+
+    return compute
 
 
 def run_se_analysis(cfg, grid):
@@ -442,31 +452,40 @@ def run_se_analysis(cfg, grid):
         gs = sb.evaluate(int(deg), int(j), sb.quadrature.nodes)
     else:
         gs = make_symbol(grid.d, theta_cfg["sphere_symbol"])(sb.quadrature.nodes)
-    coeffs = se_analyze([(fx, gs)], hb, sb)
-    score = se_membership_score(coeffs, list(cfg["r_list"]))
-    checks = {"membership_verdict": {"value": score["verdict"]}}
-    return checks, {"se_coeffs.json": {"coefficients": coeffs.to_dict()},
-                    "se_membership.json": {"membership": score}}
+    r_list = list(cfg["r_list"])
+
+    def compute():
+        coeffs = se_analyze([(fx, gs)], hb, sb)
+        score = se_membership_score(coeffs, r_list)
+        checks = {"membership_verdict": {"value": score["verdict"]}}
+        return checks, {"se_coeffs.json": {"coefficients": coeffs.to_dict()},
+                        "se_membership.json": {"membership": score}}
+
+    return compute
 
 
 def run_norm_suite(cfg, grid):
     k_list = [int(k) for k in cfg.get("k_list", [0, 1])]
     p_list = [float(p) for p in cfg.get("p_list", [2.0])]
-    fields = (make_field(grid, spec) for spec in cfg["fields"])
-    kp = [(k, p) for k in k_list for p in p_list]
-    table, c_eq = [], 0.0
-    for i, (lp, wkq, neg) in enumerate(norm_table(grid, fields, k_list, p_list)):
-        # d^(k,0,...) f has the one part f: its representation bound is |f|_p
-        table.append({
-            "field": i, "lp": {f"{p:g}": lp[p] for p in p_list},
-            "wkq": {f"k={k},q={p:g}": wkq[k, p] for k, p in kp},
-            "negative": {f"k={k},p={p:g}": {"surrogate": neg[k, p],
-                                            "representation_upper": lp[p]}
-                         for k, p in kp}})
-        c_eq = max([c_eq] + [neg[k, p] / lp[p] for k, p in kp if lp[p] > 0])
-    checks = {"norm_equivalence": {"max_surrogate_over_upper": c_eq,
-                                   "passed": c_eq <= 4.0}}
-    return checks, {"norms.json": {"norms": table, "max_surrogate_over_upper": c_eq}}
+    fields = [make_field(grid, spec) for spec in cfg["fields"]]
+
+    def compute():
+        kp = [(k, p) for k in k_list for p in p_list]
+        table, c_eq = [], 0.0
+        for i, (lp, wkq, neg) in enumerate(norm_table(grid, fields, k_list, p_list)):
+            # d^(k,0,...) f has the one part f: its representation bound is |f|_p
+            table.append({
+                "field": i, "lp": {f"{p:g}": lp[p] for p in p_list},
+                "wkq": {f"k={k},q={p:g}": wkq[k, p] for k, p in kp},
+                "negative": {f"k={k},p={p:g}": {"surrogate": neg[k, p],
+                                                "representation_upper": lp[p]}
+                             for k, p in kp}})
+            c_eq = max([c_eq] + [neg[k, p] / lp[p] for k, p in kp if lp[p] > 0])
+        checks = {"norm_equivalence": {"max_surrogate_over_upper": c_eq,
+                                       "passed": c_eq <= 4.0}}
+        return checks, {"norms.json": {"norms": table, "max_surrogate_over_upper": c_eq}}
+
+    return compute
 
 
 RUNNERS = {
@@ -478,18 +497,24 @@ RUNNERS = {
 }
 
 
-def run_config(cfg, output_dir=None) -> dict:
-    """Validate and execute a config; returns the summary dict.
-
-    The runner computes every artifact before the output directory is
-    created, so a run that raises writes no file.
-    """
+def build_config(cfg):
+    """Check a config against its schema and build it: every error a run
+    would raise before its numerics is raised here.  Returns the compute."""
     errors = validate_config(cfg)
     if errors:
         raise ConfigError("\n".join(errors))
     grid = Grid(int(cfg["grid"]["d"]), int(cfg["grid"]["N"]), float(cfg["grid"]["L"]))
-    checks, files = RUNNERS[cfg["experiment"]](cfg, grid)
-    stamp = _stamp(cfg)
+    return RUNNERS[cfg["experiment"]](cfg, grid)
+
+
+def run_config(cfg, output_dir=None) -> dict:
+    """Build and execute a config; returns the summary dict.
+
+    Every artifact is computed before the output directory is created, so a
+    run that raises writes no file.
+    """
+    checks, files = build_config(cfg)()
+    stamp = {"config_hash": canonical_hash(cfg), "version": __version__}
     outdir = Path(output_dir or cfg.get("output_dir") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     for name, payload in sorted(files.items()):
@@ -515,7 +540,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None,
                        help="override the config's output_dir")
-    p_val = sub.add_parser("validate", help="check a config against the schema")
+    p_val = sub.add_parser("validate",
+                           help="check and build a config without running it")
     p_val.add_argument("config")
     sub.add_parser("list", help="dump built-in field and symbol names")
 
@@ -525,33 +551,23 @@ def main(argv=None) -> int:
         sys.stdout.write("\n")
         return 0
 
+    # validate and run share the build, so they fail alike
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
-        errors = validate_config(cfg)
-        if errors:
-            for e in errors:
-                print(f"error: {e}", file=sys.stderr)
-            return 2
-        print("ok")
-        return 0
-
-    try:
-        summary = run_config(cfg, output_dir=args.output_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.command == "validate":
+            build_config(cfg)
+            out = "ok"
+        else:
+            summary = run_config(cfg, output_dir=args.output_dir)
+            out = json.dumps(jsonable(summary["checks"]), sort_keys=True)
     except (AliasingError, SupportError) as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError) as exc:
+        for line in str(exc).splitlines():
+            print(f"error: {line}", file=sys.stderr)
         return 2
-    print(json.dumps(jsonable(summary["checks"]), sort_keys=True))
+    print(out)
     return 0
 
 

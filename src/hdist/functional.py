@@ -136,10 +136,10 @@ def mu_tensor(ns, us, vs, hermite_basis: HermiteBasis,
 
 
 def zero_mu_strong_convergence_check(
-        ns, us, vs, theta: GridFunction, k: int, p: float,
-        hermite_basis: HermiteBasis, sphere_basis: SphericalHarmonicBasis,
+        ns, us, vs, theta: GridFunction, k: int, p: float, tensor: MuTensor,
         baseline_phi: GridFunction) -> dict:
-    """Confront the tensor-is-zero verdict with strong-norm decay.
+    """Confront the tensor-is-zero verdict (tensor from these samples) with
+    strong-norm decay.
 
     A tensor below threshold should come with decaying localized surrogate
     norms (fitted exponent < -0.25); a clearly nonzero tensor is consistent
@@ -147,7 +147,6 @@ def zero_mu_strong_convergence_check(
     max_n |<phi u_n, phi v_n>|, so the verdict is invariant under rescaling
     the data.
     """
-    tensor = mu_tensor(ns, us, vs, hermite_basis, sphere_basis)
     scale = max(abs(pairing(baseline_phi * u, baseline_phi * v))
                 for u, v in zip(us, vs))
     threshold = 1e-3 * scale + 1e-12
@@ -174,6 +173,5 @@ def zero_mu_strong_convergence_check(
         "strong_fit_exponent": probe.fits["surrogate_norm"].exponent,
         "consistent": bool(consistent),
         "verdict": verdict,
-        "tensor": tensor,
         "probe": probe,
     }

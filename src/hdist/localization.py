@@ -40,18 +40,19 @@ def _unit(d: int, axis: int) -> tuple:
 
 @dataclass(frozen=True)
 class TransportInstance:
-    """One configured transport experiment."""
+    """One configured transport experiment, with its pair of families."""
 
     grid: Grid
     coefficients: tuple            # d GridFunctions A_1 .. A_d
     amplitude: GridFunction = field(compare=False)
-    direction: tuple = (1, 0, 0)
-    k: int = 0
-    p: float = 2.0
-    q: float = 2.0
-    indices: tuple = (4, 8, 16)
-    characteristic: bool = True
-    u_family: SequenceFamily = None
+    direction: tuple
+    k: int
+    p: float
+    q: float
+    indices: tuple
+    characteristic: bool
+    u_family: SequenceFamily
+    v_family: SequenceFamily
 
     def f(self, n: int) -> GridFunction:
         """Right-hand side sum_i d_i(A_i u_n), computed spectrally."""
@@ -74,45 +75,43 @@ class TransportInstance:
 
 
 def build_instance(grid: Grid, coefficient_specs, amplitude_spec, direction,
-                   k=0, p=2.0, q=2.0, indices=(4, 8, 16), characteristic=True,
-                   cutoff_inner=2.0, cutoff_outer=3.0) -> TransportInstance:
+                   indices, characteristic, k=0, p=2.0, q=2.0,
+                   cutoff=None) -> TransportInstance:
     """Assemble a transport instance from registry specs.
 
     For a characteristic instance every coefficient whose direction component
-    is nonzero is multiplied by a smooth shell cutoff vanishing on the
-    amplitude's support, which makes A(x).xi0 = 0 there by construction.
+    is nonzero is multiplied by the shell cutoff (registry params `cutoff`),
+    which vanishes on the amplitude's support and so makes A(x).xi0 = 0
+    there by construction.  Both families are guarded at every index.
     """
     if grid.d != 3:
         raise ValueError("transport experiment runs on d = 3 grids only")
+    if len(coefficient_specs) != grid.d:
+        raise ValueError(f"need {grid.d} coefficients, got {len(coefficient_specs)}")
     if not (1.0 < q < grid.d):
         raise ValueError(f"need 1 < q < d; got q={q}, d={grid.d}")
     direction = tuple(int(c) for c in direction)
     if len(direction) != grid.d or not any(direction):
         raise ValueError("direction must be a nonzero integer lattice vector")
     amplitude = make_field(grid, amplitude_spec)
-    cutoff = make_field(grid, {
-        "name": "shell_cutoff",
-        "params": {"r_inner": cutoff_inner, "r_outer": cutoff_outer},
-    })
+    cutoff = make_field(grid, {"name": "shell_cutoff", "params": cutoff or {}})
     coeffs = []
     for axis, spec in enumerate(coefficient_specs):
         a_i = make_field(grid, spec)
         if characteristic and direction[axis] != 0:
             a_i = a_i * cutoff
         coeffs.append(a_i)
+    indices = tuple(indices)
     u_family = scaled_oscillation_family(
-        grid, amplitude, direction, indices, k=k, p=p, label="transport-u"
-    )
-    return TransportInstance(grid, tuple(coeffs), amplitude, direction,
-                             k, p, q, tuple(indices), characteristic, u_family)
-
-
-def companion_v_family(instance: TransportInstance) -> SequenceFamily:
-    """Weakly-null companion on the dual side: same direction, inverse scaling."""
-    return scaled_oscillation_family(
-        instance.grid, instance.amplitude, instance.direction, instance.indices,
-        k=instance.k, p=instance.q, order=-instance.k, label="transport-v",
-    )
+        grid, amplitude, direction, indices, k=k, p=p, label="transport-u")
+    # the weakly-null companion on the dual side: same direction, inverse scaling
+    v_family = scaled_oscillation_family(
+        grid, amplitude, direction, indices, k=k, p=q, order=-k, label="transport-v")
+    for family in (u_family, v_family):
+        for n in indices:
+            family.guard(n)
+    return TransportInstance(grid, tuple(coeffs), amplitude, direction, k, p, q,
+                             indices, characteristic, u_family, v_family)
 
 
 def _source(instance: TransportInstance, u: GridFunction, grad: list) -> GridFunction:
@@ -123,9 +122,9 @@ def _source(instance: TransportInstance, u: GridFunction, grad: list) -> GridFun
     return idft(GridFunction(instance.grid, f_hat, FREQUENCY))
 
 
-def _index_values(instance: TransportInstance, v_family: SequenceFamily,
-                  phi1: GridFunction, phi2: GridFunction, ops: dict,
-                  weight: GridFunction, n: int) -> dict:
+def _index_values(instance: TransportInstance, phi1: GridFunction,
+                  phi2: GridFunction, ops: dict, weight: GridFunction,
+                  n: int) -> dict:
     """What the verdict reads at one index; 2d + 7 transforms when k = 0.
 
     With t = A_conj(psi)(phi2 v_n) and w = I_1 t: "baseline" is form A of
@@ -138,7 +137,7 @@ def _index_values(instance: TransportInstance, v_family: SequenceFamily,
     last: at most two fields are alive beside the transform temporaries.
     """
     u = instance.u_family.u(n)
-    b = phi2 * v_family.u(n)
+    b = phi2 * instance.v_family.u(n)
     baseline = pairing(idft(ops["psi"].apply(dft(phi1 * u))), b)
     t_hat = ops["psi"].adjoint().apply(dft(b))
     del b
@@ -158,9 +157,8 @@ def _index_values(instance: TransportInstance, v_family: SequenceFamily,
             "rhs_norm": rhs_norm, "wkq_norm": wkq}
 
 
-def _index_pass(instance: TransportInstance, v_family: SequenceFamily,
-                phi1: GridFunction, phi2: GridFunction,
-                psi: SphericalSymbol, ns=None) -> list:
+def _index_pass(instance: TransportInstance, phi1: GridFunction,
+                phi2: GridFunction, psi: SphericalSymbol, ns=None) -> list:
     """Per-index values for each n: the single pass behind the verdict and
     the chain check.
 
@@ -179,7 +177,7 @@ def _index_pass(instance: TransportInstance, v_family: SequenceFamily,
                                     in zip(instance.coefficients, d_phi1_bar)))
     del phi1_bar_hat
     ns = tuple(ns) if ns is not None else tuple(instance.indices)
-    return [_index_values(instance, v_family, phi1, phi2, ops, weight, n)
+    return [_index_values(instance, phi1, phi2, ops, weight, n)
             for n in ns]
 
 
@@ -192,9 +190,8 @@ def _decay_table(rows, key: str, meta=None) -> DecayTable:
     return DecayTable(ns, {key: norms}, {key: fit_decay(ns, norms)}, meta or {})
 
 
-def i1_chain_check(instance: TransportInstance, v_family: SequenceFamily,
-                   phi1: GridFunction, phi2: GridFunction,
-                   psi: SphericalSymbol, n: int) -> dict:
+def i1_chain_check(instance: TransportInstance, phi1: GridFunction,
+                   phi2: GridFunction, psi: SphericalSymbol, n: int) -> dict:
     """Integration-by-parts decomposition of the weighted pairing at one n.
 
     Checks that the Riesz-composed sum equals
@@ -202,18 +199,17 @@ def i1_chain_check(instance: TransportInstance, v_family: SequenceFamily,
     with w the potential of A_conj(psi)(phi2 v_n); spectral integration by
     parts makes this exact up to rounding.
     """
-    return _index_pass(instance, v_family, phi1, phi2, psi, (n,))[0]["chain"]
+    return _index_pass(instance, phi1, phi2, psi, (n,))[0]["chain"]
 
 
-def localization_verdict(instance: TransportInstance, v_family: SequenceFamily,
-                         phi1: GridFunction, phi2: GridFunction,
-                         psi: SphericalSymbol) -> dict:
+def localization_verdict(instance: TransportInstance, phi1: GridFunction,
+                         phi2: GridFunction, psi: SphericalSymbol) -> dict:
     """Full experiment summary for one instance, from one pass over n.
 
     The ratio is null when the baseline limit is 0; passes_tol_char is null
     then and for a control instance.
     """
-    rows = _index_pass(instance, v_family, phi1, phi2, psi)
+    rows = _index_pass(instance, phi1, phi2, psi)
     base, char = _limit(rows, "baseline"), _limit(rows, "weighted")
     defect = instance.characteristic_defect()
     rhs = _decay_table(rows, "rhs_norm", {

@@ -206,9 +206,7 @@ SYMBOL_BUILTINS = {
 
 def make_symbol(d: int, spec) -> SphericalSymbol:
     """Resolve a symbol spec ({"name", "params"} or bare name)."""
-    name, fn, params = _resolve("symbol", SYMBOL_BUILTINS, spec)
-    if name.endswith("_2") and d < 2 or name.endswith("_3") and d < 3:
-        raise ValueError(f"symbol {name!r} needs dimension >= {name[-1]}")
+    _, fn, params = _resolve("symbol", SYMBOL_BUILTINS, spec)
     return fn(d, params)
 
 

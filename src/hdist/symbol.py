@@ -44,16 +44,11 @@ class SphericalSymbol:
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Nodes and positive weights on S^{d-1}.
-
-    `degree` is the largest harmonic degree D such that products of harmonics
-    with degrees summing to at most D are integrated exactly.
-    """
+    """Nodes and positive weights on S^{d-1}."""
 
     d: int
     nodes: np.ndarray = field(repr=False)    # (d, M) unit vectors
     weights: np.ndarray = field(repr=False)  # (M,) positive, summing to |S^{d-1}|
-    degree: int = 0
 
 
 def circle_quadrature(n_nodes: int) -> SphereQuadrature:
@@ -61,7 +56,7 @@ def circle_quadrature(n_nodes: int) -> SphereQuadrature:
     th = 2 * np.pi * np.arange(n_nodes) / n_nodes
     nodes = np.stack([np.cos(th), np.sin(th)])
     w = np.full(n_nodes, 2 * np.pi / n_nodes)
-    return SphereQuadrature(2, nodes, w, degree=n_nodes - 1)
+    return SphereQuadrature(2, nodes, w)
 
 
 def s2_quadrature(n_polar: int, n_lon: int) -> SphereQuadrature:
@@ -77,7 +72,7 @@ def s2_quadrature(n_polar: int, n_lon: int) -> SphereQuadrature:
     z = np.multiply.outer(t, np.ones(n_lon))
     nodes = np.stack([x.ravel(), y.ravel(), z.ravel()])
     w = np.multiply.outer(w_t, np.full(n_lon, 2 * np.pi / n_lon)).ravel()
-    return SphereQuadrature(3, nodes, w, degree=min(2 * n_polar - 1, n_lon - 1))
+    return SphereQuadrature(3, nodes, w)
 
 
 def default_quadrature(d: int, degree: int) -> SphereQuadrature:
@@ -123,14 +118,8 @@ class SphericalHarmonicBasis:
     table: np.ndarray = field(default=None, repr=False)  # (B, M) values at nodes
 
     @classmethod
-    def build(cls, d, n_max, quadrature=None):
-        if quadrature is None:
-            quadrature = default_quadrature(d, 2 * n_max)
-        if quadrature.degree < 2 * n_max:
-            raise ValueError(
-                f"quadrature degree {quadrature.degree} insufficient for "
-                f"n_max={n_max} (need >= {2 * n_max})"
-            )
+    def build(cls, d, n_max):
+        quadrature = default_quadrature(d, 2 * n_max)
         idx = [
             (n, j)
             for n in range(n_max + 1)
@@ -147,6 +136,8 @@ class SphericalHarmonicBasis:
 
     def evaluate(self, n, j, points):
         """Basis function values at arbitrary unit vectors (d, M)."""
+        if not 1 <= j <= harmonic_count(n, self.d):
+            raise ValueError(f"harmonic j={j} outside 1..{harmonic_count(n, self.d)} at n={n}")
         return _harmonic_values(self.d, n, j, np.asarray(points, dtype=float))
 
     def symbol(self, n, j) -> SphericalSymbol:

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from hdist.commutator import CommutatorProbe, commutator_apply, compactness_probe
-from hdist.functional import (extrapolate_limit, pairing_records,
+from hdist.functional import (extrapolate_limit, mu_tensor, pairing_records,
                               zero_mu_strong_convergence_check)
 from hdist.grid import Grid, linf_norm, lp_norm, pairing
-from hdist.localization import (build_instance, companion_v_family,
-                                i1_chain_check, localization_verdict)
+from hdist.localization import (build_instance, i1_chain_check,
+                                localization_verdict)
 from hdist.multiplier import derivative, riesz, riesz_potential
 from hdist.registry import constant_symbol, make_field, riesz_symbol
 from hdist.sobolev import oscillation_family
@@ -57,10 +57,9 @@ def localization_run():
     for char in (True, False):
         inst = build_instance(g, LOC_COEFFS, LOC_AMP, (1, 0, 0), k=0, p=2.0,
                               q=2.0, indices=(8, 12, 16), characteristic=char,
-                              cutoff_inner=2.3, cutoff_outer=3.3)
-        v_fam = companion_v_family(inst)
-        out["instances"][char] = (inst, v_fam)
-        out["verdicts"][char] = localization_verdict(inst, v_fam, phi, phi, psi)
+                              cutoff={"r_inner": 2.3, "r_outer": 3.3})
+        out["instances"][char] = inst
+        out["verdicts"][char] = localization_verdict(inst, phi, phi, psi)
     out["elapsed"] = time.time() - t0
     return out
 
@@ -79,8 +78,9 @@ def zero_check_runs():
     results = {}
     for power, name in [(-0.5, "scaled"), (0.0, "unscaled")]:
         u_fam = oscillation_family(g, a, (1, 0), ns, prefactor_power=power)
+        us = [u_fam.u(n) for n in ns]
         results[name] = zero_mu_strong_convergence_check(
-            ns, [u_fam.u(n) for n in ns], vs, theta, 0, 2.0, hb, sb,
+            ns, us, vs, theta, 0, 2.0, mu_tensor(ns, us, vs, hb, sb),
             baseline_phi=phi)
     return results
 
@@ -280,9 +280,9 @@ def test_criterion_8_integration_by_parts_chain(localization_run):
     worst = 0.0
     phi = localization_run["phi"]
     psi = localization_run["psi"]
-    for char, (inst, v_fam) in localization_run["instances"].items():
+    for char, inst in localization_run["instances"].items():
         for n in inst.indices:
-            out = i1_chain_check(inst, v_fam, phi, phi, psi, n)
+            out = i1_chain_check(inst, phi, phi, psi, n)
             worst = max(worst, out["residual"])
         # the verdicts recomputed these too; fold in their residuals
         worst = max(worst,

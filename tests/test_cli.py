@@ -135,12 +135,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("experiment", sorted(FULL_CFGS))
     def test_every_schema_key_is_read(self, experiment):
-        # a key the schema accepts but no runner reads is a dead setting
+        # a key the schema accepts but no build reads is a dead setting; the
+        # build returns the compute without running it
         cfg = FULL_CFGS[experiment]
         assert validate_config(cfg) == []
         recorder = KeyRecorder(cfg)
         g = cfg["grid"]
-        cli.RUNNERS[experiment](recorder, Grid(g["d"], g["N"], g["L"]))
+        assert callable(cli.RUNNERS[experiment](recorder, Grid(g["d"], g["N"], g["L"])))
         read = recorder.read | {"experiment", "grid", "output_dir"}
         assert read == set(CONFIG_SCHEMAS[experiment]["properties"])
 
@@ -169,6 +170,60 @@ class TestValidation:
         assert main(["run", str(path), "--output-dir", str(out)]) == 2
         assert "config.theta" in capsys.readouterr().err
         assert not out.exists()
+
+
+U_FAMILY = SWEEP_CFG["families"]["u"]
+
+
+class TestBuild:
+    """validate builds what run builds, so the two fail alike before any
+    numerics and neither writes a file."""
+
+    @pytest.mark.parametrize("cfg, code", [
+        pytest.param({**NORM_CFG, "fields": ["gaussain"]}, 2, id="unknown-field"),
+        pytest.param({**SWEEP_CFG, "families": {"u": {**U_FAMILY, "indices": [8, 16]}}},
+                     2, id="sweep-two-indices"),
+        pytest.param({**LOCALIZATION_CFG, "indices": [2, 4]}, 2,
+                     id="localization-two-indices"),
+        pytest.param({**SWEEP_CFG, "symbols": ["riesz_3"]}, 2, id="riesz-3-on-d2"),
+        pytest.param({**NORM_CFG, "grid": {"d": 2, "N": 48, "L": 16.0}}, 2, id="N-48"),
+        pytest.param({**LOCALIZATION_CFG, "grid": {"d": 2, "N": 64, "L": 8.0}}, 2,
+                     id="localization-d2"),
+        pytest.param({**SWEEP_CFG, "families": {"u": {**U_FAMILY, "indices": [8, 16, 64]}}},
+                     3, id="aliasing-index"),
+        pytest.param({**SWEEP_CFG, "tensor": {"m_max": 30, "n_max": 1}}, 3,
+                     id="hermite-box"),
+        pytest.param({**LOCALIZATION_CFG,
+                      "coefficients": LOCALIZATION_CFG["coefficients"][:2]}, 2,
+                     id="localization-two-coefficients"),
+        pytest.param({**SWEEP_CFG, "families": {"u": U_FAMILY,
+                                                "v": {**U_FAMILY, "indices": [1000]}}},
+                     2, id="sweep-v-indices"),
+        pytest.param({**SE_CFG, "grid": {"d": 3, "N": 32, "L": 16.0},
+                      "theta": {"hermite": [2, 0, 0], "harmonic": [2, 9]}}, 2,
+                     id="harmonic-j-out-of-range"),
+        pytest.param({**COMMUTATOR_CFG, "q_list": []}, 2, id="empty-q-list"),
+        pytest.param({k: v for k, v in SWEEP_CFG.items() if k != "tensor"}, 2,
+                     id="zero-check-without-tensor"),
+        pytest.param({**NORM_CFG, "experiment": ["norm_suite"]}, 2,
+                     id="experiment-not-a-name"),
+    ])
+    def test_validate_exits_as_run(self, cfg, code, tmp_path, capsys):
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["validate", str(path)]) == code
+        assert "ok" not in capsys.readouterr().out
+        assert main(["run", str(path), "--output-dir", str(out)]) == code
+        assert not out.exists()
+
+    def test_validate_runs_no_numerics(self, tmp_path, monkeypatch):
+        counts = {"fft": 0, "u": 0}
+        monkeypatch.setattr(np.fft, "fftn", counted(counts, "fft", np.fft.fftn))
+        monkeypatch.setattr(np.fft, "ifftn", counted(counts, "fft", np.fft.ifftn))
+        monkeypatch.setattr(SequenceFamily, "u", counted(counts, "u", SequenceFamily.u))
+        for name, cfg in sorted(FULL_CFGS.items()):
+            assert main(["validate", str(write_cfg(tmp_path, cfg, f"{name}.json"))]) == 0
+        assert counts == {"fft": 0, "u": 0}
 
 
 class TestMain:
@@ -202,7 +257,7 @@ class TestMain:
 
     def test_guard_violation_exit_code(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(SWEEP_CFG))
-        cfg["families"]["u"]["indices"] = [8, 64]  # 64 > N/4
+        cfg["families"]["u"]["indices"] = [8, 16, 64]  # 64 > N/4
         del cfg["tensor"], cfg["zero_check"]
         path = write_cfg(tmp_path, cfg)
         assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 3
@@ -380,7 +435,7 @@ class TestOnePass:
         for name in ("derivative_op", "bessel_potential"):
             monkeypatch.setattr(sobolev, name,
                                 counted(counts, "build", getattr(sobolev, name)))
-        cli.RUNNERS["norm_suite"](cfg, grid)
+        cli.RUNNERS["norm_suite"](cfg, grid)()
         k_max = max(cfg["k_list"])
         derivs = len(multi_indices(grid.d, k_max)) - 1  # 0 < |alpha| <= max k
         smoothing = len({k for k in cfg["k_list"] if k > 0})
@@ -397,7 +452,7 @@ class TestOnePass:
         monkeypatch.setattr(np.fft, "fftn", counted(counts, "forward", np.fft.fftn))
         monkeypatch.setattr(np.fft, "ifftn", counted(counts, "inverse", np.fft.ifftn))
         monkeypatch.setattr(SequenceFamily, "u", counted(counts, "u", SequenceFamily.u))
-        cli.RUNNERS["hdist_sweep"](SWEEP_CFG, grid)
+        cli.RUNNERS["hdist_sweep"](SWEEP_CFG, grid)()
         assert counts["u"] == len(ns)  # v is u: one sample per index, shared
         # records: phi1 u_n and phi2 v_n forward once per index, forms A and
         # B one inverse each per symbol and index; tensor: v_n forward once

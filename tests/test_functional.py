@@ -186,14 +186,19 @@ def setup():
     }
 
 
+def zero_check(setup, us, vs):
+    ns = setup["ns"]
+    tensor = mu_tensor(ns, us, vs, setup["hb"], setup["sb"])
+    return zero_mu_strong_convergence_check(ns, us, vs, setup["theta"], 0, 2.0,
+                                            tensor, setup["phi"])
+
+
 class TestZeroCheck:
     def test_scaled_family_is_zero_and_decays(self, setup):
         g, a = setup["grid"], setup["a"]
         u = oscillation_family(g, a, (1, 0), setup["ns"], prefactor_power=-0.5)
         v = oscillation_family(g, a, (1, 0), setup["ns"])
-        res = zero_mu_strong_convergence_check(
-            setup["ns"], samples(u), samples(v), setup["theta"], 0, 2.0,
-            setup["hb"], setup["sb"], setup["phi"])
+        res = zero_check(setup, samples(u), samples(v))
         assert res["tensor_is_zero"]
         assert res["strongly_null"]
         assert res["consistent"]
@@ -203,9 +208,7 @@ class TestZeroCheck:
         g, a = setup["grid"], setup["a"]
         u = oscillation_family(g, a, (1, 0), setup["ns"])
         us = samples(u)
-        res = zero_mu_strong_convergence_check(
-            setup["ns"], us, us, setup["theta"], 0, 2.0, setup["hb"],
-            setup["sb"], setup["phi"])
+        res = zero_check(setup, us, us)
         assert not res["tensor_is_zero"]
         assert res["tensor_max"] >= 10 * res["threshold"]
         assert not res["strongly_null"]
@@ -216,9 +219,7 @@ class TestZeroCheck:
         z = g.sample(lambda x, y: np.zeros_like(x))
         fam = oscillation_family(g, z, (1, 0), setup["ns"])
         us = samples(fam)
-        res = zero_mu_strong_convergence_check(
-            setup["ns"], us, us, setup["theta"], 0, 2.0, setup["hb"],
-            setup["sb"], setup["phi"])
+        res = zero_check(setup, us, us)
         assert res["tensor_max"] == 0.0
         assert res["tensor_is_zero"]
         assert res["consistent"]

@@ -4,8 +4,8 @@ import pytest
 from hdist import localization
 from hdist.fitting import fit_limit
 from hdist.grid import Grid, lp_norm, pairing
-from hdist.localization import (build_instance, companion_v_family,
-                                i1_chain_check, localization_verdict)
+from hdist.localization import (build_instance, i1_chain_check,
+                                localization_verdict)
 from hdist.multiplier import (bessel_potential, derivative, from_symbol, riesz,
                               riesz_potential)
 from hdist.registry import constant_symbol, make_field, riesz_symbol
@@ -31,7 +31,7 @@ def tests_pair(grid):
 def make(grid, characteristic, indices=(2, 4, 8), k=0):
     return build_instance(grid, COEFFS, AMP, (1, 0, 0), k=k, p=2.0, q=2.0,
                           indices=indices, characteristic=characteristic,
-                          cutoff_inner=2.3, cutoff_outer=3.3)
+                          cutoff={"r_inner": 2.3, "r_outer": 3.3})
 
 
 class TestBuildInstance:
@@ -83,8 +83,7 @@ def zero_inst():
 
 @pytest.fixture(scope="module")
 def zero_verdict(zero_inst, tests_pair):
-    v = companion_v_family(zero_inst)
-    return localization_verdict(zero_inst, v, *tests_pair, constant_symbol(3))
+    return localization_verdict(zero_inst, *tests_pair, constant_symbol(3))
 
 
 def limit_value(entry):
@@ -99,8 +98,7 @@ class TestZeroCoefficients:
         assert limit_value(zero_verdict["char_pairing"]) == 0.0
 
     def test_chain_both_sides_zero(self, zero_inst, tests_pair):
-        v = companion_v_family(zero_inst)
-        out = i1_chain_check(zero_inst, v, *tests_pair, constant_symbol(3), 4)
+        out = i1_chain_check(zero_inst, *tests_pair, constant_symbol(3), 4)
         assert out["lhs"] == 0.0 and abs(out["rhs"]) < 1e-15
 
 
@@ -122,8 +120,7 @@ def fine_verdicts(fine_grid, fine_tests):
     out = {}
     for name, characteristic in (("char", True), ("ctrl", False)):
         inst = make(fine_grid, characteristic, indices=(4, 8, 16))
-        out[name] = localization_verdict(inst, companion_v_family(inst),
-                                         *fine_tests, constant_symbol(3))
+        out[name] = localization_verdict(inst, *fine_tests, constant_symbol(3))
     return out
 
 
@@ -139,16 +136,14 @@ class TestProbes:
         # constant and a genuinely varying symbol
         for char in (True, False):
             inst = make(fine_grid, char, indices=(4, 8))
-            v = companion_v_family(inst)
             for psi in (constant_symbol(3), riesz_symbol(3, 2)):
                 for n in inst.indices:
-                    out = i1_chain_check(inst, v, *fine_tests, psi, n)
+                    out = i1_chain_check(inst, *fine_tests, psi, n)
                     assert out["residual"] <= 1e-8
 
     def test_chain_identity_k1(self, fine_grid, fine_tests):
         inst = make(fine_grid, False, indices=(4, 8), k=1)
-        v = companion_v_family(inst)
-        out = i1_chain_check(inst, v, *fine_tests, constant_symbol(3), 8)
+        out = i1_chain_check(inst, *fine_tests, constant_symbol(3), 8)
         assert out["residual"] <= 1e-8
 
     def test_baseline_nonzero(self, fine_verdicts):
@@ -165,7 +160,6 @@ class TestProbes:
 class TestOnePass:
     def test_transform_and_sample_counts(self, grid, tests_pair, monkeypatch):
         inst = make(grid, False)
-        v = companion_v_family(inst)
         ns = inst.indices
         counts = {"fft": 0, "u": 0, "smooth": 0}
 
@@ -180,13 +174,13 @@ class TestOnePass:
         monkeypatch.setattr(SequenceFamily, "u", counted(SequenceFamily.u, "u"))
         monkeypatch.setattr(localization, "bessel_potential",
                             counted(localization.bessel_potential, "smooth"))
-        localization_verdict(inst, v, *tests_pair, constant_symbol(3))
+        localization_verdict(inst, *tests_pair, constant_symbol(3))
         assert counts["fft"] <= 13 * len(ns) + 4
         assert counts["u"] == 2 * len(ns)
         assert counts["smooth"] == 1  # J_{-k-1}, once per verdict
 
 
-def operator_chain(inst, v_fam, phi1, phi2, psi):
+def operator_chain(inst, phi1, phi2, psi):
     """Per-index values along the operator-by-operator route: every
     multiplier applied by its own transform round trip."""
     grid = inst.grid
@@ -198,7 +192,7 @@ def operator_chain(inst, v_fam, phi1, phi2, psi):
     d_phi1_bar = [derivative(phi1.conj(), e) for e in units]
     rows = []
     for n in inst.indices:
-        u, v = inst.u_family.u(n), v_fam.u(n)
+        u, v = inst.u_family.u(n), inst.v_family.u(n)
         t = op_adj.apply(phi2 * v)
         lhs = sum(pairing(a * phi1 * u, riesz(grid, j).apply(t) * (-1.0))
                   for j, a in enumerate(inst.coefficients))
@@ -226,11 +220,10 @@ def assert_close(got, want, rtol=1e-12):
 @pytest.mark.parametrize("characteristic", [True, False])
 def test_one_pass_matches_operator_chain(fine_grid, fine_tests, characteristic, k):
     inst = make(fine_grid, characteristic, indices=(4, 8, 12), k=k)
-    v = companion_v_family(inst)
     psi = riesz_symbol(3, 0)
-    verdict = localization_verdict(inst, v, *fine_tests, psi)
-    one_pass = localization._index_pass(inst, v, *fine_tests, psi)
-    rows = operator_chain(inst, v, *fine_tests, psi)
+    verdict = localization_verdict(inst, *fine_tests, psi)
+    one_pass = localization._index_pass(inst, *fine_tests, psi)
+    rows = operator_chain(inst, *fine_tests, psi)
     ns = list(inst.indices)
     for key, entry in (("baseline", "baseline"), ("weighted", "char_pairing")):
         want = fit_limit(ns, [r[key] for r in rows]).value

@@ -65,11 +65,6 @@ class TestHarmonicTransforms:
         back = sh_analyze(f, basis) @ basis.table
         assert np.max(np.abs(back - f)) < 1e-8
 
-    def test_insufficient_quadrature(self):
-        quad = s2_quadrature(3, 6)
-        with pytest.raises(ValueError):
-            SphericalHarmonicBasis.build(3, 8, quadrature=quad)
-
 
 class TestSphereNorm:
     def test_single_harmonic_d3(self):
