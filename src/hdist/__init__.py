@@ -15,11 +15,11 @@ from .symbol import (SphereQuadrature, SphericalHarmonicBasis, SphericalSymbol,
                      hs_sphere_norm, sh_analyze)
 from .multiplier import (MultiplierOperator, bessel_potential, derivative,
                          derivative_op, from_symbol, riesz, riesz_potential)
-from .sobolev import (SequenceFamily, SobolevElement, norm_table,
+from .sobolev import (SequenceFamily, SobolevElement, decay_table, norm_table,
                       oscillation_family, representation_norm_upper,
                       scaled_oscillation_family, strong_null_probe,
                       surrogate_negative_norm, wkq_norm)
-from .commutator import CommutatorProbe, commutator_apply, compactness_probe
+from .commutator import commutator_apply, compactness_probe
 from .fitting import LimitFit
 from .functional import (HPairingRecord, MuTensor, extrapolate_limit,
                          mu_tensor, pairing_records,

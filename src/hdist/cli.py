@@ -22,7 +22,7 @@ from pathlib import Path
 import jsonschema
 
 from . import __version__
-from .commutator import CommutatorProbe, compactness_probe
+from .commutator import compactness_probe
 from .functional import (FORM_RTOL, extrapolate_limit, mu_tensor,
                          pairing_records, zero_mu_strong_convergence_check)
 from .grid import Grid
@@ -274,8 +274,19 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # builders
 
-def _family(grid: Grid, spec, label) -> SequenceFamily:
+# family keys that only some kinds read
+_KIND_KEYS = {"order": ("scaled_oscillation",), "k": ("scaled_oscillation",),
+              "p": ("concentration",), "center": ("concentration",),
+              "profile_width": ("concentration",),
+              "direction": ("oscillation", "scaled_oscillation")}
+
+
+def _family(grid: Grid, spec) -> SequenceFamily:
     """The family of a config spec, with every index it will sample guarded."""
+    unread = sorted(key for key, kinds in _KIND_KEYS.items()
+                    if key in spec and spec["kind"] not in kinds)
+    if unread:
+        raise ValueError(f"family kind {spec['kind']!r} does not read {unread}")
     # the family keys are SequenceFamily's own fields, which hold the defaults;
     # JSON arrays become tuples so that families compare and hash by value
     kw = {key: tuple(value) if isinstance(value, list) else value
@@ -284,7 +295,7 @@ def _family(grid: Grid, spec, label) -> SequenceFamily:
         kw["amplitude_fn"] = field_function(grid.d, spec["amplitude"])
     else:
         kw["amplitude"] = make_field(grid, spec["amplitude"])
-    family = SequenceFamily(grid, label=label, **kw)
+    family = SequenceFamily(grid, **kw)
     for n in family.indices:
         family.guard(n)
     return family
@@ -311,12 +322,12 @@ def _write_csv(path, header, rows, stamp):
 # dict (JSON) or a (header, rows) pair (CSV).
 
 def run_hdist_sweep(cfg, grid):
-    u_fam = _family(grid, cfg["families"]["u"], "u")
+    u_fam = _family(grid, cfg["families"]["u"])
     v_spec = cfg["families"].get("v")
     if v_spec and tuple(v_spec["indices"]) != u_fam.indices:
         raise ValueError("families.v.indices must equal families.u.indices: "
                          "v_n is sampled at the u indices")
-    v_fam = _family(grid, v_spec, "v") if v_spec else u_fam
+    v_fam = _family(grid, v_spec) if v_spec else u_fam
     phi1 = make_field(grid, cfg["test_functions"]["phi1"])
     phi2 = make_field(grid, cfg["test_functions"]["phi2"])
     symbols = [make_symbol(grid.d, s) for s in cfg["symbols"]]
@@ -365,7 +376,7 @@ def run_hdist_sweep(cfg, grid):
         if zc:
             result = zero_mu_strong_convergence_check(
                 ns, us, vs, theta, k, p, tensor, baseline_phi=phi1)
-            files["zero_check.json"] = {**result, "probe": result["probe"].to_dict()}
+            files["zero_check.json"] = result
             checks["zero_check_consistent"] = {"passed": result["consistent"]}
         return checks, files
 
@@ -373,34 +384,26 @@ def run_hdist_sweep(cfg, grid):
 
 
 def run_commutator(cfg, grid):
-    probe = CommutatorProbe(
-        psi=make_symbol(grid.d, cfg["symbol"]),
-        b=make_field(grid, cfg["b"]),
-        family=_family(grid, cfg["family"], "v"),
-        **_present(cfg, r=float, q_list=tuple),
-    )
+    psi, b = make_symbol(grid.d, cfg["symbol"]), make_field(grid, cfg["b"])
+    family = _family(grid, cfg["family"])
+    options = _present(cfg, r=float, q_list=tuple)
 
     def compute():
-        table = compactness_probe(probe)
-        rows = []
-        for label, vals in sorted(table.columns.items()):
+        table = compactness_probe(psi, b, family, **options)
+        rows, decay = [], {}
+        for label, vals in sorted(table["columns"].items()):
+            fit = table["fits"][label]
+            decay[label] = {"exponent": fit["exponent"],
+                            "all_below_threshold": fit["all_below_threshold"]}
+            exponent = "" if fit["exponent"] is None else repr(fit["exponent"])
             q = float(label.split("=")[1])
-            exponent = table.fits[label].exponent
-            for n, v in zip(table.ns, vals):
-                rows.append([n, repr(q), repr(v),
-                             "" if exponent is None else repr(exponent)])
-        checks = {
-            "preconditions": {"violations": table.meta["violations"],
-                              "passed": not table.meta["violations"]},
-            "decay": {
-                label: {"exponent": fit.exponent,
-                        "all_below_threshold": fit.all_below_threshold}
-                for label, fit in sorted(table.fits.items())
-            },
-        }
+            rows += [[n, repr(q), repr(v), exponent] for n, v in zip(table["ns"], vals)]
+        violations = table["meta"]["violations"]
+        checks = {"preconditions": {"violations": violations, "passed": not violations},
+                  "decay": decay}
         return checks, {
             "commutator.csv": (["n", "q", "norm", "fitted_exponent"], rows),
-            "commutator.json": {"table": table.to_dict()},
+            "commutator.json": {"table": table},
         }
 
     return compute
@@ -448,8 +451,10 @@ def run_se_analysis(cfg, grid):
     else:
         fx = make_field(grid, theta_cfg["x_field"])
     if "harmonic" in theta_cfg:
-        deg, j = theta_cfg["harmonic"]
-        gs = sb.evaluate(int(deg), int(j), sb.quadrature.nodes)
+        deg, j = (int(c) for c in theta_cfg["harmonic"])
+        if deg > sb.n_max:  # the basis would see only rounding noise
+            raise ValueError(f"theta.harmonic degree {deg} exceeds n_max = {sb.n_max}")
+        gs = sb.evaluate(deg, j, sb.quadrature.nodes)
     else:
         gs = make_symbol(grid.d, theta_cfg["sphere_symbol"])(sb.quadrature.nodes)
     r_list = list(cfg["r_list"])

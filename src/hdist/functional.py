@@ -153,7 +153,7 @@ def zero_mu_strong_convergence_check(
     tensor_zero = tensor.max_abs() < threshold
 
     probe = strong_null_probe(ns, us, theta, k, p)
-    strongly_null = probe.meta["strongly_null"]
+    strongly_null = probe["meta"]["strongly_null"]
 
     if tensor_zero and strongly_null:
         verdict, consistent = "zero tensor, strong decay confirmed", True
@@ -170,7 +170,7 @@ def zero_mu_strong_convergence_check(
         "baseline_scale": float(scale),
         "tensor_is_zero": bool(tensor_zero),
         "strongly_null": bool(strongly_null),
-        "strong_fit_exponent": probe.fits["surrogate_norm"].exponent,
+        "strong_fit_exponent": probe["fits"]["surrogate_norm"]["exponent"],
         "consistent": bool(consistent),
         "verdict": verdict,
         "probe": probe,

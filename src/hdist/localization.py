@@ -15,7 +15,7 @@ on those spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .grid import FREQUENCY, Grid, GridFunction, dft, idft, lp_norm, pairing
 from .multiplier import (bessel_potential, derivative, derivative_op,
                          from_symbol, riesz, riesz_potential)
 from .registry import make_field
-from .sobolev import (DecayTable, SequenceFamily, scaled_oscillation_family,
+from .sobolev import (SequenceFamily, decay_table, scaled_oscillation_family,
                       wkq_norm)
 from .symbol import SphericalSymbol
 
@@ -40,38 +40,40 @@ def _unit(d: int, axis: int) -> tuple:
 
 @dataclass(frozen=True)
 class TransportInstance:
-    """One configured transport experiment, with its pair of families."""
+    """One configured transport experiment.  The family u_n (order +k) holds
+    the grid, amplitude, direction, k and indices; its dual companion v_n
+    (order -k) is (2 pi n |xi0| / L)^{-2k} u_n, so it has no family of its
+    own."""
 
-    grid: Grid
     coefficients: tuple            # d GridFunctions A_1 .. A_d
-    amplitude: GridFunction = field(compare=False)
-    direction: tuple
-    k: int
     p: float
     q: float
-    indices: tuple
     characteristic: bool
-    u_family: SequenceFamily
-    v_family: SequenceFamily
+    family: SequenceFamily
 
     def f(self, n: int) -> GridFunction:
         """Right-hand side sum_i d_i(A_i u_n), computed spectrally."""
-        u = self.u_family.u(n)
+        u = self.family.u(n)
         total = None
         for axis, a_i in enumerate(self.coefficients):
-            term = derivative(a_i * u, _unit(self.grid.d, axis))
+            term = derivative(a_i * u, _unit(u.grid.d, axis))
             total = term if total is None else total + term
         return total
 
+    def v(self, n: int, u: GridFunction) -> GridFunction:
+        """v_n from u = u_n; the factor is exactly 1.0 when k = 0."""
+        return u * (2 * np.pi * self.family.frequency_shift(n)) ** (-2 * self.family.k)
+
     def characteristic_defect(self) -> float:
         """Amplitude-weighted size of A(x).xi0 / |xi0|: sup |(A.xi0) a| / sup |a|."""
-        xi0 = np.asarray(self.direction, dtype=float)
+        xi0 = np.asarray(self.family.direction, dtype=float)
         xi0 = xi0 / np.linalg.norm(xi0)
         dot = sum(float(c) * a.values for c, a in zip(xi0, self.coefficients))
-        sup_a = float(np.max(np.abs(self.amplitude.values)))
+        amplitude = self.family.amplitude.values
+        sup_a = float(np.max(np.abs(amplitude)))
         if sup_a == 0:
             return 0.0
-        return float(np.max(np.abs(dot * self.amplitude.values))) / sup_a
+        return float(np.max(np.abs(dot * amplitude))) / sup_a
 
 
 def build_instance(grid: Grid, coefficient_specs, amplitude_spec, direction,
@@ -82,7 +84,7 @@ def build_instance(grid: Grid, coefficient_specs, amplitude_spec, direction,
     For a characteristic instance every coefficient whose direction component
     is nonzero is multiplied by the shell cutoff (registry params `cutoff`),
     which vanishes on the amplitude's support and so makes A(x).xi0 = 0
-    there by construction.  Both families are guarded at every index.
+    there by construction.  The family is guarded at every index.
     """
     if grid.d != 3:
         raise ValueError("transport experiment runs on d = 3 grids only")
@@ -90,28 +92,19 @@ def build_instance(grid: Grid, coefficient_specs, amplitude_spec, direction,
         raise ValueError(f"need {grid.d} coefficients, got {len(coefficient_specs)}")
     if not (1.0 < q < grid.d):
         raise ValueError(f"need 1 < q < d; got q={q}, d={grid.d}")
-    direction = tuple(int(c) for c in direction)
-    if len(direction) != grid.d or not any(direction):
-        raise ValueError("direction must be a nonzero integer lattice vector")
-    amplitude = make_field(grid, amplitude_spec)
+    family = scaled_oscillation_family(
+        grid, make_field(grid, amplitude_spec), tuple(int(c) for c in direction),
+        tuple(indices), k=k)
     cutoff = make_field(grid, {"name": "shell_cutoff", "params": cutoff or {}})
     coeffs = []
     for axis, spec in enumerate(coefficient_specs):
         a_i = make_field(grid, spec)
-        if characteristic and direction[axis] != 0:
+        if characteristic and family.direction[axis] != 0:
             a_i = a_i * cutoff
         coeffs.append(a_i)
-    indices = tuple(indices)
-    u_family = scaled_oscillation_family(
-        grid, amplitude, direction, indices, k=k, p=p, label="transport-u")
-    # the weakly-null companion on the dual side: same direction, inverse scaling
-    v_family = scaled_oscillation_family(
-        grid, amplitude, direction, indices, k=k, p=q, order=-k, label="transport-v")
-    for family in (u_family, v_family):
-        for n in indices:
-            family.guard(n)
-    return TransportInstance(grid, tuple(coeffs), amplitude, direction, k, p, q,
-                             indices, characteristic, u_family, v_family)
+    for n in family.indices:
+        family.guard(n)
+    return TransportInstance(tuple(coeffs), p, q, characteristic, family)
 
 
 def _source(instance: TransportInstance, u: GridFunction, grad: list) -> GridFunction:
@@ -119,7 +112,7 @@ def _source(instance: TransportInstance, u: GridFunction, grad: list) -> GridFun
     inverted once."""
     f_hat = sum(d_j.m * dft(a_j * u).values
                 for d_j, a_j in zip(grad, instance.coefficients))
-    return idft(GridFunction(instance.grid, f_hat, FREQUENCY))
+    return idft(GridFunction(u.grid, f_hat, FREQUENCY))
 
 
 def _index_values(instance: TransportInstance, phi1: GridFunction,
@@ -136,8 +129,8 @@ def _index_values(instance: TransportInstance, phi1: GridFunction,
     arrays, so each field is dropped after its last use and f_n is formed
     last: at most two fields are alive beside the transform temporaries.
     """
-    u = instance.u_family.u(n)
-    b = phi2 * instance.v_family.u(n)
+    u = instance.family.u(n)
+    b = phi2 * instance.v(n, u)
     baseline = pairing(idft(ops["psi"].apply(dft(phi1 * u))), b)
     t_hat = ops["psi"].adjoint().apply(dft(b))
     del b
@@ -146,7 +139,7 @@ def _index_values(instance: TransportInstance, phi1: GridFunction,
         for r_j, a_j in zip(ops["riesz"], instance.coefficients))
     w = idft(ops["potential"].apply(t_hat))
     del t_hat
-    wkq = wkq_norm(phi1 * w, instance.k, instance.q)
+    wkq = wkq_norm(phi1 * w, instance.family.k, instance.q)
     f = _source(instance, u, ops["grad"])
     rhs = -(pairing(f, phi1.conj() * w) + pairing(u * weight, w))
     del u, w
@@ -165,29 +158,23 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
     The multipliers (A_psi, d_j, R_j, I_1, J_{-k-1}) and G are built once
     per pass; G turns sum_j <u_n A_j, d_j(conj phi1) w> into <u_n G, w>.
     """
-    grid = instance.grid
+    grid = instance.family.grid
     ops = {"psi": from_symbol(grid, psi),
            "grad": [derivative_op(grid, _unit(grid.d, j)) for j in range(grid.d)],
            "riesz": [riesz(grid, j) for j in range(grid.d)],
            "potential": riesz_potential(grid),
-           "smooth": bessel_potential(grid, -float(instance.k + 1))}
+           "smooth": bessel_potential(grid, -float(instance.family.k + 1))}
     phi1_bar_hat = dft(phi1.conj())
     d_phi1_bar = (idft(d_j.apply(phi1_bar_hat)) for d_j in ops["grad"])
     weight = GridFunction(grid, sum(a_j.values * np.conj(d.values) for a_j, d
                                     in zip(instance.coefficients, d_phi1_bar)))
     del phi1_bar_hat
-    ns = tuple(ns) if ns is not None else tuple(instance.indices)
     return [_index_values(instance, phi1, phi2, ops, weight, n)
-            for n in ns]
+            for n in (instance.family.indices if ns is None else ns)]
 
 
 def _limit(rows, key: str) -> LimitFit:
     return fit_limit([r["n"] for r in rows], [r[key] for r in rows])
-
-
-def _decay_table(rows, key: str, meta=None) -> DecayTable:
-    ns, norms = tuple(r["n"] for r in rows), [r[key] for r in rows]
-    return DecayTable(ns, {key: norms}, {key: fit_decay(ns, norms)}, meta or {})
 
 
 def i1_chain_check(instance: TransportInstance, phi1: GridFunction,
@@ -212,10 +199,10 @@ def localization_verdict(instance: TransportInstance, phi1: GridFunction,
     rows = _index_pass(instance, phi1, phi2, psi)
     base, char = _limit(rows, "baseline"), _limit(rows, "weighted")
     defect = instance.characteristic_defect()
-    rhs = _decay_table(rows, "rhs_norm", {
+    ns = [r["n"] for r in rows]
+    rhs = decay_table(ns, {"rhs_norm": [r["rhs_norm"] for r in rows]}, {
         "characteristic": instance.characteristic,
         "characteristic_defect": defect})
-    rellich = _decay_table(rows, "wkq_norm")
     ratio = abs(char.value) / abs(base.value) if abs(base.value) > 0 else None
     check = instance.characteristic and ratio is not None
     return {
@@ -226,10 +213,10 @@ def localization_verdict(instance: TransportInstance, phi1: GridFunction,
         "ratio": ratio,
         "passes_tol_char": bool(ratio <= TOL_CHAR) if check else None,
         "rates": {
-            "rhs_exponent": rhs.fits["rhs_norm"].exponent,
-            "rellich_exponent": rellich.fits["wkq_norm"].exponent,
+            "rhs_exponent": rhs["fits"]["rhs_norm"]["exponent"],
+            "rellich_exponent": fit_decay(ns, [r["wkq_norm"] for r in rows]).exponent,
         },
-        "rhs_table": rhs.to_dict(),
+        "rhs_table": rhs,
         "i1_chain_residuals": [r["chain"]["residual"] for r in rows],
         "i1_zero_mode": "constant frequency mode mapped to 0 (torus surrogate)",
     }

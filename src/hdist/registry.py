@@ -7,15 +7,23 @@ specs are small dicts {"name": ..., "params": {...}} with two combinators,
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .grid import Grid, GridFunction
 from .symbol import SphericalSymbol
 
 
+def _number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _resolve(kind: str, builtins: dict, spec):
     """(name, builder, params) of a named spec or bare name, with the
-    builtin's defaults merged and unknown parameters rejected."""
+    builtin's defaults merged and unknown or mistyped parameters rejected:
+    a numeric default takes a number, and center (default null) takes null
+    or an array of numbers."""
     if isinstance(spec, str):
         spec = {"name": spec}
     name = spec["name"]
@@ -26,6 +34,13 @@ def _resolve(kind: str, builtins: dict, spec):
     unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(f"unknown parameters for {kind} {name!r}: {sorted(unknown)}")
+    for key, value in sorted(params.items()):
+        center = defaults[key] is None  # the one param whose default is null
+        if not (value is None or (isinstance(value, list) and all(map(_number, value)))
+                if center else _number(value)):
+            want = "null or an array of numbers" if center else "a number"
+            raise ValueError(f"{kind} {name!r} parameter {key!r} must be {want}, "
+                             f"got {value!r}")
     return name, fn, params
 
 

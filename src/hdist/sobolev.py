@@ -143,7 +143,6 @@ class SequenceFamily:
     prefactor_power: float = 0.0
     center: Optional[tuple] = None
     profile_width: float = 1.0
-    label: str = "family"
 
     def __post_init__(self):
         if self.kind not in (OSCILLATION, SCALED_OSCILLATION, CONCENTRATION):
@@ -224,42 +223,27 @@ def scaled_oscillation_family(grid, amplitude, direction, indices, k, **kw):
 # ---------------------------------------------------------------------------
 # convergence probes
 
-@dataclass(frozen=True)
-class DecayTable:
-    """Per-index magnitudes for one or more probes, with fitted rates."""
-
-    ns: tuple
-    columns: dict           # label -> list of float magnitudes
-    fits: dict              # label -> DecayFit
-    meta: dict
-
-    def to_dict(self):
-        return {
-            "ns": self.ns,
-            "columns": self.columns,
-            "fits": {
-                k: {
-                    "exponent": f.exponent,
-                    "all_below_threshold": f.all_below_threshold,
-                    "n_used": f.n_used,
-                }
-                for k, f in self.fits.items()
-            },
-            "meta": self.meta,
-        }
+def decay_table(ns, columns: dict, meta: dict) -> dict:
+    """Per-index magnitudes (label -> one value per index) with the fitted
+    decay of each column, as the artifacts hold them."""
+    fits = {label: fit_decay(ns, vals) for label, vals in columns.items()}
+    return {"ns": tuple(ns), "columns": columns, "meta": meta,
+            "fits": {label: {"exponent": f.exponent,
+                             "all_below_threshold": f.all_below_threshold,
+                             "n_used": f.n_used} for label, f in fits.items()}}
 
 
-def strong_null_probe(ns, us, theta: GridFunction, k: int,
-                      p: float) -> DecayTable:
+def strong_null_probe(ns, us, theta: GridFunction, k: int, p: float) -> dict:
     """Surrogate W^{-k,p} norms of theta * u_n, u_n = us[i] at n = ns[i],
-    with a fitted trend."""
-    ns = tuple(ns)
+    as a decay table; strongly_null reads the fitted trend."""
     norms = [surrogate_negative_norm(theta * u, k, p) for u in us]
-    fit = fit_decay(ns, norms)
-    monotone = all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
     meta = {
-        "monotone_nonincreasing": monotone,
+        "monotone_nonincreasing": all(b <= a * (1 + 1e-12)
+                                      for a, b in zip(norms, norms[1:])),
         "ratio_last_first": (norms[-1] / norms[0]) if norms[0] > 0 else 0.0,
-        "strongly_null": fit.is_decaying(cutoff=-0.25),
     }
-    return DecayTable(ns, {"surrogate_norm": norms}, {"surrogate_norm": fit}, meta)
+    table = decay_table(ns, {"surrogate_norm": norms}, meta)
+    fit = table["fits"]["surrogate_norm"]
+    meta["strongly_null"] = fit["all_below_threshold"] or (
+        fit["exponent"] is not None and fit["exponent"] < -0.25)
+    return table

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hdist.commutator import CommutatorProbe, commutator_apply, compactness_probe
+from hdist.commutator import commutator_apply, compactness_probe
 from hdist.functional import (extrapolate_limit, mu_tensor, pairing_records,
                               zero_mu_strong_convergence_check)
 from hdist.grid import Grid, linf_norm, lp_norm, pairing
@@ -156,9 +156,8 @@ def test_criterion_4_commutation_probe():
     a = make_field(g, "gaussian")
     b = make_field(g, "gaussian")
     fam = oscillation_family(g, a, (1, 0), (8, 16, 32))
-    table = compactness_probe(CommutatorProbe(psi=riesz_symbol(2, 0), b=b,
-                                              family=fam))
-    v2 = table.columns["q=2"]
+    table = compactness_probe(riesz_symbol(2, 0), b, fam)
+    v2 = table["columns"]["q=2"]
     ratio = v2[-1] / v2[0]
 
     f = fam.u(8)
@@ -281,7 +280,7 @@ def test_criterion_8_integration_by_parts_chain(localization_run):
     phi = localization_run["phi"]
     psi = localization_run["psi"]
     for char, inst in localization_run["instances"].items():
-        for n in inst.indices:
+        for n in inst.family.indices:
             out = i1_chain_check(inst, phi, phi, psi, n)
             worst = max(worst, out["residual"])
         # the verdicts recomputed these too; fold in their residuals

@@ -207,6 +207,17 @@ class TestBuild:
                      id="zero-check-without-tensor"),
         pytest.param({**NORM_CFG, "experiment": ["norm_suite"]}, 2,
                      id="experiment-not-a-name"),
+        pytest.param({**NORM_CFG, "fields": [{"name": "gaussian", "params": {"width": [1]}}]},
+                     2, id="param-of-wrong-type"),
+        pytest.param({**SE_CFG, "theta": {"hermite": [2, 0], "harmonic": [5, 1]}}, 2,
+                     id="harmonic-degree-above-n-max"),
+        pytest.param({**COMMUTATOR_CFG, "family": {**COMMUTATOR_CFG["family"], "order": 3,
+                                                   "center": [1, 1], "p": 7}},
+                     2, id="family-keys-the-kind-never-reads"),
+        pytest.param({**COMMUTATOR_CFG, "family": {"kind": "concentration", "amplitude":
+                                                   "gaussian", "direction": [1, 0],
+                                                   "indices": [1, 2, 4]}},
+                     2, id="concentration-direction"),
     ])
     def test_validate_exits_as_run(self, cfg, code, tmp_path, capsys):
         path = write_cfg(tmp_path, cfg)
@@ -215,6 +226,17 @@ class TestBuild:
         assert "ok" not in capsys.readouterr().out
         assert main(["run", str(path), "--output-dir", str(out)]) == code
         assert not out.exists()
+
+    @pytest.mark.parametrize("family", [
+        {"kind": "scaled_oscillation", "amplitude": "gaussian", "direction": [1, 0],
+         "k": 1, "order": -1, "prefactor_power": 0.5, "indices": [8, 16, 32]},
+        {"kind": "concentration", "amplitude": "gaussian", "p": 2.0, "center": [0, 0],
+         "profile_width": 2.0, "prefactor_power": 0.5, "indices": [1, 2, 4]},
+    ], ids=["scaled_oscillation", "concentration"])
+    def test_family_keys_each_kind_reads(self, family, tmp_path, capsys):
+        path = write_cfg(tmp_path, {**COMMUTATOR_CFG, "family": family})
+        assert main(["validate", str(path)]) == 0
+        assert "ok" in capsys.readouterr().out
 
     def test_validate_runs_no_numerics(self, tmp_path, monkeypatch):
         counts = {"fft": 0, "u": 0}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdist.commutator import CommutatorProbe, commutator_apply, compactness_probe
+from hdist.commutator import commutator_apply, compactness_probe
 from hdist.grid import Grid, linf_norm, lp_norm
 from hdist.registry import constant_symbol, make_field, riesz_symbol
 from hdist.sobolev import SequenceFamily, oscillation_family
@@ -74,13 +74,12 @@ class TestCommutatorApply:
 class TestCompactnessProbe:
     def test_oscillation_decay(self, grid, gaussian):
         fam = oscillation_family(grid, gaussian, (1, 0), (8, 16, 32))
-        probe = CommutatorProbe(psi=riesz_symbol(2, 0), b=gaussian, family=fam)
-        table = compactness_probe(probe)
-        v2 = table.columns["q=2"]
+        table = compactness_probe(riesz_symbol(2, 0), gaussian, fam)
+        v2 = table["columns"]["q=2"]
         assert v2[-1] <= 0.4 * v2[0]
-        assert table.fits["q=2"].exponent < -0.5
-        assert table.fits["q=4"].exponent < -0.5
-        assert not table.meta["violations"]
+        assert table["fits"]["q=2"]["exponent"] < -0.5
+        assert table["fits"]["q=4"]["exponent"] < -0.5
+        assert not table["meta"]["violations"]
 
     def test_constant_sequence_flags_hypothesis(self, grid, gaussian):
         # u_n == u fixed: the weak-null hypothesis fails, and C u_n does
@@ -88,20 +87,17 @@ class TestCompactnessProbe:
         fixed = SequenceFamily(grid, "oscillation", amplitude=gaussian,
                                direction=(1, 0), indices=(8, 16, 32))
         object.__setattr__(fixed, "u", lambda n: gaussian)
-        probe = CommutatorProbe(psi=riesz_symbol(2, 0), b=gaussian, family=fixed)
-        table = compactness_probe(probe)
-        fit = table.fits["q=2"]
-        assert fit.exponent is None or fit.exponent > -0.1  # no decay
+        table = compactness_probe(riesz_symbol(2, 0), gaussian, fixed)
+        exponent = table["fits"]["q=2"]["exponent"]
+        assert exponent is None or exponent > -0.1  # no decay
 
     def test_constant_symbol_identically_zero(self, grid, gaussian):
         fam = oscillation_family(grid, gaussian, (1, 0), (8, 16, 32))
-        probe = CommutatorProbe(psi=constant_symbol(2), b=gaussian, family=fam)
-        table = compactness_probe(probe)
-        for vals in table.columns.values():
+        table = compactness_probe(constant_symbol(2), gaussian, fam)
+        for vals in table["columns"].values():
             assert all(v < 1e-13 for v in vals)
 
     def test_q_grid_default(self, grid, gaussian):
         fam = oscillation_family(grid, gaussian, (1, 0), (8, 16))
-        probe = CommutatorProbe(psi=riesz_symbol(2, 0), b=gaussian, family=fam,
-                                r=6.0)
-        assert probe.exponents() == (2.0, 6.0)
+        table = compactness_probe(riesz_symbol(2, 0), gaussian, fam, r=6.0)
+        assert tuple(table["meta"]["q_list"]) == (2.0, 6.0)

@@ -9,7 +9,7 @@ from hdist.localization import (build_instance, i1_chain_check,
 from hdist.multiplier import (bessel_potential, derivative, from_symbol, riesz,
                               riesz_potential)
 from hdist.registry import constant_symbol, make_field, riesz_symbol
-from hdist.sobolev import SequenceFamily, wkq_norm
+from hdist.sobolev import SequenceFamily, scaled_oscillation_family, wkq_norm
 
 GAUSS15 = {"name": "gaussian", "params": {"width": 1.5}}
 GAUSS13 = {"name": "gaussian", "params": {"width": 1.3}}
@@ -63,7 +63,7 @@ class TestBuildInstance:
 
         inst = make(grid, False)
         n = 4
-        u = inst.u_family.u(n)
+        u = inst.family.u(n)
         manual = None
         for axis, a_i in enumerate(inst.coefficients):
             e = tuple(1 if i == axis else 0 for i in range(3))
@@ -137,7 +137,7 @@ class TestProbes:
         for char in (True, False):
             inst = make(fine_grid, char, indices=(4, 8))
             for psi in (constant_symbol(3), riesz_symbol(3, 2)):
-                for n in inst.indices:
+                for n in inst.family.indices:
                     out = i1_chain_check(inst, *fine_tests, psi, n)
                     assert out["residual"] <= 1e-8
 
@@ -157,10 +157,26 @@ class TestProbes:
         assert val_ctrl >= 0.5 * base
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_v_is_the_order_minus_k_family(grid, k):
+    # the verdict forms v_n as a scalar multiple of u_n instead of sampling
+    # the order -k family; at k = 0 the two agree bit for bit
+    inst = make(grid, False, k=k)
+    fam = inst.family
+    v_family = scaled_oscillation_family(grid, fam.amplitude, fam.direction,
+                                         fam.indices, k=k, order=-k)
+    for n in fam.indices:
+        got, want = inst.v(n, fam.u(n)).values, v_family.u(n).values
+        if k == 0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestOnePass:
     def test_transform_and_sample_counts(self, grid, tests_pair, monkeypatch):
         inst = make(grid, False)
-        ns = inst.indices
+        ns = inst.family.indices
         counts = {"fft": 0, "u": 0, "smooth": 0}
 
         def counted(fn, key):
@@ -176,23 +192,27 @@ class TestOnePass:
                             counted(localization.bessel_potential, "smooth"))
         localization_verdict(inst, *tests_pair, constant_symbol(3))
         assert counts["fft"] <= 13 * len(ns) + 4
-        assert counts["u"] == 2 * len(ns)
+        assert counts["u"] == len(ns)  # v_n is a multiple of u_n
         assert counts["smooth"] == 1  # J_{-k-1}, once per verdict
 
 
 def operator_chain(inst, phi1, phi2, psi):
     """Per-index values along the operator-by-operator route: every
-    multiplier applied by its own transform round trip."""
-    grid = inst.grid
+    multiplier applied by its own transform round trip, and v_n sampled from
+    its own order -k family."""
+    fam = inst.family
+    grid = fam.grid
+    v_family = scaled_oscillation_family(grid, fam.amplitude, fam.direction,
+                                         fam.indices, k=fam.k, order=-fam.k)
     op = from_symbol(grid, psi)
     op_adj = op.adjoint()
     pot = riesz_potential(grid)
-    smooth = bessel_potential(grid, -float(inst.k + 1))
+    smooth = bessel_potential(grid, -float(fam.k + 1))
     units = [tuple(int(i == j) for i in range(grid.d)) for j in range(grid.d)]
     d_phi1_bar = [derivative(phi1.conj(), e) for e in units]
     rows = []
-    for n in inst.indices:
-        u, v = inst.u_family.u(n), inst.v_family.u(n)
+    for n in fam.indices:
+        u, v = fam.u(n), v_family.u(n)
         t = op_adj.apply(phi2 * v)
         lhs = sum(pairing(a * phi1 * u, riesz(grid, j).apply(t) * (-1.0))
                   for j, a in enumerate(inst.coefficients))
@@ -206,7 +226,7 @@ def operator_chain(inst, phi1, phi2, psi):
             "weighted": lhs,
             "residual": abs(lhs - rhs) / (1.0 + abs(lhs)),
             "rhs_norm": lp_norm(smooth.apply(phi1 * f), inst.p),
-            "rellich": wkq_norm(phi1 * w, inst.k, inst.q),
+            "rellich": wkq_norm(phi1 * w, fam.k, inst.q),
         })
     return rows
 
@@ -224,7 +244,7 @@ def test_one_pass_matches_operator_chain(fine_grid, fine_tests, characteristic, 
     verdict = localization_verdict(inst, *fine_tests, psi)
     one_pass = localization._index_pass(inst, *fine_tests, psi)
     rows = operator_chain(inst, *fine_tests, psi)
-    ns = list(inst.indices)
+    ns = list(inst.family.indices)
     for key, entry in (("baseline", "baseline"), ("weighted", "char_pairing")):
         want = fit_limit(ns, [r[key] for r in rows]).value
         assert_close(complex(*verdict[entry]["value"]), want)

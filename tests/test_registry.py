@@ -31,6 +31,19 @@ class TestFields:
         with pytest.raises(ValueError):
             make_field(grid, {"name": "gaussian", "params": {"sigma": 2.0}})
 
+    @pytest.mark.parametrize("params, key", [
+        ({"width": [1]}, "width"), ({"width": True}, "width"),
+        ({"width": "1"}, "width"), ({"center": "origin"}, "center"),
+        ({"center": [[0.0, 0.0]]}, "center"), ({"center": 0.0}, "center"),
+    ])
+    def test_param_of_wrong_type(self, grid, params, key):
+        with pytest.raises(ValueError, match=f"'gaussian' parameter '{key}'"):
+            make_field(grid, {"name": "gaussian", "params": params})
+
+    def test_symbol_param_of_wrong_type(self):
+        with pytest.raises(ValueError, match="'smoothed_sign' parameter 'eps'"):
+            make_symbol(2, {"name": "smoothed_sign", "params": {"eps": [0.1]}})
+
     def test_gaussian_peak_and_center(self, grid):
         f = make_field(grid, {"name": "gaussian",
                               "params": {"center": [1.0, -2.0], "width": 2.0}})

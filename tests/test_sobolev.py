@@ -176,21 +176,21 @@ class TestProbes:
                                  prefactor_power=-0.5)
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, gaussian, 0, 2.0)
-        assert table.fits["surrogate_norm"].exponent == pytest.approx(-0.5, abs=0.1)
-        assert table.meta["strongly_null"]
+        assert table["fits"]["surrogate_norm"]["exponent"] == pytest.approx(-0.5, abs=0.1)
+        assert table["meta"]["strongly_null"]
 
     def test_strong_null_fails_without_scaling(self, grid, gaussian):
         fam = oscillation_family(grid, gaussian, (1, 0), (8, 16, 32))
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, gaussian, 0, 2.0)
         ref = lp_norm(gaussian * gaussian, 2.0)
-        for v in table.columns["surrogate_norm"]:
+        for v in table["columns"]["surrogate_norm"]:
             assert v == pytest.approx(ref, rel=1e-10)  # modulus invariance
-        assert not table.meta["strongly_null"]
+        assert not table["meta"]["strongly_null"]
 
     def test_strong_null_zero_family(self, grid, gaussian):
         z = grid.sample(lambda x, y: np.zeros_like(x))
         fam = oscillation_family(grid, z, (1, 0), (8, 16))
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, gaussian, 1, 2.0)
-        assert all(v == 0 for v in table.columns["surrogate_norm"])
+        assert all(v == 0 for v in table["columns"]["surrogate_norm"])
