@@ -20,13 +20,12 @@ from .sobolev import (SequenceFamily, SobolevElement, decay_table, norm_table,
                       scaled_oscillation_family, strong_null_probe,
                       surrogate_negative_norm, wkq_norm)
 from .commutator import commutator_apply, compactness_probe
-from .fitting import LimitFit
-from .functional import (HPairingRecord, MuTensor, extrapolate_limit,
-                         mu_tensor, pairing_records,
+from .fitting import LimitFit, fit_limit
+from .functional import (mu_tensor, pairing_records,
                          zero_mu_strong_convergence_check)
 from .localization import (TransportInstance, build_instance, i1_chain_check,
                            localization_verdict)
-from .specbasis import (HermiteBasis, SECoefficients, oscillator_apply,
-                        se_analyze, se_membership_score)
+from .specbasis import (HermiteBasis, oscillator_apply, se_analyze,
+                        se_membership_score)
 from .registry import list_builtins, make_field, make_symbol
 from .util import AliasingError, SupportError

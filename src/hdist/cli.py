@@ -23,8 +23,9 @@ import jsonschema
 
 from . import __version__
 from .commutator import compactness_probe
-from .functional import (FORM_RTOL, extrapolate_limit, mu_tensor,
-                         pairing_records, zero_mu_strong_convergence_check)
+from .fitting import fit_limit
+from .functional import (FORM_RTOL, mu_tensor, pairing_records,
+                         zero_mu_strong_convergence_check)
 from .grid import Grid
 from .localization import build_instance, localization_verdict
 from .registry import field_function, list_builtins, make_field, make_symbol
@@ -171,7 +172,7 @@ CONFIG_SCHEMAS = {
             "family": {"$ref": "#/$defs/family"},
             "r": {"type": "number", "exclusiveMinimum": 2},
             "q_list": {"type": "array", "items": {"type": "number", "minimum": 2},
-                       "minItems": 1},
+                       "minItems": 1, "uniqueItems": True},
         },
         ["symbol", "b", "family"],
     ),
@@ -232,7 +233,7 @@ CONFIG_SCHEMAS = {
             "k_list": {"type": "array", "items": {"type": "integer", "minimum": 0},
                        "minItems": 1},
             "p_list": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 1},
-                       "minItems": 1},
+                       "minItems": 1, "uniqueItems": True},
         },
         ["fields"],
     ),
@@ -306,6 +307,17 @@ def _present(cfg, **types) -> dict:
     return {key: to(cfg[key]) for key, to in types.items() if key in cfg}
 
 
+def _exact_labels(cfg, *keys):
+    """Refuse an exponent that its artifact label f"{x:g}" does not reproduce:
+    two such exponents would share a column, and the CSV reads q back from it."""
+    for key in keys:
+        value = cfg.get(key, [])
+        for x in value if isinstance(value, list) else [value]:
+            if float(f"{x:g}") != x:
+                raise ValueError(f"{key} value {x!r} would be labelled {x:g}; "
+                                 "give it in at most 6 significant digits")
+
+
 def _write_csv(path, header, rows, stamp):
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={stamp['config_hash']} version={stamp['version']}\n")
@@ -345,16 +357,12 @@ def run_hdist_sweep(cfg, grid):
         us = [u_fam.u(n) for n in ns]
         vs = us if v_fam is u_fam else [v_fam.u(n) for n in ns]
         rows, limits, max_gap = [], {}, 0.0
-        for psi, records in zip(symbols, pairing_records(ns, us, vs, phi1, phi2,
-                                                         symbols)):
-            est = extrapolate_limit(records)
-            limits[psi.name] = est.to_dict()
-            for r in records:
-                rows.append([psi.name, r.phi1, r.phi2, r.n,
-                             repr(r.value_form_a.real), repr(r.value_form_a.imag),
-                             repr(r.value_form_b.real), repr(r.value_form_b.imag),
-                             repr(r.form_gap)])
-                max_gap = max(max_gap, r.form_gap / (1.0 + abs(r.value_form_a)))
+        for psi, forms in zip(symbols, pairing_records(us, vs, phi1, phi2, symbols)):
+            limits[psi.name] = fit_limit(ns, [a for a, _ in forms]).to_dict()
+            for n, (a, b) in zip(ns, forms):
+                rows.append([psi.name, phi1.name, phi2.name, int(n), repr(a.real),
+                             repr(a.imag), repr(b.real), repr(b.imag), repr(abs(a - b))])
+                max_gap = max(max_gap, abs(a - b) / (1.0 + abs(a)))
         files = {
             "records.csv": (["psi", "phi1", "phi2", "n", "re_form_a", "im_form_a",
                              "re_form_b", "im_form_b", "gap"], rows),
@@ -370,12 +378,13 @@ def run_hdist_sweep(cfg, grid):
         }
         if tensor_cfg:
             tensor = mu_tensor(ns, us, vs, hb, sb)
-            files["tensor.json"] = {"tensor": tensor.to_dict()}
-            checks["tensor_max_abs"] = {"value": tensor.max_abs()}
-            checks["flagged_limits"]["tensor_entries"] = int(tensor.flagged.sum())
+            tensor_max = float(abs(tensor["entries"]).max())
+            files["tensor.json"] = {"tensor": tensor}
+            checks["tensor_max_abs"] = {"value": tensor_max}
+            checks["flagged_limits"]["tensor_entries"] = int(tensor["flagged"].sum())
         if zc:
             result = zero_mu_strong_convergence_check(
-                ns, us, vs, theta, k, p, tensor, baseline_phi=phi1)
+                ns, us, vs, theta, k, p, tensor_max, baseline_phi=phi1)
             files["zero_check.json"] = result
             checks["zero_check_consistent"] = {"passed": result["consistent"]}
         return checks, files
@@ -386,6 +395,7 @@ def run_hdist_sweep(cfg, grid):
 def run_commutator(cfg, grid):
     psi, b = make_symbol(grid.d, cfg["symbol"]), make_field(grid, cfg["b"])
     family = _family(grid, cfg["family"])
+    _exact_labels(cfg, "r", "q_list")
     options = _present(cfg, r=float, q_list=tuple)
 
     def compute():
@@ -463,7 +473,7 @@ def run_se_analysis(cfg, grid):
         coeffs = se_analyze([(fx, gs)], hb, sb)
         score = se_membership_score(coeffs, r_list)
         checks = {"membership_verdict": {"value": score["verdict"]}}
-        return checks, {"se_coeffs.json": {"coefficients": coeffs.to_dict()},
+        return checks, {"se_coeffs.json": {"coefficients": coeffs},
                         "se_membership.json": {"membership": score}}
 
     return compute
@@ -471,6 +481,7 @@ def run_se_analysis(cfg, grid):
 
 def run_norm_suite(cfg, grid):
     k_list = [int(k) for k in cfg.get("k_list", [0, 1])]
+    _exact_labels(cfg, "p_list")
     p_list = [float(p) for p in cfg.get("p_list", [2.0])]
     fields = [make_field(grid, spec) for spec in cfg["fields"]]
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -16,41 +15,25 @@ NEGLIGIBLE = 1e-14
 DECAY_PREFERENCE = 3.0
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Power-law fit |y| ~ C * n^exponent over an index set."""
-
-    exponent: Optional[float]
-    log10_prefactor: Optional[float]
-    n_used: int
-    all_below_threshold: bool
-
-    def is_decaying(self, cutoff=-0.5):
-        if self.all_below_threshold:
-            return True
-        return self.exponent is not None and self.exponent < cutoff
-
-
-def fit_decay(ns, values, threshold=1e-10) -> DecayFit:
+def fit_decay(ns, values, threshold=1e-10) -> dict:
     """Fit log10 |values| against log10 ns by least squares.
 
-    Entries at or below the floating-point floor are dropped; if everything
-    sits below `threshold` the sequence is reported as identically small
-    instead of fitted.
+    Returns {"exponent", "all_below_threshold", "n_used"}, as decay tables
+    hold it.  Entries at or below the floating-point floor are dropped (no
+    exponent below two entries); if everything sits below `threshold` the
+    sequence is reported as identically small instead of fitted.
     """
     ns = np.asarray(ns, dtype=float)
     mags = np.abs(np.asarray(values, dtype=complex))
     if len(ns) != len(mags) or len(ns) == 0:
         raise ValueError("need matching, nonempty index and value lists")
     if np.all(mags <= threshold):
-        return DecayFit(None, None, 0, True)
+        return {"exponent": None, "all_below_threshold": True, "n_used": 0}
     keep = mags > ZERO_FLOOR
-    if np.count_nonzero(keep) < 2:
-        return DecayFit(None, None, int(np.count_nonzero(keep)), False)
-    x = np.log10(ns[keep])
-    y = np.log10(mags[keep])
-    slope, intercept = np.polyfit(x, y, 1)
-    return DecayFit(float(slope), float(intercept), int(np.count_nonzero(keep)), False)
+    n_used = int(np.count_nonzero(keep))
+    exponent = (float(np.polyfit(np.log10(ns[keep]), np.log10(mags[keep]), 1)[0])
+                if n_used >= 2 else None)
+    return {"exponent": exponent, "all_below_threshold": False, "n_used": n_used}
 
 
 @dataclass(frozen=True)

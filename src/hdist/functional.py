@@ -14,11 +14,9 @@ as samples: u_n = us[i] and v_n = vs[i] at the index n = ns[i].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .fitting import LimitFit, fit_limit
+from .fitting import fit_limit
 from .grid import GridFunction, dft, idft, pairing
 from .multiplier import from_symbol
 from .sobolev import strong_null_probe
@@ -29,82 +27,30 @@ from .symbol import SphericalHarmonicBasis
 FORM_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class HPairingRecord:
-    """One evaluated pairing at index n, in both adjoint forms."""
-
-    n: int
-    value_form_a: complex
-    value_form_b: complex
-    phi1: str = "phi1"
-    phi2: str = "phi2"
-    psi: str = "psi"
-
-    @property
-    def form_gap(self) -> float:
-        return abs(self.value_form_a - self.value_form_b)
-
-
-def pairing_records(ns, us, vs, phi1, phi2, symbols) -> list:
-    """One list of records per symbol.  phi1 u_n and phi2 v_n are transformed
-    once per index and shared by every symbol; forms A and B each take one
-    inverse transform per symbol and index."""
+def pairing_records(us, vs, phi1, phi2, symbols) -> list:
+    """One list of (form_a, form_b) pairs per symbol, one pair per index, as
+    Python complex.  phi1 u_n and phi2 v_n are transformed once per index
+    and shared by every symbol; forms A and B each take one inverse
+    transform per symbol and index."""
     ops = [from_symbol(phi1.grid, psi) for psi in symbols]
     out = [[] for _ in symbols]
-    for n, u, v in zip(ns, us, vs):
+    for u, v in zip(us, vs):
         fu, gv = phi1 * u, phi2 * v
         fu_hat, gv_hat = dft(fu), dft(gv)
-        for records, psi, op in zip(out, symbols, ops):
-            form_a = pairing(idft(op.apply(fu_hat)), gv)
-            form_b = pairing(fu, idft(op.adjoint().apply(gv_hat)))
-            records.append(HPairingRecord(int(n), form_a, form_b, phi1.name or "phi1",
-                                          phi2.name or "phi2", psi.name))
+        for forms, op in zip(out, ops):
+            forms.append((pairing(idft(op.apply(fu_hat)), gv),
+                          pairing(fu, idft(op.adjoint().apply(gv_hat)))))
     return out
-
-
-def extrapolate_limit(records) -> LimitFit:
-    """Fit the records' values and return the extrapolated limit."""
-    return fit_limit([r.n for r in records], [r.value_form_a for r in records])
 
 
 # ---------------------------------------------------------------------------
 # coefficient tensor
 
-@dataclass(frozen=True)
-class MuTensor:
-    """Extrapolated pairings against Hermite x harmonic test products.
-
-    values[m_flat, b] estimates the limit against h_m(x) Y_{n,j}(xi); this
-    finite tensor is the concrete representation of the limiting object.
-    Whether that object extends to the full smoothness class in xi is not
-    certified here (see metadata).
-    """
-
-    values: np.ndarray = field(repr=False)     # ((m_max+1)^d, B) complex
-    residuals: np.ndarray = field(repr=False)  # same shape, float
-    flagged: np.ndarray = field(repr=False)    # same shape, bool
-    hermite_indices: tuple = ()
-    sphere_indices: tuple = ()
-    ns: tuple = ()
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-    def to_dict(self):
-        return {
-            "hermite_indices": self.hermite_indices,
-            "sphere_indices": self.sphere_indices,
-            "ns": self.ns,
-            "entries": self.values,
-            "residuals": self.residuals,
-            "flagged": self.flagged,
-            "order_in_xi": "finite-basis surrogate; extension order not certified",
-        }
-
-
 def mu_tensor(ns, us, vs, hermite_basis: HermiteBasis,
-              sphere_basis: SphericalHarmonicBasis) -> MuTensor:
-    """Tensor of extrapolated pairings over the product test basis.
+              sphere_basis: SphericalHarmonicBasis) -> dict:
+    """Tensor of extrapolated pairings over the product test basis, as
+    tensor.json holds it: entries[m_flat, b] estimates the limit against
+    h_m(x) Y_{n,j}(xi), a finite stand-in for the limiting object.
 
     Uses the adjoint form: v_n is transformed once per index, each
     harmonic's w = A_conj(Y) v_n is one product and one inverse
@@ -129,17 +75,18 @@ def mu_tensor(ns, us, vs, hermite_basis: HermiteBasis,
 
     fit = fit_limit(ns, per_n.reshape(len(ns), -1))
     shape = (m_flat, b_sphere)
-    return MuTensor(fit.value.reshape(shape), fit.residual.reshape(shape),
-                    fit.flagged.reshape(shape),
-                    tuple(hermite_basis.indices()),
-                    tuple(sphere_basis.indices), ns)
+    return {"hermite_indices": tuple(hermite_basis.indices()),
+            "sphere_indices": tuple(sphere_basis.indices), "ns": ns,
+            "entries": fit.value.reshape(shape), "residuals": fit.residual.reshape(shape),
+            "flagged": fit.flagged.reshape(shape),
+            "order_in_xi": "finite-basis surrogate; extension order not certified"}
 
 
 def zero_mu_strong_convergence_check(
-        ns, us, vs, theta: GridFunction, k: int, p: float, tensor: MuTensor,
+        ns, us, vs, theta: GridFunction, k: int, p: float, tensor_max: float,
         baseline_phi: GridFunction) -> dict:
-    """Confront the tensor-is-zero verdict (tensor from these samples) with
-    strong-norm decay.
+    """Confront the tensor-is-zero verdict (tensor_max, the largest |entry|
+    of the tensor from these samples) with strong-norm decay.
 
     A tensor below threshold should come with decaying localized surrogate
     norms (fitted exponent < -0.25); a clearly nonzero tensor is consistent
@@ -150,7 +97,7 @@ def zero_mu_strong_convergence_check(
     scale = max(abs(pairing(baseline_phi * u, baseline_phi * v))
                 for u, v in zip(us, vs))
     threshold = 1e-3 * scale + 1e-12
-    tensor_zero = tensor.max_abs() < threshold
+    tensor_zero = tensor_max < threshold
 
     probe = strong_null_probe(ns, us, theta, k, p)
     strongly_null = probe["meta"]["strongly_null"]
@@ -165,7 +112,7 @@ def zero_mu_strong_convergence_check(
         verdict, consistent = "nonzero tensor, this theta still decays", True
 
     return {
-        "tensor_max": tensor.max_abs(),
+        "tensor_max": tensor_max,
         "threshold": float(threshold),
         "baseline_scale": float(scale),
         "tensor_is_zero": bool(tensor_zero),

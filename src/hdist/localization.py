@@ -214,7 +214,7 @@ def localization_verdict(instance: TransportInstance, phi1: GridFunction,
         "passes_tol_char": bool(ratio <= TOL_CHAR) if check else None,
         "rates": {
             "rhs_exponent": rhs["fits"]["rhs_norm"]["exponent"],
-            "rellich_exponent": fit_decay(ns, [r["wkq_norm"] for r in rows]).exponent,
+            "rellich_exponent": fit_decay(ns, [r["wkq_norm"] for r in rows])["exponent"],
         },
         "rhs_table": rhs,
         "i1_chain_residuals": [r["chain"]["residual"] for r in rows],

@@ -22,8 +22,8 @@ def _number(x) -> bool:
 def _resolve(kind: str, builtins: dict, spec):
     """(name, builder, params) of a named spec or bare name, with the
     builtin's defaults merged and unknown or mistyped parameters rejected:
-    a numeric default takes a number, and center (default null) takes null
-    or an array of numbers."""
+    a float default takes a number, an int default (axis) a whole number,
+    and center (default null) takes null or an array of numbers."""
     if isinstance(spec, str):
         spec = {"name": spec}
     name = spec["name"]
@@ -35,10 +35,15 @@ def _resolve(kind: str, builtins: dict, spec):
     if unknown:
         raise ValueError(f"unknown parameters for {kind} {name!r}: {sorted(unknown)}")
     for key, value in sorted(params.items()):
-        center = defaults[key] is None  # the one param whose default is null
-        if not (value is None or (isinstance(value, list) and all(map(_number, value)))
-                if center else _number(value)):
-            want = "null or an array of numbers" if center else "a number"
+        default = defaults[key]
+        if default is None:  # center, the one param whose default is null
+            ok = value is None or (isinstance(value, list) and all(map(_number, value)))
+            want = "null or an array of numbers"
+        else:  # the builder truncates an int param with int(): refuse fractions
+            whole = isinstance(default, int)
+            ok = _number(value) and (not whole or float(value).is_integer())
+            want = "an integer" if whole else "a number"
+        if not ok:
             raise ValueError(f"{kind} {name!r} parameter {key!r} must be {want}, "
                              f"got {value!r}")
     return name, fn, params

@@ -226,11 +226,8 @@ def scaled_oscillation_family(grid, amplitude, direction, indices, k, **kw):
 def decay_table(ns, columns: dict, meta: dict) -> dict:
     """Per-index magnitudes (label -> one value per index) with the fitted
     decay of each column, as the artifacts hold them."""
-    fits = {label: fit_decay(ns, vals) for label, vals in columns.items()}
     return {"ns": tuple(ns), "columns": columns, "meta": meta,
-            "fits": {label: {"exponent": f.exponent,
-                             "all_below_threshold": f.all_below_threshold,
-                             "n_used": f.n_used} for label, f in fits.items()}}
+            "fits": {label: fit_decay(ns, vals) for label, vals in columns.items()}}
 
 
 def strong_null_probe(ns, us, theta: GridFunction, k: int, p: float) -> dict:

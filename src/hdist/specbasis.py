@@ -115,31 +115,10 @@ def oscillator_eigenvalue(m) -> float:
 # ---------------------------------------------------------------------------
 # coefficients on R^d x S^{d-1}
 
-@dataclass(frozen=True)
-class SECoefficients:
-    """Finite coefficient tensor a[(n,j), m] of a function of (x, xi)."""
-
-    a: np.ndarray = field(repr=False)  # (B_sphere, (m_max+1)^d) complex
-    sphere_indices: tuple = ()         # ((n, j), ...)
-    hermite_indices: tuple = ()        # (multi-index, ...)
-    m_max: int = 0
-    n_max: int = 0
-    d: int = 2
-
-    def to_dict(self):
-        return {
-            "d": self.d,
-            "m_max": self.m_max,
-            "n_max": self.n_max,
-            "sphere_indices": self.sphere_indices,
-            "hermite_indices": self.hermite_indices,
-            "entries": self.a,
-        }
-
-
 def se_analyze(theta, hermite_basis: HermiteBasis,
-               sphere_basis: SphericalHarmonicBasis) -> SECoefficients:
-    """Coefficients of theta(x, xi) against h_m x Y_{n,j}.
+               sphere_basis: SphericalHarmonicBasis) -> dict:
+    """Coefficients entries[(n,j), m] of theta(x, xi) against h_m x Y_{n,j},
+    as se_coeffs.json holds them.
 
     theta may be a list of separable terms (GridFunction, sphere node values)
     summed together, or a full array of shape grid.shape + (n_nodes,).
@@ -164,18 +143,14 @@ def se_analyze(theta, hermite_basis: HermiteBasis,
             cs = sh_analyze(np.asarray(gs, dtype=complex), sphere_basis)
             out += np.multiply.outer(cs, hx)
 
-    return SECoefficients(
-        out,
-        tuple(sphere_basis.indices),
-        tuple(hermite_basis.indices()),
-        hermite_basis.m_max,
-        sphere_basis.n_max,
-        grid.d,
-    )
+    return {"d": grid.d, "m_max": hermite_basis.m_max, "n_max": sphere_basis.n_max,
+            "sphere_indices": tuple(sphere_basis.indices),
+            "hermite_indices": tuple(hermite_basis.indices()), "entries": out}
 
 
-def se_membership_score(coeffs: SECoefficients, r_list) -> dict:
-    """Summability evidence for membership in the smooth test class.
+def se_membership_score(coeffs: dict, r_list) -> dict:
+    """Summability evidence for membership in the smooth test class, from
+    the coefficient dict of se_analyze.
 
     For each r, reports the truncated sum of |a|^2 (1 + n^2 + |m|^2)^r and
     the fitted log-log slope of its shell sums; a slope below -1 (or a
@@ -185,12 +160,12 @@ def se_membership_score(coeffs: SECoefficients, r_list) -> dict:
     positive when every tested r passes.  This is evidence, not a proof:
     the true criterion quantifies over all r > 0.
     """
-    k_full = min(coeffs.n_max, coeffs.m_max)
-    n = np.array([deg for deg, _ in coeffs.sphere_indices])
-    m = np.array(coeffs.hermite_indices)
+    k_full = min(coeffs["n_max"], coeffs["m_max"])
+    n = np.array([deg for deg, _ in coeffs["sphere_indices"]])
+    m = np.array(coeffs["hermite_indices"])
     radius2 = (n[:, None] ** 2 + np.sum(m ** 2, axis=1)[None, :]).ravel()
     shell = np.floor(np.sqrt(radius2)).astype(int)
-    mags2 = (np.abs(coeffs.a) ** 2).ravel()
+    mags2 = (np.abs(coeffs["entries"]) ** 2).ravel()
 
     report = {"r": {}, "verdict": None}
     verdicts = []

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from hdist.commutator import commutator_apply, compactness_probe
-from hdist.functional import (extrapolate_limit, mu_tensor, pairing_records,
+from hdist.fitting import fit_limit
+from hdist.functional import (mu_tensor, pairing_records,
                               zero_mu_strong_convergence_check)
 from hdist.grid import Grid, linf_norm, lp_norm, pairing
 from hdist.localization import (build_instance, i1_chain_check,
@@ -20,7 +21,7 @@ from hdist.localization import (build_instance, i1_chain_check,
 from hdist.multiplier import derivative, riesz, riesz_potential
 from hdist.registry import constant_symbol, make_field, riesz_symbol
 from hdist.sobolev import oscillation_family
-from hdist.specbasis import (HermiteBasis, SECoefficients, oscillator_apply,
+from hdist.specbasis import (HermiteBasis, oscillator_apply,
                              oscillator_eigenvalue, se_analyze,
                              se_membership_score)
 from hdist.symbol import SphericalHarmonicBasis, hs_sphere_norm
@@ -79,9 +80,9 @@ def zero_check_runs():
     for power, name in [(-0.5, "scaled"), (0.0, "unscaled")]:
         u_fam = oscillation_family(g, a, (1, 0), ns, prefactor_power=power)
         us = [u_fam.u(n) for n in ns]
+        tensor_max = float(abs(mu_tensor(ns, us, vs, hb, sb)["entries"]).max())
         results[name] = zero_mu_strong_convergence_check(
-            ns, us, vs, theta, 0, 2.0, mu_tensor(ns, us, vs, hb, sb),
-            baseline_phi=phi)
+            ns, us, vs, theta, 0, 2.0, tensor_max, baseline_phi=phi)
     return results
 
 
@@ -104,9 +105,9 @@ def test_criterion_1_adjoint_identity():
     us = [fam.u(n) for n in fam.indices]
     worst, count = 0.0, 0
     for phi1, phi2 in pairs:
-        for records in pairing_records(fam.indices, us, us, phi1, phi2, symbols):
-            for rec in records:
-                gap = rec.form_gap / (1.0 + abs(rec.value_form_a))
+        for forms in pairing_records(us, us, phi1, phi2, symbols):
+            for form_a, form_b in forms:
+                gap = abs(form_a - form_b) / (1.0 + abs(form_a))
                 worst = max(worst, gap)
                 count += 1
     report(1, count == 27 and worst <= 1e-9,
@@ -121,9 +122,8 @@ def test_criterion_2_oscillation_h_measure():
     phi = make_field(g, "gaussian")
     fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
     us = [fam.u(n) for n in fam.indices]
-    [records] = pairing_records(fam.indices, us, us, phi, phi,
-                                [riesz_symbol(2, 0)])
-    est = extrapolate_limit(records)
+    [forms] = pairing_records(us, us, phi, phi, [riesz_symbol(2, 0)])
+    est = fit_limit(fam.indices, [a for a, _ in forms])
     # frequency-shift oracle: psi(xi0/|xi0|) * integral |phi|^2 |a|^2;
     # for unit-width Gaussians the mass integral is exactly 1/4 in d = 2
     oracle = -0.25j
@@ -262,8 +262,8 @@ def test_criterion_7_appendix_spectral_facts():
     a = np.array([
         [(1.0 + n**2 + m[0] ** 2 + m[1] ** 2) ** -2 for m in herm_idx]
         for n, _ in sphere_idx])
-    synth = SECoefficients(a.astype(complex), sphere_idx, herm_idx,
-                           m_max, n_max, 2)
+    synth = {"entries": a.astype(complex), "sphere_indices": sphere_idx,
+             "hermite_indices": herm_idx, "m_max": m_max, "n_max": n_max, "d": 2}
     synth_negative = se_membership_score(synth, r_list)["verdict"] == "not consistent"
 
     ok = (worst_hs <= 1e-9 and gram_err <= 1e-9 and worst_osc <= 1e-6

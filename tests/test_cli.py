@@ -218,6 +218,16 @@ class TestBuild:
                                                    "gaussian", "direction": [1, 0],
                                                    "indices": [1, 2, 4]}},
                      2, id="concentration-direction"),
+        pytest.param({**NORM_CFG, "fields": [{"name": "coordinate", "params": {"axis": 1.9}}]},
+                     2, id="fractional-field-axis"),
+        pytest.param({**SWEEP_CFG, "symbols": [{"name": "smoothed_sign",
+                                                "params": {"axis": 0.5}}]},
+                     2, id="fractional-symbol-axis"),
+        pytest.param({**COMMUTATOR_CFG, "q_list": [2.123456789, 4, 4.0000001]}, 2,
+                     id="q-list-labels-round"),
+        pytest.param({**COMMUTATOR_CFG, "q_list": [2, 4, 4.0]}, 2, id="q-list-repeats"),
+        pytest.param({**COMMUTATOR_CFG, "r": 4.0000001}, 2, id="r-label-rounds"),
+        pytest.param({**NORM_CFG, "p_list": [2, 2.0000001]}, 2, id="p-list-labels-collide"),
     ])
     def test_validate_exits_as_run(self, cfg, code, tmp_path, capsys):
         path = write_cfg(tmp_path, cfg)
@@ -331,7 +341,7 @@ class TestExperiments:
             return wrapper
 
         for module, name in ((cli, "mu_tensor"), (functional, "mu_tensor"),
-                             (functional, "fit_limit")):
+                             (cli, "fit_limit"), (functional, "fit_limit")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         summary = run_config(SWEEP_CFG, output_dir=tmp_path)
         assert calls == {"mu_tensor": 1,

@@ -96,18 +96,17 @@ class TestFitDecay:
     def test_pure_power(self):
         ns = [8, 16, 32, 64]
         fit = fit_decay(ns, [3.0 * n**-1.5 for n in ns])
-        assert fit.exponent == pytest.approx(-1.5, abs=1e-10)
-        assert not fit.all_below_threshold
+        assert fit["exponent"] == pytest.approx(-1.5, abs=1e-10)
+        assert not fit["all_below_threshold"]
 
     def test_all_tiny(self):
         fit = fit_decay([8, 16, 32], [1e-14, 2e-15, 0.0])
-        assert fit.all_below_threshold
-        assert fit.is_decaying()
+        assert fit["all_below_threshold"]
 
     def test_mixed_zero_entries_dropped(self):
         fit = fit_decay([8, 16, 32], [1.0, 0.5, 0.0], threshold=1e-30)
-        assert fit.n_used == 2
-        assert fit.exponent == pytest.approx(-1.0, abs=1e-10)
+        assert fit["n_used"] == 2
+        assert fit["exponent"] == pytest.approx(-1.0, abs=1e-10)
 
     def test_empty(self):
         with pytest.raises(ValueError):

@@ -1,23 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hdist.functional import (FORM_RTOL, extrapolate_limit, mu_tensor,
-                              pairing_records, zero_mu_strong_convergence_check)
+from hdist.fitting import fit_limit
+from hdist.functional import (FORM_RTOL, mu_tensor, pairing_records,
+                              zero_mu_strong_convergence_check)
 from hdist.grid import Grid, pairing
-from hdist.registry import constant_symbol, make_field, riesz_symbol
+from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, make_field,
+                            make_symbol, riesz_symbol)
 from hdist.sobolev import oscillation_family
 from hdist.specbasis import HermiteBasis
 from hdist.symbol import SphericalHarmonicBasis
+
+from .test_grid import grids, random_field
 
 
 def samples(family):
     return [family.u(n) for n in family.indices]
 
 
-def record(n, u, phi1, phi2, psi):
-    """The pairing record at index n with u_n = v_n = u."""
-    [[rec]] = pairing_records([n], [u], [u], phi1, phi2, [psi])
-    return rec
+def record(u, phi1, phi2, psi):
+    """The (form_a, form_b) pair of one index with u_n = v_n = u."""
+    [[forms]] = pairing_records([u], [u], phi1, phi2, [psi])
+    return forms
+
+
+def tensor_max(tensor):
+    return float(abs(tensor["entries"]).max())
 
 
 @pytest.fixture(scope="module")
@@ -38,17 +47,16 @@ def family(grid, gaussian):
 class TestHPairing:
     def test_constant_symbol_reduces_to_plain_pairing(self, grid, family, gaussian):
         u = family.u(8)
-        rec = record(8, u, gaussian, gaussian, constant_symbol(2))
+        form_a, _ = record(u, gaussian, gaussian, constant_symbol(2))
         plain = pairing(gaussian * u, gaussian * u)
-        assert rec.value_form_a == pytest.approx(plain, rel=1e-12)
+        assert form_a == pytest.approx(plain, rel=1e-12)
 
     def test_form_agreement(self, grid, family, gaussian):
         symbols = [riesz_symbol(2, 0), riesz_symbol(2, 1), constant_symbol(2)]
         us = samples(family)
-        for records in pairing_records(family.indices, us, us, gaussian, gaussian,
-                                       symbols):
-            for rec in records:
-                assert rec.form_gap <= FORM_RTOL * (1.0 + abs(rec.value_form_a))
+        for forms in pairing_records(us, us, gaussian, gaussian, symbols):
+            for form_a, form_b in forms:
+                assert abs(form_a - form_b) <= FORM_RTOL * (1.0 + abs(form_a))
 
     def test_disjoint_supports_vanish(self, grid, family):
         left = make_field(grid, {"name": "bump",
@@ -56,24 +64,24 @@ class TestHPairing:
         right = make_field(grid, {"name": "bump",
                                   "params": {"radius": 2.0, "center": [4.0, 0.0]}})
         u = family.u(8)
-        rec = record(8, u, left, right, constant_symbol(2))
-        assert abs(rec.value_form_a) < 1e-13
+        form_a, _ = record(u, left, right, constant_symbol(2))
+        assert abs(form_a) < 1e-13
 
     def test_sesquilinearity(self, grid, family, gaussian):
         u = family.u(8)
         psi1, psi2 = riesz_symbol(2, 0), riesz_symbol(2, 1)
         sum_eval = lambda xi: psi1.eval(xi) + psi2.eval(xi)
         psi_sum = type(psi1)(2, sum_eval, "sum", sphere_mean=0.0)
-        a = record(8, u, gaussian, gaussian, psi_sum).value_form_a
-        b = (record(8, u, gaussian, gaussian, psi1).value_form_a
-             + record(8, u, gaussian, gaussian, psi2).value_form_a)
+        a = record(u, gaussian, gaussian, psi_sum)[0]
+        b = (record(u, gaussian, gaussian, psi1)[0]
+             + record(u, gaussian, gaussian, psi2)[0])
         assert abs(a - b) < 1e-10 * (1 + abs(a))
 
         # linear in phi1, anti-linear in phi2
         c = 0.7 - 1.3j
-        base = record(8, u, gaussian, gaussian, psi1).value_form_a
-        scaled1 = record(8, u, gaussian * c, gaussian, psi1).value_form_a
-        scaled2 = record(8, u, gaussian, gaussian * c, psi1).value_form_a
+        base = record(u, gaussian, gaussian, psi1)[0]
+        scaled1 = record(u, gaussian * c, gaussian, psi1)[0]
+        scaled2 = record(u, gaussian, gaussian * c, psi1)[0]
         assert scaled1 == pytest.approx(c * base, rel=1e-10)
         assert scaled2 == pytest.approx(np.conj(c) * base, rel=1e-10)
 
@@ -81,9 +89,24 @@ class TestHPairing:
         u = family.u(8)
         phi2 = make_field(grid, {"name": "gaussian", "params": {"width": 1.5}})
         psi = constant_symbol(2)
-        ab = record(8, u, gaussian, phi2, psi).value_form_a
-        ba = record(8, u, phi2, gaussian, psi).value_form_a
+        ab = record(u, gaussian, phi2, psi)[0]
+        ba = record(u, phi2, gaussian, psi)[0]
         assert ba == pytest.approx(np.conj(ab), rel=1e-10)
+
+
+class TestFormAgreement:
+    """The two adjoint forms agree for any registry symbol, test functions
+    and samples."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(grids(), st.data())
+    def test_forms_agree(self, grid, data):
+        names = [n for n in sorted(SYMBOL_BUILTINS) if grid.d == 3 or not n.endswith("_3")]
+        psi = make_symbol(grid.d, data.draw(st.sampled_from(names)))
+        seed = data.draw(st.integers(0, 2**16))
+        u, v, phi1, phi2 = (random_field(grid, seed + i) for i in range(4))
+        [[(form_a, form_b)]] = pairing_records([u], [v], phi1, phi2, [psi])
+        assert abs(form_a - form_b) <= FORM_RTOL * (1.0 + abs(form_a))
 
 
 class TestExtrapolation:
@@ -96,9 +119,8 @@ class TestExtrapolation:
         phi = make_field(g, "gaussian")
         fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
         us = samples(fam)
-        [recs] = pairing_records(fam.indices, us, us, phi, phi,
-                                 [riesz_symbol(2, 0)])
-        est = extrapolate_limit(recs)
+        [forms] = pairing_records(us, us, phi, phi, [riesz_symbol(2, 0)])
+        est = fit_limit(fam.indices, [a for a, _ in forms])
         oracle = -0.25j  # (1/i) * integral exp(-4 pi |x|^2) = -i/4
         assert abs(est.value - oracle) <= 0.01 * abs(oracle)
 
@@ -113,18 +135,17 @@ class TestExtrapolation:
         fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
         psi = riesz_symbol(2, 0)
         ns, us = fam.indices, samples(fam)
-        [split] = pairing_records(ns, us, us, phi1, phi2, [psi])
-        split = extrapolate_limit(split)
+        [split] = pairing_records(us, us, phi1, phi2, [psi])
+        split = fit_limit(ns, [a for a, _ in split])
         theta = phi1 * phi2.conj()
-        [merged] = pairing_records(ns, us, us, theta, one, [psi])
-        merged = extrapolate_limit(merged)
+        [merged] = pairing_records(us, us, theta, one, [psi])
+        merged = fit_limit(ns, [a for a, _ in merged])
         assert abs(split.value - merged.value) <= 0.02 * abs(split.value)
 
     def test_estimate_serialization(self, family, gaussian):
         us = samples(family)
-        [recs] = pairing_records(family.indices, us, us, gaussian, gaussian,
-                                 [constant_symbol(2)])
-        est = extrapolate_limit(recs)
+        [forms] = pairing_records(us, us, gaussian, gaussian, [constant_symbol(2)])
+        est = fit_limit(family.indices, [a for a, _ in forms])
         d = est.to_dict()
         assert set(d) == {"value", "residual", "model", "beta", "flagged", "ns"}
         assert d["ns"] == [8, 16, 32]
@@ -138,7 +159,7 @@ class TestMuTensor:
         sb = SphericalHarmonicBasis.build(2, 1)
         us = samples(fam)
         tensor = mu_tensor(fam.indices, us, us, hb, sb)
-        assert tensor.max_abs() == 0.0
+        assert tensor_max(tensor) == 0.0
 
     def test_oscillation_separates(self):
         # entries approximate Y(xi0/|xi0|) times the Hermite coefficient of
@@ -157,7 +178,7 @@ class TestMuTensor:
             y_val = complex(sb.evaluate(deg, j, direction)[0])
             for mi in range(len(herm_coeffs)):
                 expected = y_val * herm_coeffs[mi]
-                got = tensor.values[mi, b]
+                got = tensor["entries"][mi, b]
                 assert abs(got - expected) <= 0.02 * abs(expected) + 2e-4
 
     def test_serialization(self, grid, family):
@@ -165,10 +186,9 @@ class TestMuTensor:
         sb = SphericalHarmonicBasis.build(2, 1)
         us = samples(family)
         tensor = mu_tensor(family.indices, us, us, hb, sb)
-        d = tensor.to_dict()
-        assert len(d["entries"]) == 4  # (m_max+1)^2 hermite rows
-        assert len(d["entries"][0]) == sb.size
-        assert "order_in_xi" in d
+        assert len(tensor["entries"]) == 4  # (m_max+1)^2 hermite rows
+        assert len(tensor["entries"][0]) == sb.size
+        assert "order_in_xi" in tensor
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +210,7 @@ def zero_check(setup, us, vs):
     ns = setup["ns"]
     tensor = mu_tensor(ns, us, vs, setup["hb"], setup["sb"])
     return zero_mu_strong_convergence_check(ns, us, vs, setup["theta"], 0, 2.0,
-                                            tensor, setup["phi"])
+                                            tensor_max(tensor), setup["phi"])
 
 
 class TestZeroCheck:

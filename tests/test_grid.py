@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdist.grid import (FREQUENCY, Grid, GridFunction, dft, idft, linf_norm,
                         lp_norm, pairing)
@@ -24,6 +25,21 @@ def plane_wave(grid, m0):
     coords = grid.meshgrid_x()
     phase = sum(c * m for c, m in zip(coords, m0)) * (2j * np.pi / grid.L)
     return GridFunction(grid, np.exp(phase), "physical")
+
+
+@st.composite
+def grids(draw):
+    """A 2- or 3-D grid of a drawn size and box side."""
+    d = draw(st.sampled_from([2, 3]))
+    return Grid(d, draw(st.sampled_from([8, 16, 32] if d == 2 else [8, 16])),
+                draw(st.floats(2.0, 20.0)))
+
+
+def random_field(grid, seed):
+    """Independent complex normal values at every point: no smoothness."""
+    rng = np.random.default_rng(seed)
+    return GridFunction(grid, rng.normal(size=grid.shape)
+                        + 1j * rng.normal(size=grid.shape))
 
 
 class TestGridValidation:
@@ -155,3 +171,12 @@ class TestPairing:
         uh, vh = dft(u).values, dft(v).values
         rhs = np.sum(uh * np.conj(vh)) / grid.L**2
         assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
+
+
+class TestRoundTrip:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(grids(), st.integers(0, 2**16))
+    def test_idft_inverts_dft(self, grid, seed):
+        f = random_field(grid, seed)
+        back = idft(dft(f))
+        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * linf_norm(f)

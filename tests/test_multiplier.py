@@ -8,7 +8,7 @@ from hdist.multiplier import (MultiplierOperator, bessel_potential, derivative,
 from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, make_symbol,
                             riesz_symbol, smoothed_sign_symbol)
 
-from .test_grid import plane_wave, random_smooth
+from .test_grid import grids, plane_wave, random_field, random_smooth
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +194,20 @@ class TestComposition:
         product = MultiplierOperator(grid, a.m * b.m).apply(f)
         gap = np.max(np.abs(in_turn.values - product.values))
         assert gap <= 1e-12 * linf_norm(product)
+
+
+class TestPotentialGradient:
+    """d_j I_1 = -R_j, criterion 3's identity, over random grids and fields."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(grids(), st.integers(0, 2**16))
+    def test_gradient_of_potential_is_minus_riesz(self, grid, seed):
+        f = random_field(grid, seed)
+        potential = riesz_potential(grid).apply(f)
+        for axis in range(grid.d):
+            e = tuple(1 if i == axis else 0 for i in range(grid.d))
+            gap = derivative(potential, e).values + riesz(grid, axis).apply(f).values
+            assert np.max(np.abs(gap)) <= 1e-12 * linf_norm(f)
 
 
 class TestLatticeArrays:

@@ -35,10 +35,21 @@ class TestFields:
         ({"width": [1]}, "width"), ({"width": True}, "width"),
         ({"width": "1"}, "width"), ({"center": "origin"}, "center"),
         ({"center": [[0.0, 0.0]]}, "center"), ({"center": 0.0}, "center"),
+        ({"axis": 1.9}, "axis"), ({"axis": 0.5}, "axis"), ({"axis": True}, "axis"),
     ])
     def test_param_of_wrong_type(self, grid, params, key):
-        with pytest.raises(ValueError, match=f"'gaussian' parameter '{key}'"):
-            make_field(grid, {"name": "gaussian", "params": params})
+        # width and center are gaussian's; axis, an int param, is the
+        # coordinate field's and the smoothed_sign symbol's
+        makers = ({"coordinate": lambda spec: make_field(grid, spec),
+                   "smoothed_sign": lambda spec: make_symbol(2, spec)} if key == "axis"
+                  else {"gaussian": lambda spec: make_field(grid, spec)})
+        for name, make in makers.items():
+            with pytest.raises(ValueError, match=f"'{name}' parameter '{key}'"):
+                make({"name": name, "params": params})
+
+    def test_whole_number_for_int_param(self, grid):
+        x = make_field(grid, {"name": "coordinate", "params": {"axis": 1.0}})
+        assert np.array_equal(x.values, grid.meshgrid_x()[1])
 
     def test_symbol_param_of_wrong_type(self):
         with pytest.raises(ValueError, match="'smoothed_sign' parameter 'eps'"):

@@ -5,7 +5,7 @@ from hdist.grid import Grid, GridFunction, lp_norm, pairing
 from hdist.registry import make_field
 from hdist.specbasis import (HermiteBasis, hermite_values, oscillator_apply,
                              oscillator_eigenvalue, required_box, se_analyze,
-                             se_membership_score, SECoefficients)
+                             se_membership_score)
 from hdist.symbol import SphericalHarmonicBasis
 from hdist.util import SupportError
 
@@ -114,17 +114,17 @@ class TestSECoefficients:
         fx = hb.function((2, 0))
         gs = sb.evaluate(1, 1, sb.quadrature.nodes)
         coeffs = se_analyze([(fx, gs)], hb, sb)
-        val = coeffs.a[coeffs.sphere_indices.index((1, 1)),
-                       coeffs.hermite_indices.index((2, 0))]
+        val = coeffs["entries"][coeffs["sphere_indices"].index((1, 1)),
+                                coeffs["hermite_indices"].index((2, 0))]
         assert val == pytest.approx(1.0, abs=1e-8)
-        total = np.sum(np.abs(coeffs.a) ** 2)
+        total = np.sum(np.abs(coeffs["entries"]) ** 2)
         assert total == pytest.approx(1.0, abs=1e-7)
 
     def test_zero(self, bases):
         g, hb, sb = bases
         z = g.sample(lambda x, y: np.zeros_like(x))
         coeffs = se_analyze([(z, np.zeros(sb.quadrature.weights.shape))], hb, sb)
-        assert np.all(coeffs.a == 0)
+        assert np.all(coeffs["entries"] == 0)
 
     def test_separable_structure(self, bases):
         # theta(x, xi) = exp(-pi |x|^2) (1 + xi_1): sphere side has degrees
@@ -134,8 +134,8 @@ class TestSECoefficients:
         gs = 1.0 + sb.quadrature.nodes[0]
         coeffs = se_analyze([(fx, gs)], hb, sb)
         hermite_gauss = hb.analyze(fx).ravel()
-        for i, (deg, j) in enumerate(coeffs.sphere_indices):
-            row = coeffs.a[i]
+        for i, (deg, j) in enumerate(coeffs["sphere_indices"]):
+            row = coeffs["entries"][i]
             if deg > 1:
                 assert np.max(np.abs(row)) < 1e-9
             else:
@@ -157,7 +157,7 @@ class TestSECoefficients:
         theta = sum(vals)
         total = np.sum(w * np.abs(theta) ** 2, axis=-1)
         total = g.cell_volume * np.sum(total)
-        assert total == pytest.approx(float(np.sum(np.abs(coeffs.a) ** 2)), abs=1e-7)
+        assert total == pytest.approx(float(np.sum(np.abs(coeffs["entries"]) ** 2)), abs=1e-7)
 
     def test_tabulated_matches_separable(self, bases):
         g, hb, sb = bases
@@ -165,15 +165,16 @@ class TestSECoefficients:
         gs = sb.evaluate(1, 1, sb.quadrature.nodes)
         sep = se_analyze([(fx, gs)], hb, sb)
         tab = se_analyze(fx.values[..., None] * np.asarray(gs), hb, sb)
-        assert np.max(np.abs(sep.a - tab.a)) < 1e-10
+        assert np.max(np.abs(sep["entries"] - tab["entries"])) < 1e-10
 
 
 class TestMembership:
     def test_single_coefficient_positive(self):
         a = np.zeros((3, 4), dtype=complex)
         a[1, 2] = 1.0
-        coeffs = SECoefficients(a, ((0, 1), (1, 1), (1, 2)),
-                                ((0, 0), (0, 1), (1, 0), (1, 1)), 1, 1, 2)
+        coeffs = {"entries": a, "sphere_indices": ((0, 1), (1, 1), (1, 2)),
+                  "hermite_indices": ((0, 0), (0, 1), (1, 0), (1, 1)),
+                  "m_max": 1, "n_max": 1, "d": 2}
         score = se_membership_score(coeffs, [0.5, 1.0, 3.0])
         assert score["verdict"] == "consistent with SE"
 
@@ -190,8 +191,9 @@ class TestMembership:
         for i, (n, _) in enumerate(sphere_idx):
             for k, m in enumerate(herm_idx):
                 a[i, k] = (1.0 + n**2 + m[0] ** 2 + m[1] ** 2) ** -2
-        coeffs = SECoefficients(a.astype(complex), tuple(sphere_idx),
-                                tuple(herm_idx), m_max, n_max, 2)
+        coeffs = {"entries": a.astype(complex), "sphere_indices": tuple(sphere_idx),
+                  "hermite_indices": tuple(herm_idx), "m_max": m_max, "n_max": n_max,
+                  "d": 2}
         score = se_membership_score(coeffs, [0.5, 3.0])
         assert score["verdict"] == "not consistent"
         assert score["r"][0.5]["summable"]
@@ -238,11 +240,11 @@ class TestMembership:
         def coeff_style(fx, gs, k):
             coeffs = se_analyze([(fx, gs)], hb, sb)
             total = 0.0
-            for i, (n, _) in enumerate(coeffs.sphere_indices):
-                for idx, m in enumerate(coeffs.hermite_indices):
+            for i, (n, _) in enumerate(coeffs["sphere_indices"]):
+                for idx, m in enumerate(coeffs["hermite_indices"]):
                     w = (np.prod([(2 * v + 1) for v in m]) ** k
                          * (1.0 + n * n) ** k)
-                    total += w**2 * abs(coeffs.a[i, idx]) ** 2
+                    total += w**2 * abs(coeffs["entries"][i, idx]) ** 2
             return np.sqrt(total)
 
         for k in (0, 1, 2):
