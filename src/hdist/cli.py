@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -260,12 +262,21 @@ def validate_config(cfg) -> list:
 
 
 def load_config(path):
+    """The config at path; a run writes only finite numbers, so NaN, Infinity
+    and float literals that overflow (1e400) are refused."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+
+    def finite(literal):
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: non-finite number {literal} is not allowed")
+        return value
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
@@ -318,12 +329,14 @@ def _exact_labels(cfg, *keys):
                                  "give it in at most 6 significant digits")
 
 
-def _write_csv(path, header, rows, stamp):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={stamp['config_hash']} version={stamp['version']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(header, rows, stamp) -> str:
+    """The CSV text of one artifact, under a stamp comment line."""
+    fh = io.StringIO(newline="")
+    fh.write(f"# config_hash={stamp['config_hash']} version={stamp['version']}\n")
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -526,25 +539,25 @@ def build_config(cfg):
 def run_config(cfg, output_dir=None) -> dict:
     """Build and execute a config; returns the summary dict.
 
-    Every artifact is computed before the output directory is created, so a
-    run that raises writes no file.
+    Every artifact is computed and encoded to text before the output
+    directory is created, so a run that raises writes no file.
     """
     checks, files = build_config(cfg)()
     stamp = {"config_hash": canonical_hash(cfg), "version": __version__}
-    outdir = Path(output_dir or cfg.get("output_dir") or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, payload in sorted(files.items()):
-        if isinstance(payload, dict):
-            dump_json({**payload, **stamp}, outdir / name)
-        else:
-            _write_csv(outdir / name, *payload, stamp)
     summary = {
         **stamp,
         "experiment": cfg["experiment"],
         "checks": checks,
         "artifacts": sorted(files),
     }
-    dump_json(summary, outdir / "summary.json")
+    texts = {name: dump_json({**payload, **stamp}) if isinstance(payload, dict)
+             else _write_csv(*payload, stamp)
+             for name, payload in sorted(files.items())}
+    texts["summary.json"] = dump_json(summary)
+    outdir = Path(output_dir or cfg.get("output_dir") or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (outdir / name).write_text(text, newline="")
     return summary
 
 

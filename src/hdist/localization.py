@@ -21,11 +21,10 @@ import numpy as np
 
 from .fitting import LimitFit, fit_decay, fit_limit
 from .grid import FREQUENCY, Grid, GridFunction, dft, idft, lp_norm, pairing
-from .multiplier import (bessel_potential, derivative, derivative_op,
-                         from_symbol, riesz, riesz_potential)
+from .multiplier import (bessel_potential, derivative_op, from_symbol, riesz,
+                         riesz_potential)
 from .registry import make_field
-from .sobolev import (SequenceFamily, decay_table, scaled_oscillation_family,
-                      wkq_norm)
+from .sobolev import SCALED_OSCILLATION, SequenceFamily, decay_table, wkq_norm
 from .symbol import SphericalSymbol
 
 
@@ -50,15 +49,6 @@ class TransportInstance:
     q: float
     characteristic: bool
     family: SequenceFamily
-
-    def f(self, n: int) -> GridFunction:
-        """Right-hand side sum_i d_i(A_i u_n), computed spectrally."""
-        u = self.family.u(n)
-        total = None
-        for axis, a_i in enumerate(self.coefficients):
-            term = derivative(a_i * u, _unit(u.grid.d, axis))
-            total = term if total is None else total + term
-        return total
 
     def v(self, n: int, u: GridFunction) -> GridFunction:
         """v_n from u = u_n; the factor is exactly 1.0 when k = 0."""
@@ -92,9 +82,10 @@ def build_instance(grid: Grid, coefficient_specs, amplitude_spec, direction,
         raise ValueError(f"need {grid.d} coefficients, got {len(coefficient_specs)}")
     if not (1.0 < q < grid.d):
         raise ValueError(f"need 1 < q < d; got q={q}, d={grid.d}")
-    family = scaled_oscillation_family(
-        grid, make_field(grid, amplitude_spec), tuple(int(c) for c in direction),
-        tuple(indices), k=k)
+    family = SequenceFamily(
+        grid, SCALED_OSCILLATION, k=k, indices=tuple(indices),
+        direction=tuple(int(c) for c in direction),
+        amplitude=make_field(grid, amplitude_spec))
     cutoff = make_field(grid, {"name": "shell_cutoff", "params": cutoff or {}})
     coeffs = []
     for axis, spec in enumerate(coefficient_specs):

@@ -1,10 +1,8 @@
-"""Sobolev norms, negative-order representations, and weakly-null families.
+"""Sobolev norms, the negative-order surrogate, and weakly-null families.
 
-Negative-order elements are formal sums u = sum_{|alpha|<=k} d^alpha F_alpha
-of grid functions, evaluated spectrally.  Since the representation infimum
-norm is not computable, all convergence claims use the equivalent smoothing
-surrogate |J_{-k} u|_{L^p}; the representation sum is kept as an upper-bound
-cross-check.
+The W^{-k,p} norm of u, an infimum over representations
+u = sum_{|alpha|<=k} d^alpha F_alpha, is not computable, so all convergence
+claims use the equivalent smoothing surrogate |J_{-k} u|_{L^p}.
 """
 
 from __future__ import annotations
@@ -17,33 +15,8 @@ import numpy as np
 from .fitting import fit_decay
 from .grid import (FREQUENCY, Grid, GridFunction, dft, idft, lp_norm,
                    magnitude_lp_norm)
-from .multiplier import bessel_potential, derivative, derivative_op
+from .multiplier import bessel_potential, derivative_op
 from .util import AliasingError, multi_indices
-
-
-@dataclass(frozen=True)
-class SobolevElement:
-    """Element sum_alpha d^alpha F_alpha of W^{-k,p}, |alpha| <= k."""
-
-    k: int
-    p: float
-    parts: dict  # multi-index tuple -> GridFunction
-
-    @classmethod
-    def negative(cls, parts: dict, k: int, p: float):
-        parts = {tuple(a): f for a, f in parts.items()}
-        for alpha in parts:
-            if sum(alpha) > k:
-                raise ValueError(f"part index {alpha} exceeds order k={k}")
-        return cls(k=k, p=p, parts=parts)
-
-    def evaluate(self) -> GridFunction:
-        """The element as a grid function (spectral derivatives of the parts)."""
-        total = None
-        for alpha, f in sorted(self.parts.items()):
-            term = derivative(f, alpha)
-            total = term if total is None else total + term
-        return total
 
 
 def _derivatives(grid: Grid, k: int) -> dict:
@@ -70,17 +43,14 @@ def _wkq(norms: dict, d: int, k: int, q: float) -> float:
 
 def wkq_norm(v: GridFunction, k: int, q: float) -> float:
     """(sum_{|alpha|<=k} |d^alpha v|_q^q)^(1/q) with spectral derivatives."""
-    if isinstance(v, SobolevElement):
-        raise ValueError("wkq_norm expects a grid function, not a W^{-k,p} element")
     return _wkq(_lp_norms(v, _derivatives(v.grid, k), [q]), v.grid.d, k, q)
 
 
-def surrogate_negative_norm(u, k: int, p: float) -> float:
+def surrogate_negative_norm(u: GridFunction, k: int, p: float) -> float:
     """Computable stand-in |J_{-k} u|_{L^p} for the W^{-k,p} size of u."""
-    g = u.evaluate() if isinstance(u, SobolevElement) else u
     if k == 0:  # J_0 is the identity
-        return lp_norm(g, p)
-    return lp_norm(bessel_potential(g.grid, -float(k)).apply(g), p)
+        return lp_norm(u, p)
+    return lp_norm(bessel_potential(u.grid, -float(k)).apply(u), p)
 
 
 def norm_table(grid: Grid, fields, k_list, p_list) -> list:
@@ -97,13 +67,6 @@ def norm_table(grid: Grid, fields, k_list, p_list) -> list:
              {(k, p): _wkq(norms, grid.d, k, p) for k in k_list for p in p_list},
              {(k, p): norms[k or e1[0]][p] for k in k_list for p in p_list})
             for norms in (_lp_norms(f, ops, p_list) for f in fields)]
-
-
-def representation_norm_upper(u: SobolevElement) -> float:
-    """(sum_alpha |F_alpha|_p^p)^(1/p): the size of one explicit
-    representation, an upper bound for the infimum over all of them."""
-    p = u.p
-    return float(sum(lp_norm(f, p) ** p for f in u.parts.values()) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +129,12 @@ class SequenceFamily:
         """Refuse indices whose spectrum leaves the safe band."""
         g = self.grid
         if self.kind == CONCENTRATION:
-            # dilated profile must stay resolved by the lattice
-            if n * g.spacing > self.profile_width / 2.0:
+            # dilated profile must stay resolved by the lattice: on a Gaussian
+            # profile a sampled pairing is 4e-2 off at n h = w/2, 5e-9 at w/4
+            if n * g.spacing > self.profile_width / 4.0:
                 raise AliasingError(
                     f"concentration index n={n} unresolved on N={g.N}, L={g.L} "
-                    f"(need n <= {self.profile_width / (2 * g.spacing):.1f})"
+                    f"(need n <= {self.profile_width / (4 * g.spacing):.1f})"
                 )
             return
         reach = n * int(np.max(np.abs(self.direction)))
@@ -208,16 +172,6 @@ class SequenceFamily:
         if self.prefactor_power != 0.0:
             out = out * float(n) ** self.prefactor_power
         return out
-
-
-def oscillation_family(grid, amplitude, direction, indices, **kw):
-    return SequenceFamily(grid, OSCILLATION, indices=indices,
-                          direction=direction, amplitude=amplitude, **kw)
-
-
-def scaled_oscillation_family(grid, amplitude, direction, indices, k, **kw):
-    return SequenceFamily(grid, SCALED_OSCILLATION, k=k, indices=indices,
-                          direction=direction, amplitude=amplitude, **kw)
 
 
 # ---------------------------------------------------------------------------

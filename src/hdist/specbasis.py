@@ -63,10 +63,6 @@ class HermiteBasis:
         _check_support(grid, m_max)
         return cls(grid, m_max, hermite_values(m_max, grid.axis_x))
 
-    @property
-    def shape(self):
-        return (self.m_max + 1,) * self.grid.d
-
     def indices(self):
         return list(itertools.product(range(self.m_max + 1), repeat=self.grid.d))
 
@@ -120,28 +116,16 @@ def se_analyze(theta, hermite_basis: HermiteBasis,
     """Coefficients entries[(n,j), m] of theta(x, xi) against h_m x Y_{n,j},
     as se_coeffs.json holds them.
 
-    theta may be a list of separable terms (GridFunction, sphere node values)
-    summed together, or a full array of shape grid.shape + (n_nodes,).
+    theta is a list of separable terms (GridFunction, sphere node values)
+    summed together.
     """
     grid = hermite_basis.grid
-    quad = sphere_basis.quadrature
-    b_sphere = sphere_basis.size
-    m_flat = (hermite_basis.m_max + 1) ** grid.d
-    out = np.zeros((b_sphere, m_flat), dtype=complex)
-
-    if isinstance(theta, np.ndarray):
-        if theta.shape != grid.shape + quad.weights.shape:
-            raise ValueError("tabulated theta has wrong shape")
-        # contract the sphere side first, then the grid side
-        weighted = theta * quad.weights
-        for i in range(b_sphere):
-            gf = GridFunction(grid, weighted @ np.conj(sphere_basis.table[i]), PHYSICAL)
-            out[i] = hermite_basis.analyze(gf).ravel()
-    else:
-        for fx, gs in theta:
-            hx = hermite_basis.analyze(fx).ravel()
-            cs = sh_analyze(np.asarray(gs, dtype=complex), sphere_basis)
-            out += np.multiply.outer(cs, hx)
+    out = np.zeros((sphere_basis.size, (hermite_basis.m_max + 1) ** grid.d),
+                   dtype=complex)
+    for fx, gs in theta:
+        hx = hermite_basis.analyze(fx).ravel()
+        cs = sh_analyze(np.asarray(gs, dtype=complex), sphere_basis)
+        out += np.multiply.outer(cs, hx)
 
     return {"d": grid.d, "m_max": hermite_basis.m_max, "n_max": sphere_basis.n_max,
             "sphere_indices": tuple(sphere_basis.indices),

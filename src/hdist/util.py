@@ -49,12 +49,10 @@ def jsonable(obj):
     return obj
 
 
-def dump_json(obj, path):
-    """Write canonical (sorted-key, fixed-format) strict JSON; deterministic
-    bytes.  NaN and infinities raise ValueError before the file is opened."""
-    text = json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def dump_json(obj) -> str:
+    """Canonical (sorted-key, fixed-format) strict JSON text of obj, ending in
+    a newline; deterministic.  NaN and infinities raise ValueError."""
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def canonical_hash(obj):

@@ -20,7 +20,7 @@ from hdist.localization import (build_instance, i1_chain_check,
                                 localization_verdict)
 from hdist.multiplier import derivative, riesz, riesz_potential
 from hdist.registry import constant_symbol, make_field, riesz_symbol
-from hdist.sobolev import oscillation_family
+from hdist.sobolev import SequenceFamily
 from hdist.specbasis import (HermiteBasis, oscillator_apply,
                              oscillator_eigenvalue, se_analyze,
                              se_membership_score)
@@ -74,11 +74,12 @@ def zero_check_runs():
     hb = HermiteBasis.build(g, 2)
     sb = SphericalHarmonicBasis.build(2, 2)
     ns = (16, 32, 64)
-    v_fam = oscillation_family(g, a, (1, 0), ns)
+    v_fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0), indices=ns)
     vs = [v_fam.u(n) for n in ns]
     results = {}
     for power, name in [(-0.5, "scaled"), (0.0, "unscaled")]:
-        u_fam = oscillation_family(g, a, (1, 0), ns, prefactor_power=power)
+        u_fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                               indices=ns, prefactor_power=power)
         us = [u_fam.u(n) for n in ns]
         tensor_max = float(abs(mu_tensor(ns, us, vs, hb, sb)["entries"]).max())
         results[name] = zero_mu_strong_convergence_check(
@@ -92,7 +93,8 @@ def zero_check_runs():
 def test_criterion_1_adjoint_identity():
     g = Grid(2, 128, 16.0)
     a = make_field(g, "gaussian")
-    fam = oscillation_family(g, a, (1, 0), (8, 16, 32))
+    fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                         indices=(8, 16, 32))
     symbols = [constant_symbol(2), riesz_symbol(2, 0), riesz_symbol(2, 1)]
     pairs = [
         (make_field(g, "gaussian"), make_field(g, "gaussian")),
@@ -120,7 +122,8 @@ def test_criterion_2_oscillation_h_measure():
     g = Grid(2, 256, 16.0)
     a = make_field(g, "gaussian")
     phi = make_field(g, "gaussian")
-    fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
+    fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                         indices=(16, 32, 64))
     us = [fam.u(n) for n in fam.indices]
     [forms] = pairing_records(us, us, phi, phi, [riesz_symbol(2, 0)])
     est = fit_limit(fam.indices, [a for a, _ in forms])
@@ -155,7 +158,8 @@ def test_criterion_4_commutation_probe():
     g = Grid(2, 128, 16.0)
     a = make_field(g, "gaussian")
     b = make_field(g, "gaussian")
-    fam = oscillation_family(g, a, (1, 0), (8, 16, 32))
+    fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                         indices=(8, 16, 32))
     table = compactness_probe(riesz_symbol(2, 0), b, fam)
     v2 = table["columns"]["q=2"]
     ratio = v2[-1] / v2[0]

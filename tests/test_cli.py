@@ -7,9 +7,8 @@ import pytest
 from hdist import cli, functional, sobolev
 from hdist.cli import CONFIG_SCHEMAS, main, run_config, validate_config
 from hdist.grid import Grid, lp_norm
-from hdist.sobolev import (SequenceFamily, SobolevElement,
-                           representation_norm_upper, surrogate_negative_norm,
-                           wkq_norm)
+from hdist.multiplier import derivative
+from hdist.sobolev import SequenceFamily, surrogate_negative_norm, wkq_norm
 from hdist.symbol import SphericalHarmonicBasis
 from hdist.util import multi_indices
 
@@ -228,6 +227,14 @@ class TestBuild:
         pytest.param({**COMMUTATOR_CFG, "q_list": [2, 4, 4.0]}, 2, id="q-list-repeats"),
         pytest.param({**COMMUTATOR_CFG, "r": 4.0000001}, 2, id="r-label-rounds"),
         pytest.param({**NORM_CFG, "p_list": [2, 2.0000001]}, 2, id="p-list-labels-collide"),
+        pytest.param({**COMMUTATOR_CFG, "b": {"name": "gaussian",
+                                              "params": {"width": float("nan")}}},
+                     2, id="nan-param"),
+        # n h = 4/8 = w/2, the old edge of the concentration guard
+        pytest.param({**COMMUTATOR_CFG, "family": {"kind": "concentration",
+                                                   "amplitude": "gaussian",
+                                                   "indices": [1, 2, 4]}},
+                     3, id="concentration-at-half-width"),
     ])
     def test_validate_exits_as_run(self, cfg, code, tmp_path, capsys):
         path = write_cfg(tmp_path, cfg)
@@ -278,6 +285,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert "broken.json:1" in err
 
+    # NaN is a test_validate_exits_as_run case; 1e400 overflows to inf
+    @pytest.mark.parametrize("literal", ["-Infinity", "1e400"])
+    def test_non_finite_number_rejected(self, literal, tmp_path, capsys):
+        text = json.dumps(NORM_CFG).replace('"p_list": [2.0]', f'"p_list": [{literal}]')
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert literal in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/cfg.json"]) == 2
 
@@ -315,6 +331,15 @@ class TestMain:
         before = {f.name: f.read_bytes() for f in used.iterdir()}
         assert main(["run", str(bad_path), "--output-dir", str(used)]) == 3
         assert {f.name: f.read_bytes() for f in used.iterdir()} == before
+
+    def test_unencodable_artifact_writes_nothing(self, tmp_path):
+        # a NaN that reaches run_config without load_config computes, then
+        # fails strict JSON encoding: no file may be left behind
+        cfg = {**COMMUTATOR_CFG, "b": {"name": "gaussian",
+                                       "params": {"width": float("nan")}}}
+        with pytest.raises(ValueError, match="JSON compliant"):
+            run_config(cfg, output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_run_sweep(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SWEEP_CFG)
@@ -512,7 +537,8 @@ def test_norm_suite_matches_one_at_a_time(tmp_path, monkeypatch):
             close(entry["lp"][f"{p:g}"], lp_norm(f, p))
             for k in cfg["k_list"]:
                 close(entry["wkq"][f"k={k},q={p:g}"], wkq_norm(f, k, p))
-                u = SobolevElement.negative({(k,) + (0,) * (grid.d - 1): f}, k, p)
+                # d^(k,0,...) f has the one part f: its representation bound is |f|_p
+                u = derivative(f, (k,) + (0,) * (grid.d - 1))
                 neg = entry["negative"][f"k={k},p={p:g}"]
                 close(neg["surrogate"], surrogate_negative_norm(u, k, p))
-                close(neg["representation_upper"], representation_norm_upper(u))
+                close(neg["representation_upper"], lp_norm(f, p))

@@ -4,7 +4,7 @@ import pytest
 from hdist.commutator import commutator_apply, compactness_probe
 from hdist.grid import Grid, linf_norm, lp_norm
 from hdist.registry import constant_symbol, make_field, riesz_symbol
-from hdist.sobolev import SequenceFamily, oscillation_family
+from hdist.sobolev import SequenceFamily
 
 from .test_grid import plane_wave, random_smooth
 
@@ -73,7 +73,8 @@ class TestCommutatorApply:
 
 class TestCompactnessProbe:
     def test_oscillation_decay(self, grid, gaussian):
-        fam = oscillation_family(grid, gaussian, (1, 0), (8, 16, 32))
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+                             indices=(8, 16, 32))
         table = compactness_probe(riesz_symbol(2, 0), gaussian, fam)
         v2 = table["columns"]["q=2"]
         assert v2[-1] <= 0.4 * v2[0]
@@ -92,12 +93,14 @@ class TestCompactnessProbe:
         assert exponent is None or exponent > -0.1  # no decay
 
     def test_constant_symbol_identically_zero(self, grid, gaussian):
-        fam = oscillation_family(grid, gaussian, (1, 0), (8, 16, 32))
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+                             indices=(8, 16, 32))
         table = compactness_probe(constant_symbol(2), gaussian, fam)
         for vals in table["columns"].values():
             assert all(v < 1e-13 for v in vals)
 
     def test_q_grid_default(self, grid, gaussian):
-        fam = oscillation_family(grid, gaussian, (1, 0), (8, 16))
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+                             indices=(8, 16))
         table = compactness_probe(riesz_symbol(2, 0), gaussian, fam, r=6.0)
         assert tuple(table["meta"]["q_list"]) == (2.0, 6.0)

@@ -6,11 +6,12 @@ from hdist.fitting import fit_limit
 from hdist.functional import (FORM_RTOL, mu_tensor, pairing_records,
                               zero_mu_strong_convergence_check)
 from hdist.grid import Grid, pairing
-from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, make_field,
-                            make_symbol, riesz_symbol)
-from hdist.sobolev import oscillation_family
+from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, field_function,
+                            make_field, make_symbol, riesz_symbol)
+from hdist.sobolev import CONCENTRATION, SequenceFamily
 from hdist.specbasis import HermiteBasis
 from hdist.symbol import SphericalHarmonicBasis
+from hdist.util import AliasingError
 
 from .test_grid import grids, random_field
 
@@ -41,7 +42,8 @@ def gaussian(grid):
 
 @pytest.fixture(scope="module")
 def family(grid, gaussian):
-    return oscillation_family(grid, gaussian, (1, 0), (8, 16, 32))
+    return SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+                          indices=(8, 16, 32))
 
 
 class TestHPairing:
@@ -117,7 +119,8 @@ class TestExtrapolation:
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
         phi = make_field(g, "gaussian")
-        fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
+        fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                             indices=(16, 32, 64))
         us = samples(fam)
         [forms] = pairing_records(us, us, phi, phi, [riesz_symbol(2, 0)])
         est = fit_limit(fam.indices, [a for a, _ in forms])
@@ -132,7 +135,8 @@ class TestExtrapolation:
         phi1 = make_field(g, "gaussian")
         phi2 = make_field(g, {"name": "gaussian", "params": {"width": 1.5}})
         one = make_field(g, "constant_one")
-        fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
+        fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                             indices=(16, 32, 64))
         psi = riesz_symbol(2, 0)
         ns, us = fam.indices, samples(fam)
         [split] = pairing_records(us, us, phi1, phi2, [psi])
@@ -154,7 +158,8 @@ class TestExtrapolation:
 class TestMuTensor:
     def test_zero_amplitude(self, grid):
         z = grid.sample(lambda x, y: np.zeros_like(x))
-        fam = oscillation_family(grid, z, (1, 0), (8, 16, 32))
+        fam = SequenceFamily(grid, "oscillation", amplitude=z, direction=(1, 0),
+                             indices=(8, 16, 32))
         hb = HermiteBasis.build(grid, 1)
         sb = SphericalHarmonicBasis.build(2, 1)
         us = samples(fam)
@@ -166,7 +171,8 @@ class TestMuTensor:
         # |a|^2, computed here by direct quadrature as the oracle
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
-        fam = oscillation_family(g, a, (1, 0), (16, 32, 64))
+        fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                             indices=(16, 32, 64))
         hb = HermiteBasis.build(g, 2)
         sb = SphericalHarmonicBasis.build(2, 2)
         us = samples(fam)
@@ -216,8 +222,10 @@ def zero_check(setup, us, vs):
 class TestZeroCheck:
     def test_scaled_family_is_zero_and_decays(self, setup):
         g, a = setup["grid"], setup["a"]
-        u = oscillation_family(g, a, (1, 0), setup["ns"], prefactor_power=-0.5)
-        v = oscillation_family(g, a, (1, 0), setup["ns"])
+        u = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                           indices=setup["ns"], prefactor_power=-0.5)
+        v = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                           indices=setup["ns"])
         res = zero_check(setup, samples(u), samples(v))
         assert res["tensor_is_zero"]
         assert res["strongly_null"]
@@ -226,7 +234,8 @@ class TestZeroCheck:
 
     def test_unscaled_family_contrapositive(self, setup):
         g, a = setup["grid"], setup["a"]
-        u = oscillation_family(g, a, (1, 0), setup["ns"])
+        u = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                           indices=setup["ns"])
         us = samples(u)
         res = zero_check(setup, us, us)
         assert not res["tensor_is_zero"]
@@ -237,9 +246,39 @@ class TestZeroCheck:
     def test_zero_family(self, setup):
         g = setup["grid"]
         z = g.sample(lambda x, y: np.zeros_like(x))
-        fam = oscillation_family(g, z, (1, 0), setup["ns"])
+        fam = SequenceFamily(g, "oscillation", amplitude=z, direction=(1, 0),
+                             indices=setup["ns"])
         us = samples(fam)
         res = zero_check(setup, us, us)
         assert res["tensor_max"] == 0.0
         assert res["tensor_is_zero"]
         assert res["consistent"]
+
+
+class TestConcentrationOracle:
+    """u_n = n a(n x) with a = x_1 exp(-pi |x|^2) and phi = exp(-pi |x|^2)
+    on d = 2: with the constant symbol the pairing at index n is exactly
+    1 / (8 pi (1 + 1/n^2)^2) (its limit is phi(0)^2 times the mass of the
+    H-measure delta_0 x nu, Tartar 1990; Gerard 1991)."""
+
+    @pytest.fixture(scope="class")
+    def concentration(self):
+        g = Grid(2, 256, 16.0)  # h = 1/16, profile width w = 1
+        amp = field_function(2, {"product": [
+            {"name": "coordinate", "params": {"axis": 0}}, "gaussian"]})
+        fam = SequenceFamily(g, CONCENTRATION, indices=(2, 4), amplitude_fn=amp)
+        return fam, make_field(g, "gaussian")
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_resolved_index_matches_closed_form(self, concentration, n):
+        fam, phi = concentration
+        form_a, _ = record(fam.u(n), phi, phi, constant_symbol(2))
+        exact = 1.0 / (8 * np.pi * (1 + 1.0 / n**2) ** 2)
+        assert abs(form_a - exact) <= 1e-8 * exact
+
+    def test_guard_refuses_past_quarter_width(self, concentration):
+        # n h = w/2 at n = 8, where the sampled pairing is 4.3e-2 off
+        fam, _ = concentration
+        fam.guard(4)  # n h = w/4 exactly: allowed
+        with pytest.raises(AliasingError):
+            fam.guard(8)

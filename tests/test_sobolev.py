@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from hdist.grid import Grid, GridFunction, lp_norm
+from hdist.grid import Grid, lp_norm
 from hdist.registry import field_function, make_field
-from hdist.sobolev import (CONCENTRATION, SequenceFamily, SobolevElement,
-                           oscillation_family, representation_norm_upper,
-                           scaled_oscillation_family, strong_null_probe,
+from hdist.sobolev import (CONCENTRATION, SequenceFamily, strong_null_probe,
                            surrogate_negative_norm, wkq_norm)
 from hdist.multiplier import derivative
 from hdist.util import AliasingError
@@ -39,11 +37,6 @@ class TestWkqNorm:
         expected = grid.L ** (grid.d / 2) * (1 + xi2) ** 0.5
         assert wkq_norm(v, 1, 2.0) == pytest.approx(expected, rel=1e-10)
 
-    def test_rejects_negative_order_element(self, grid, gaussian):
-        u = SobolevElement.negative({(1, 0): gaussian}, k=1, p=2.0)
-        with pytest.raises(ValueError):
-            wkq_norm(u, 1, 2.0)
-
 
 class TestNegativeNorms:
     def test_order_zero_surrogate_is_lp(self, grid, gaussian):
@@ -63,20 +56,12 @@ class TestNegativeNorms:
         # surrogate norm times the modulation frequency recovers |a|_2
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
-        fam = oscillation_family(g, a, (1, 0), (32,))
+        fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                             indices=(32,))
         u = fam.u(32)
         scale = 2 * np.pi * fam.frequency_shift(32)
         val = surrogate_negative_norm(u, 1, 2.0) * scale
         assert val == pytest.approx(lp_norm(a, 2.0), rel=0.05)
-
-    def test_representation_upper_single_part(self, grid, gaussian):
-        u = SobolevElement.negative({(0, 0): gaussian}, k=0, p=2.0)
-        assert representation_norm_upper(u) == pytest.approx(lp_norm(gaussian, 2.0))
-
-    def test_representation_upper_zero(self, grid):
-        z = grid.sample(lambda x, y: np.zeros_like(x))
-        u = SobolevElement.negative({(0, 0): z, (1, 0): z}, k=1, p=2.0)
-        assert representation_norm_upper(u) == 0.0
 
     def test_surrogate_below_upper_cross_check(self, grid):
         # 10-case suite: surrogate <= C_eq * representation upper bound,
@@ -86,56 +71,52 @@ class TestNegativeNorms:
         for case in range(10):
             w = 0.6 + 0.1 * case
             f = make_field(grid, {"name": "gaussian", "params": {"width": w}})
-            u = SobolevElement.negative({(1, 0): f}, k=1, p=2.0)
-            value = surrogate_negative_norm(u, 1, 2.0)
-            upper = representation_norm_upper(u)
+            # d^(1,0) f has the one-part representation f: its bound is |f|_2
+            value = surrogate_negative_norm(derivative(f, (1, 0)), 1, 2.0)
+            upper = lp_norm(f, 2.0)
             worst = max(worst, value / upper)
         assert worst <= 1.0 + 1e-12  # Plancherel: the symbol is bounded by 1
-
-    def test_parts_order_validation(self, grid, gaussian):
-        with pytest.raises(ValueError):
-            SobolevElement.negative({(2, 0): gaussian}, k=1, p=2.0)
-
-    def test_evaluate_matches_spectral_derivative(self, grid, gaussian):
-        u = SobolevElement.negative({(0, 0): gaussian, (1, 1): gaussian}, k=2, p=2.0)
-        direct = gaussian + derivative(gaussian, (1, 1))
-        assert np.max(np.abs(u.evaluate().values - direct.values)) < 1e-12
 
 
 class TestFamilies:
     def test_modulation_invariance(self, grid, gaussian):
-        fam = oscillation_family(grid, gaussian, (2, 1), (4, 8))
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(2, 1),
+                             indices=(4, 8))
         for n in (4, 8):
             for p in (1.5, 2.0, 4.0):
                 assert lp_norm(fam.u(n), p) == pytest.approx(lp_norm(gaussian, p))
 
     def test_aliasing_guard(self, grid, gaussian):
-        fam = oscillation_family(grid, gaussian, (1, 0), (8,))
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+                             indices=(8,))
         fam.u(32)  # exactly N/4: allowed
         with pytest.raises(AliasingError):
             fam.u(33)
-        fam2 = oscillation_family(grid, gaussian, (2, 1), (8,))
+        fam2 = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(2, 1),
+                              indices=(8,))
         with pytest.raises(AliasingError):
             fam2.u(17)
 
     def test_scaled_oscillation_norm_window(self):
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
-        fam = scaled_oscillation_family(g, a, (1, 0), (8, 16, 32, 64), k=1)
+        fam = SequenceFamily(g, "scaled_oscillation", amplitude=a, direction=(1, 0),
+                             indices=(8, 16, 32, 64), k=1)
         ref = lp_norm(a, 2.0)
         for n in fam.indices:
             ratio = surrogate_negative_norm(fam.u(n), 1, 2.0) / ref
             assert 0.5 <= ratio <= 2.0
 
     def test_scaled_inverse_order(self, grid, gaussian):
-        fam = scaled_oscillation_family(grid, gaussian, (1, 0), (8, 16), k=1, order=-1)
+        fam = SequenceFamily(grid, "scaled_oscillation", amplitude=gaussian,
+                             direction=(1, 0), indices=(8, 16), k=1, order=-1)
         scale = (2 * np.pi * fam.frequency_shift(8)) ** -1
         expected = scale * np.abs(gaussian.values)
         assert np.max(np.abs(np.abs(fam.u(8).values) - expected)) < 1e-12
 
     def test_prefactor_power(self, grid, gaussian):
-        fam = oscillation_family(grid, gaussian, (1, 0), (4, 9),
-                                 prefactor_power=-0.5)
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+                             indices=(4, 9), prefactor_power=-0.5)
         assert lp_norm(fam.u(4), 2.0) == pytest.approx(0.5 * lp_norm(gaussian, 2.0))
         assert lp_norm(fam.u(9), 2.0) == pytest.approx(lp_norm(gaussian, 2.0) / 3.0)
 
@@ -172,15 +153,16 @@ class TestFamilies:
 
 class TestProbes:
     def test_strong_null_scaled_decay(self, grid, gaussian):
-        fam = oscillation_family(grid, gaussian, (1, 0), (8, 16, 32),
-                                 prefactor_power=-0.5)
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+                             indices=(8, 16, 32), prefactor_power=-0.5)
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, gaussian, 0, 2.0)
         assert table["fits"]["surrogate_norm"]["exponent"] == pytest.approx(-0.5, abs=0.1)
         assert table["meta"]["strongly_null"]
 
     def test_strong_null_fails_without_scaling(self, grid, gaussian):
-        fam = oscillation_family(grid, gaussian, (1, 0), (8, 16, 32))
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+                             indices=(8, 16, 32))
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, gaussian, 0, 2.0)
         ref = lp_norm(gaussian * gaussian, 2.0)
@@ -190,7 +172,8 @@ class TestProbes:
 
     def test_strong_null_zero_family(self, grid, gaussian):
         z = grid.sample(lambda x, y: np.zeros_like(x))
-        fam = oscillation_family(grid, z, (1, 0), (8, 16))
+        fam = SequenceFamily(grid, "oscillation", amplitude=z, direction=(1, 0),
+                             indices=(8, 16))
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, gaussian, 1, 2.0)
         assert all(v == 0 for v in table["columns"]["surrogate_norm"])

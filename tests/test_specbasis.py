@@ -43,15 +43,16 @@ class TestHermiteFunctions:
             expected = 1.0 if m1 == m2 else 0.0
             assert abs(val - expected) < 1e-8
 
-    def test_analyze_inverts_function(self, basis):
+    def test_analyze_inverts_function(self, grid, basis):
         coeffs = basis.analyze(basis.function((4, 6)))
-        expected = np.zeros(basis.shape)
+        expected = np.zeros((basis.m_max + 1,) * grid.d)
         expected[4, 6] = 1.0
         assert np.max(np.abs(coeffs - expected)) < 1e-8
 
     def test_synthesize_round_trip(self, grid, basis):
         rng = np.random.default_rng(0)
-        coeffs = rng.normal(size=basis.shape) + 1j * rng.normal(size=basis.shape)
+        shape = (basis.m_max + 1,) * grid.d
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         h = basis.axis_table  # sum_m coeffs[m] h_m(x) h_m'(y) on the grid
         back = basis.analyze(GridFunction(grid, h.T @ coeffs @ h))
         assert np.max(np.abs(back - coeffs)) < 1e-8
@@ -158,14 +159,6 @@ class TestSECoefficients:
         total = np.sum(w * np.abs(theta) ** 2, axis=-1)
         total = g.cell_volume * np.sum(total)
         assert total == pytest.approx(float(np.sum(np.abs(coeffs["entries"]) ** 2)), abs=1e-7)
-
-    def test_tabulated_matches_separable(self, bases):
-        g, hb, sb = bases
-        fx = make_field(g, "gaussian")
-        gs = sb.evaluate(1, 1, sb.quadrature.nodes)
-        sep = se_analyze([(fx, gs)], hb, sb)
-        tab = se_analyze(fx.values[..., None] * np.asarray(gs), hb, sb)
-        assert np.max(np.abs(sep["entries"] - tab["entries"])) < 1e-10
 
 
 class TestMembership:
