@@ -263,7 +263,7 @@ def validate_config(cfg) -> list:
 
 def load_config(path):
     """The config at path; a run writes only finite numbers, so NaN, Infinity
-    and float literals that overflow (1e400) are refused."""
+    and number literals that overflow a float (1e400, 10**400) are refused."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -275,8 +275,13 @@ def load_config(path):
             raise ConfigError(f"{path}: non-finite number {literal} is not allowed")
         return value
 
+    def whole(literal):
+        finite(literal)  # an integer beyond the float range reads as inf
+        return int(literal)
+
     try:
-        return json.loads(text, parse_constant=finite, parse_float=finite)
+        return json.loads(text, parse_constant=finite, parse_float=finite,
+                          parse_int=whole)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"

@@ -13,6 +13,8 @@ NEGLIGIBLE = 1e-14
 # the decay model wins when its residual is within this factor of the best
 # offset residual
 DECAY_PREFERENCE = 3.0
+# offset residuals closer than this times the largest |value| are a tie
+ROUNDING = 64 * np.finfo(float).eps
 
 
 def fit_decay(ns, values, threshold=1e-10) -> dict:
@@ -94,21 +96,22 @@ def fit_limit(ns, values) -> LimitFit:
     table = values.reshape(len(ns), -1)
 
     # offset models: one least-squares solve per beta for every column;
-    # on a tie the n^(-1) model wins
+    # the n^(-2) model wins only by more than rounding (a constant sequence
+    # fits both to residuals of order eps * |values|), so a tie goes to n^(-1)
     offsets = []
     for beta in (1.0, 2.0):
         design = np.column_stack([np.ones_like(ns), ns ** (-beta)]).astype(complex)
         coef, *_ = np.linalg.lstsq(design, table, rcond=None)
         offsets.append((coef[0], _rms(table - design @ coef)))
     (c0_1, r_1), (c0_2, r_2) = offsets
-    use_2 = r_2 < r_1
+    mags = np.abs(table)
+    use_2 = r_2 < r_1 - ROUNDING * np.max(mags, axis=0)
     value = np.where(use_2, c0_2, c0_1)
     residual = np.where(use_2, r_2, r_1)
     beta = np.where(use_2, 2.0, 1.0)
 
     # pure decay c1 * n^(-gamma), admissible only for nonzero magnitudes
     # that fall by a quarter and decay at a rate of at least 1/4
-    mags = np.abs(table)
     decay = np.all(mags > ZERO_FLOOR, axis=0) & (mags[-1] <= 0.75 * mags[0])
     slope = np.polyfit(np.log(ns), np.log(np.where(decay, mags, 1.0)), 1)[0]
     gamma = np.where(decay, -slope, 0.0)

@@ -9,6 +9,9 @@ transform convention is
 with frequency lattice xi_m = m/L, m in {-N/2, ..., N/2-1}^d, matching the
 continuum transform with 2 pi in the exponent.  Frequency-side arrays are
 stored in FFT layout (numpy fftfreq ordering).
+
+`dft` and `idft` are the only transform seam: they call `scipy.fft.fftn` /
+`ifftn` through the module attribute with scipy's default of one worker.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
@@ -78,20 +82,31 @@ class Grid:
         xi.flags.writeable = False
         return xi
 
-    @cached_property
-    def _center_phase(self):
-        # (-1)^m per axis accounts for the -L/2 origin shift; N even makes
-        # this well defined modulo aliasing.
+    def _center_phase(self, scale):
+        # scale * (-1)^m per axis: the sign accounts for the -L/2 origin
+        # shift, and N even makes it well defined modulo aliasing.
         ph = ((-1.0) ** (self.axis_m % 2)).astype(np.float64)
-        out = ph
+        out = scale * ph
         for _ in range(self.d - 1):
             out = np.multiply.outer(out, ph)
         out.flags.writeable = False
         return out
 
-    def meshgrid_x(self):
-        """d arrays of shape N^d with physical coordinates."""
-        return np.meshgrid(*([self.axis_x] * self.d), indexing="ij")
+    @cached_property
+    def _forward_phase(self):
+        """cell_volume * (-1)^m: what dft multiplies the FFT output by."""
+        return self._center_phase(self.cell_volume)
+
+    @cached_property
+    def _inverse_phase(self):
+        """(-1)^m / cell_volume: what idft multiplies its input by."""
+        return self._center_phase(1.0 / self.cell_volume)
+
+    @cached_property
+    def x_axes(self):
+        """d read-only views of axis_x, each shaped to broadcast along its axis."""
+        return np.meshgrid(*([self.axis_x] * self.d), indexing="ij",
+                           sparse=True, copy=False)
 
     @cached_property
     def xi_axes(self):
@@ -114,8 +129,9 @@ class Grid:
         return r
 
     def sample(self, fn):
-        """Sample a callable fn(*coords) -> array into a physical GridFunction."""
-        vals = np.asarray(fn(*self.meshgrid_x()), dtype=np.complex128)
+        """Sample a callable fn(*x_axes) -> array, broadcast to N^d, into a
+        physical GridFunction."""
+        vals = np.asarray(fn(*self.x_axes), dtype=np.complex128)
         return GridFunction(self, np.broadcast_to(vals, self.shape).copy(), PHYSICAL)
 
 
@@ -174,7 +190,8 @@ def dft(f: GridFunction) -> GridFunction:
     if f.side != PHYSICAL:
         raise ValueError("dft expects a physical-side function")
     g = f.grid
-    vals = g.cell_volume * g._center_phase * np.fft.fftn(f.values)
+    vals = scipy.fft.fftn(f.values)
+    vals *= g._forward_phase
     return GridFunction(g, vals, FREQUENCY)
 
 
@@ -183,7 +200,7 @@ def idft(fh: GridFunction) -> GridFunction:
     if fh.side != FREQUENCY:
         raise ValueError("idft expects a frequency-side function")
     g = fh.grid
-    vals = np.fft.ifftn(fh.values * g._center_phase) / g.cell_volume
+    vals = scipy.fft.ifftn(fh.values * g._inverse_phase, overwrite_x=True)
     return GridFunction(g, vals, PHYSICAL)
 
 

@@ -7,7 +7,9 @@ specs are small dicts {"name": ..., "params": {...}} with two combinators,
 
 from __future__ import annotations
 
+import functools
 import numbers
+import operator
 
 import numpy as np
 
@@ -16,14 +18,23 @@ from .symbol import SphericalSymbol
 
 
 def _number(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """A real, not a bool, that float() converts: a builder takes float(x),
+    which overflows on an integer beyond the float range (10**400)."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _resolve(kind: str, builtins: dict, spec):
     """(name, builder, params) of a named spec or bare name, with the
     builtin's defaults merged and unknown or mistyped parameters rejected:
-    a float default takes a number, an int default (axis) a whole number,
-    and center (default null) takes null or an array of numbers."""
+    a float default takes a number in float range, an int default (axis) a
+    whole number, and center (default null) takes null or an array of
+    numbers in float range."""
     if isinstance(spec, str):
         spec = {"name": spec}
     name = spec["name"]
@@ -38,11 +49,11 @@ def _resolve(kind: str, builtins: dict, spec):
         default = defaults[key]
         if default is None:  # center, the one param whose default is null
             ok = value is None or (isinstance(value, list) and all(map(_number, value)))
-            want = "null or an array of numbers"
+            want = "null or an array of numbers in float range"
         else:  # the builder truncates an int param with int(): refuse fractions
             whole = isinstance(default, int)
             ok = _number(value) and (not whole or float(value).is_integer())
-            want = "an integer" if whole else "a number"
+            want = "an integer" if whole else "a number in float range"
         if not ok:
             raise ValueError(f"{kind} {name!r} parameter {key!r} must be {want}, "
                              f"got {value!r}")
@@ -68,9 +79,11 @@ def _radius2(coords, center):
 
 
 def _gaussian(d, params):
+    # separable: on the sparse x_axes each factor costs N exponentials
     w = float(params["width"])
     c = _center(params, d)
-    return lambda *x: np.exp(-np.pi * _radius2(x, c) / w**2)
+    return lambda *x: functools.reduce(
+        operator.mul, [np.exp(-np.pi * (xi - ci) ** 2 / w**2) for xi, ci in zip(x, c)])
 
 
 def _smooth_step(t):
@@ -134,7 +147,7 @@ def field_function(d: int, spec):
     """
     if isinstance(spec, dict) and "product" in spec:
         parts = [field_function(d, s) for s in spec["product"]]
-        return lambda *x: np.prod([p(*x) for p in parts], axis=0)
+        return lambda *x: functools.reduce(operator.mul, [p(*x) for p in parts])
     if isinstance(spec, dict) and "scale" in spec:
         c = spec["scale"]
         scale = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)

@@ -154,12 +154,8 @@ class SequenceFamily:
         g = self.grid
         if self.kind == CONCENTRATION:
             x0 = np.zeros(g.d) if self.center is None else np.asarray(self.center)
-            coords = g.meshgrid_x()
-            vals = n ** (g.d / self.p) * np.asarray(
-                self.amplitude_fn(*[n * (c - c0) for c, c0 in zip(coords, x0)]),
-                dtype=complex,
-            )
-            out = GridFunction(g, vals, "physical")
+            out = n ** (g.d / self.p) * g.sample(
+                lambda *x: self.amplitude_fn(*[n * (c - c0) for c, c0 in zip(x, x0)]))
         else:
             vals = self.amplitude.values  # times a product of d 1-D waves
             for axis, c in enumerate(self.direction):

@@ -95,7 +95,7 @@ class HermiteBasis:
 def oscillator_apply(f: GridFunction) -> GridFunction:
     """Product of per-axis harmonic oscillators: prod_i (x_i^2 - d^2/dx_i^2)."""
     g = f.grid
-    coords = g.meshgrid_x()
+    coords = g.x_axes
     out = f
     for axis in range(g.d):
         alpha = tuple(2 if i == axis else 0 for i in range(g.d))

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from hdist import cli, functional, sobolev
 from hdist.cli import CONFIG_SCHEMAS, main, run_config, validate_config
@@ -230,6 +231,11 @@ class TestBuild:
         pytest.param({**COMMUTATOR_CFG, "b": {"name": "gaussian",
                                               "params": {"width": float("nan")}}},
                      2, id="nan-param"),
+        pytest.param({**NORM_CFG, "fields": [{"name": "gaussian",
+                                              "params": {"width": 10**400}}]},
+                     2, id="int-param-beyond-float-range"),
+        pytest.param({**NORM_CFG, "grid": {**NORM_CFG["grid"], "L": 10**400}},
+                     2, id="int-grid-side-beyond-float-range"),
         # n h = 4/8 = w/2, the old edge of the concentration guard
         pytest.param({**COMMUTATOR_CFG, "family": {"kind": "concentration",
                                                    "amplitude": "gaussian",
@@ -257,12 +263,17 @@ class TestBuild:
 
     def test_validate_runs_no_numerics(self, tmp_path, monkeypatch):
         counts = {"fft": 0, "u": 0}
-        monkeypatch.setattr(np.fft, "fftn", counted(counts, "fft", np.fft.fftn))
-        monkeypatch.setattr(np.fft, "ifftn", counted(counts, "fft", np.fft.ifftn))
+        patch_fft(monkeypatch, counts, "fft", "fft")
         monkeypatch.setattr(SequenceFamily, "u", counted(counts, "u", SequenceFamily.u))
-        for name, cfg in sorted(FULL_CFGS.items()):
-            assert main(["validate", str(write_cfg(tmp_path, cfg, f"{name}.json"))]) == 0
+        paths = {name: write_cfg(tmp_path, cfg, f"{name}.json")
+                 for name, cfg in sorted(FULL_CFGS.items())}
+        for path in paths.values():
+            assert main(["validate", str(path)]) == 0
         assert counts == {"fft": 0, "u": 0}
+        # the same counters see the numerics of a run
+        out = tmp_path / "out"
+        assert main(["run", str(paths["commutator"]), "--output-dir", str(out)]) == 0
+        assert counts["fft"] > 0 and counts["u"] > 0
 
 
 class TestMain:
@@ -478,6 +489,12 @@ def counted(counts, key, fn):
     return wrapper
 
 
+def patch_fft(monkeypatch, counts, forward, inverse):
+    """Count the transforms that grid.dft / grid.idft make."""
+    monkeypatch.setattr(scipy.fft, "fftn", counted(counts, forward, scipy.fft.fftn))
+    monkeypatch.setattr(scipy.fft, "ifftn", counted(counts, inverse, scipy.fft.ifftn))
+
+
 def grid_of(cfg):
     return Grid(cfg["grid"]["d"], cfg["grid"]["N"], cfg["grid"]["L"])
 
@@ -487,8 +504,7 @@ class TestOnePass:
         cfg = NORM_ORACLE_CFG
         grid = grid_of(cfg)
         counts = {"fft": 0, "build": 0}
-        monkeypatch.setattr(np.fft, "fftn", counted(counts, "fft", np.fft.fftn))
-        monkeypatch.setattr(np.fft, "ifftn", counted(counts, "fft", np.fft.ifftn))
+        patch_fft(monkeypatch, counts, "fft", "fft")
         for name in ("derivative_op", "bessel_potential"):
             monkeypatch.setattr(sobolev, name,
                                 counted(counts, "build", getattr(sobolev, name)))
@@ -506,8 +522,7 @@ class TestOnePass:
         harmonics = SphericalHarmonicBasis.build(
             grid.d, SWEEP_CFG["tensor"]["n_max"]).size
         counts = {"forward": 0, "inverse": 0, "u": 0}
-        monkeypatch.setattr(np.fft, "fftn", counted(counts, "forward", np.fft.fftn))
-        monkeypatch.setattr(np.fft, "ifftn", counted(counts, "inverse", np.fft.ifftn))
+        patch_fft(monkeypatch, counts, "forward", "inverse")
         monkeypatch.setattr(SequenceFamily, "u", counted(counts, "u", SequenceFamily.u))
         cli.RUNNERS["hdist_sweep"](SWEEP_CFG, grid)()
         assert counts["u"] == len(ns)  # v is u: one sample per index, shared

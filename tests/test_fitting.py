@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdist.fitting import NEGLIGIBLE, ZERO_FLOOR, fit_decay, fit_limit
+from hdist.fitting import NEGLIGIBLE, ROUNDING, ZERO_FLOOR, fit_decay, fit_limit
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +43,10 @@ def oracle_fit_limit(ns, values, atol=1e-14, decay_preference=3.0):
     if float(np.max(np.abs(values))) <= atol:
         return 0.0, 0.0, "negligible", 0.0, False
     best = None
+    tie = ROUNDING * float(np.max(np.abs(values)))
     for beta in (1.0, 2.0):
         c0, resid = _oracle_offset_fit(ns, values, beta)
-        if best is None or resid < best[1]:
+        if best is None or resid < best[1] - tie:
             best = (complex(c0), resid, "offset", beta)
     decay = _oracle_pure_decay_fit(ns, values)
     if decay is not None and decay[1] <= decay_preference * best[1]:
@@ -132,6 +135,18 @@ class TestFitLimit:
         fit = fit_limit(ns, [2.0 - 5.0 / n**2 for n in ns])
         assert abs(fit.value - 2.0) < 1e-10
         assert fit.beta == 2.0
+
+    def test_rounding_noise_does_not_pick_beta(self):
+        # a constant sequence plus every {-1, 0, 1} * 1e-16 perturbation:
+        # both offset models fit to rounding, so the n^(-1) model wins
+        ns = [8, 12, 16]
+        noise = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=3))).T
+        table = 0.2909 + 1e-16 * noise
+        fit = fit_limit(ns, table)
+        assert np.all(fit.beta == 1.0) and np.all(fit.model == "offset")
+        assert np.max(np.abs(fit.value - 0.2909)) < 1e-15
+        for column in table.T:
+            assert fit_limit(ns, column).beta == 1.0
 
     def test_half_power_decay_extrapolates_to_zero(self):
         ns = [16, 32, 64]

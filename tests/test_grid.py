@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +25,7 @@ def random_smooth(grid, seed=0, band=6):
 
 
 def plane_wave(grid, m0):
-    coords = grid.meshgrid_x()
+    coords = grid.x_axes
     phase = sum(c * m for c, m in zip(coords, m0)) * (2j * np.pi / grid.L)
     return GridFunction(grid, np.exp(phase), "physical")
 
@@ -180,3 +183,27 @@ class TestRoundTrip:
         f = random_field(grid, seed)
         back = idft(dft(f))
         assert np.max(np.abs(back.values - f.values)) <= 1e-12 * linf_norm(f)
+
+
+def reference_dft(f):
+    """np.fft with the documented convention spelled out: cell volume times
+    exp(-2 pi i x_0 . xi_m) times the FFT sum, x_0 = -L/2 on every axis."""
+    g = f.grid
+    shift = [np.exp(-2j * np.pi * g.axis_x[0] * xi) for xi in g.xi_axes]
+    return g.cell_volume * functools.reduce(operator.mul, shift) * np.fft.fftn(f.values)
+
+
+class TestTransformSeam:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.sampled_from([8, 16, 32]),
+           st.floats(0.5, 50.0), st.integers(0, 2**16))
+    def test_round_trip_parseval_and_reference(self, d, N, L, seed):
+        grid = Grid(d, N, L)
+        f, g = random_field(grid, seed), random_field(grid, seed + 1)
+        fh, gh = dft(f), dft(g)
+        assert np.max(np.abs(idft(fh).values - f.values)) <= 1e-13 * linf_norm(f)
+        scale = lp_norm(f, 2) * lp_norm(g, 2)
+        parseval = np.sum(fh.values * np.conj(gh.values)) / L**d
+        assert abs(pairing(f, g) - parseval) <= 1e-13 * scale
+        ref = reference_dft(f)
+        assert np.max(np.abs(fh.values - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from hdist import localization
 from hdist.fitting import fit_limit
@@ -172,13 +173,14 @@ class TestOnePass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn, "fft"))
-        monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn, "fft"))
+        monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn, "fft"))
+        monkeypatch.setattr(scipy.fft, "ifftn", counted(scipy.fft.ifftn, "fft"))
         monkeypatch.setattr(SequenceFamily, "u", counted(SequenceFamily.u, "u"))
         monkeypatch.setattr(localization, "bessel_potential",
                             counted(localization.bessel_potential, "smooth"))
         localization_verdict(inst, *tests_pair, constant_symbol(3))
-        assert counts["fft"] <= 13 * len(ns) + 4
+        # 2d + 7 per index, and conj(phi1) forward plus d inverses per pass
+        assert counts["fft"] == (2 * grid.d + 7) * len(ns) + grid.d + 1
         assert counts["u"] == len(ns)  # v_n is a multiple of u_n
         assert counts["smooth"] == 1  # J_{-k-1}, once per verdict
 

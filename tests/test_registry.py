@@ -36,6 +36,8 @@ class TestFields:
         ({"width": "1"}, "width"), ({"center": "origin"}, "center"),
         ({"center": [[0.0, 0.0]]}, "center"), ({"center": 0.0}, "center"),
         ({"axis": 1.9}, "axis"), ({"axis": 0.5}, "axis"), ({"axis": True}, "axis"),
+        ({"width": 10**400}, "width"), ({"center": [0, -10**400]}, "center"),
+        ({"axis": 10**400}, "axis"),
     ])
     def test_param_of_wrong_type(self, grid, params, key):
         # width and center are gaussian's; axis, an int param, is the
@@ -49,7 +51,7 @@ class TestFields:
 
     def test_whole_number_for_int_param(self, grid):
         x = make_field(grid, {"name": "coordinate", "params": {"axis": 1.0}})
-        assert np.array_equal(x.values, grid.meshgrid_x()[1])
+        assert np.array_equal(x.values, np.broadcast_to(grid.x_axes[1], grid.shape))
 
     def test_symbol_param_of_wrong_type(self):
         with pytest.raises(ValueError, match="'smoothed_sign' parameter 'eps'"):
@@ -58,14 +60,14 @@ class TestFields:
     def test_gaussian_peak_and_center(self, grid):
         f = make_field(grid, {"name": "gaussian",
                               "params": {"center": [1.0, -2.0], "width": 2.0}})
-        mesh = grid.meshgrid_x()
+        mesh = np.broadcast_arrays(*grid.x_axes)
         idx = np.unravel_index(np.argmax(np.abs(f.values)), grid.shape)
         assert mesh[0][idx] == pytest.approx(1.0, abs=grid.spacing)
         assert mesh[1][idx] == pytest.approx(-2.0, abs=grid.spacing)
 
     def test_bump_compact_support(self, grid):
         f = make_field(grid, {"name": "bump", "params": {"radius": 2.0}})
-        mesh = grid.meshgrid_x()
+        mesh = grid.x_axes
         r2 = mesh[0] ** 2 + mesh[1] ** 2
         assert np.all(f.values[r2 >= 4.0] == 0)
         assert linf_norm(f) == pytest.approx(1.0, abs=1e-10)
@@ -73,7 +75,7 @@ class TestFields:
     def test_shell_cutoff_levels(self, grid):
         f = make_field(grid, {"name": "shell_cutoff",
                               "params": {"r_inner": 2.0, "r_outer": 3.0}})
-        mesh = grid.meshgrid_x()
+        mesh = grid.x_axes
         r = np.sqrt(mesh[0] ** 2 + mesh[1] ** 2)
         assert np.all(f.values[r <= 2.0] == 0)
         assert np.allclose(f.values[r >= 3.0], 1.0)

@@ -30,7 +30,7 @@ def hermite_coeff_1d_oracle(m, fn, t_max=12.0, n_pts=20001):
 class TestHermiteFunctions:
     def test_ground_state_is_normalized_gaussian(self, grid):
         h0 = HermiteBasis.build(grid, 0).function((0, 0))
-        mesh = grid.meshgrid_x()
+        mesh = grid.x_axes
         target = np.pi**-0.5 * np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / 2)
         assert np.max(np.abs(h0.values - target)) < 1e-12
         assert abs(lp_norm(h0, 2.0) - 1.0) < 1e-9
@@ -216,7 +216,7 @@ class TestMembership:
             from hdist.multiplier import derivative
             from hdist.util import multi_indices
 
-            mesh = g.meshgrid_x()
+            mesh = g.x_axes
             wx = (1 + mesh[0] ** 2 + mesh[1] ** 2) ** (k / 2.0)
             n_modes = np.fft.fftfreq(len(gs)) * len(gs)
             gh = np.fft.fft(gs) / len(gs)
