@@ -11,7 +11,9 @@ continuum transform with 2 pi in the exponent.  Frequency-side arrays are
 stored in FFT layout (numpy fftfreq ordering).
 
 `dft` and `idft` are the only transform seam: they call `scipy.fft.fftn` /
-`ifftn` through the module attribute with scipy's default of one worker.
+`ifftn` with scipy's default of one worker, looked up on the module at each
+call so that a wrapper installed there (a tracer, a test counter) sees every
+transform.
 """
 
 from __future__ import annotations
