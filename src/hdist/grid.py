@@ -132,9 +132,12 @@ class Grid:
 
     def sample(self, fn):
         """Sample a callable fn(*x_axes) -> array, broadcast to N^d, into a
-        physical GridFunction."""
-        vals = np.asarray(fn(*self.x_axes), dtype=np.complex128)
-        return GridFunction(self, np.broadcast_to(vals, self.shape).copy(), PHYSICAL)
+        physical GridFunction that aliases no array fn returned."""
+        raw = fn(*self.x_axes)
+        vals = np.asarray(raw, dtype=np.complex128)
+        if vals.shape != self.shape or np.may_share_memory(vals, raw):
+            vals = np.broadcast_to(vals, self.shape).copy()
+        return GridFunction(self, vals, PHYSICAL)
 
 
 @dataclass(frozen=True)

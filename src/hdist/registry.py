@@ -87,12 +87,15 @@ def _gaussian(d, params):
 
 
 def _smooth_step(t):
-    # C-infinity transition, 0 for t <= 0 and 1 for t >= 1.
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
-        b = np.where(t < 1, np.exp(-1.0 / np.where(t < 1, 1.0 - t, 1.0)), 0.0)
-    return a / (a + b)
+    # C-infinity transition, 0 for t <= 0 and 1 for t >= 1; the exponentials
+    # are evaluated on the transition band only
+    t = np.asarray(t, dtype=np.float64)
+    out = (t >= 1.0).astype(np.float64)
+    band = (t > 0.0) & (t < 1.0)
+    tb = t[band]
+    a, b = np.exp(-1.0 / tb), np.exp(-1.0 / (1.0 - tb))
+    out[band] = a / (a + b)
+    return out
 
 
 def _bump(d, params):

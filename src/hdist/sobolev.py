@@ -149,6 +149,30 @@ class SequenceFamily:
         xi0 = np.asarray(self.direction, dtype=float)
         return float(n * np.linalg.norm(xi0) / self.grid.L)
 
+    def _scale(self, n: int) -> float:
+        """The scalar factor of u_n: s_n of an oscillation
+        u_n = s_n a(x) exp(2 pi i n xi0.x / L), n^{prefactor_power} on top
+        of a concentration's own n^{d/p}."""
+        s = 1.0
+        if self.kind == SCALED_OSCILLATION and self.order != 0:
+            s = (2 * np.pi * self.frequency_shift(n)) ** self.order
+        if self.prefactor_power != 0.0:
+            s = s * float(n) ** self.prefactor_power
+        return s
+
+    def spectral_shift(self, n: int) -> tuple:
+        """(row, s_n) of an oscillation: for every field g,
+        dft(g * u(n)) == s_n * np.roll(dft(g * amplitude), row, axis=all axes).
+
+        Exact up to rounding: the modulation moves the spectrum by the
+        integer lattice row n xi0, and the (-1)^m centring phase of dft
+        cancels against the modulation's value at the -L/2 origin.
+        """
+        if self.kind == CONCENTRATION:
+            raise ValueError("a concentration family has no spectral shift")
+        self.guard(n)
+        return tuple(n * int(c) for c in self.direction), self._scale(n)
+
     def u(self, n: int) -> GridFunction:
         self.guard(n)
         g = self.grid
@@ -163,11 +187,8 @@ class SequenceFamily:
                     wave = np.exp((2j * np.pi * n * c / g.L) * g.axis_x)
                     vals = vals * wave.reshape((-1,) + (1,) * (g.d - 1 - axis))
             out = GridFunction(g, vals, "physical")
-            if self.kind == SCALED_OSCILLATION and self.order != 0:
-                out = out * (2 * np.pi * self.frequency_shift(n)) ** self.order
-        if self.prefactor_power != 0.0:
-            out = out * float(n) ** self.prefactor_power
-        return out
+        s = self._scale(n)
+        return out if s == 1.0 else out * s
 
 
 # ---------------------------------------------------------------------------

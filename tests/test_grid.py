@@ -65,6 +65,21 @@ class TestGridValidation:
             GridFunction(grid, np.zeros((4, 4)), "physical")
 
 
+class TestSample:
+    def test_cached_result_stays_writeable_and_unaliased(self, grid):
+        cached = np.ones(grid.shape, dtype=np.complex128)
+        f = grid.sample(lambda x, y: cached)
+        assert cached.flags.writeable
+        assert not np.may_share_memory(f.values, cached)
+        cached[0, 0] = 5.0
+        assert f.values[0, 0] == 1.0
+
+    def test_broadcast_result_fills_the_grid(self, grid):
+        f = grid.sample(lambda x, y: np.exp(-x**2))
+        assert f.values.shape == grid.shape
+        assert np.array_equal(f.values[:, 0], f.values[:, -1])
+
+
 class TestDft:
     def test_constant(self, grid):
         f = grid.sample(lambda x, y: np.ones_like(x))

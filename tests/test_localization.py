@@ -29,8 +29,8 @@ def tests_pair(grid):
     return phi, phi
 
 
-def make(grid, characteristic, indices=(2, 4, 8), k=0):
-    return build_instance(grid, COEFFS, AMP, (1, 0, 0), k=k, p=2.0, q=2.0,
+def make(grid, characteristic, indices=(2, 4, 8), k=0, direction=(1, 0, 0)):
+    return build_instance(grid, COEFFS, AMP, direction, k=k, p=2.0, q=2.0,
                           indices=indices, characteristic=characteristic,
                           cutoff={"r_inner": 2.3, "r_outer": 3.3})
 
@@ -179,8 +179,10 @@ class TestOnePass:
         monkeypatch.setattr(localization, "bessel_potential",
                             counted(localization.bessel_potential, "smooth"))
         localization_verdict(inst, *tests_pair, constant_symbol(3))
-        # 2d + 7 per index, and conj(phi1) forward plus d inverses per pass
-        assert counts["fft"] == (2 * grid.d + 7) * len(ns) + grid.d + 1
+        # per pass: one forward per product field (phi2 a, phi1 a, A_j phi1 a,
+        # A_j a) and conj(phi1) forward plus d inverses for G; per index: w,
+        # f_n and the J_{-k-1} round trip
+        assert counts["fft"] == 4 * len(ns) + 3 * grid.d + 3
         assert counts["u"] == len(ns)  # v_n is a multiple of u_n
         assert counts["smooth"] == 1  # J_{-k-1}, once per verdict
 
@@ -229,10 +231,18 @@ def assert_close(got, want, rtol=1e-12):
     assert np.all(np.abs(got - want) <= rtol * np.maximum(np.abs(want), 1e-300))
 
 
-@pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("characteristic", [True, False])
-def test_one_pass_matches_operator_chain(fine_grid, fine_tests, characteristic, k):
-    inst = make(fine_grid, characteristic, indices=(4, 8, 12), k=k)
+# an axis direction, and one with two nonzero components, one negative, so
+# that the pass's spectra are rolled along two axes and backwards
+CHAIN_CASES = [pytest.param(direction, characteristic, k, id=f"{tag}{characteristic}-{k}")
+               for direction, tag in (((1, 0, 0), ""), ((0, 1, -1), "oblique-"))
+               for characteristic in (True, False) for k in (0, 1)]
+
+
+@pytest.mark.parametrize("direction, characteristic, k", CHAIN_CASES)
+def test_one_pass_matches_operator_chain(fine_grid, fine_tests, direction,
+                                         characteristic, k):
+    inst = make(fine_grid, characteristic, indices=(4, 8, 12), k=k,
+                direction=direction)
     psi = riesz_symbol(3, 0)
     verdict = localization_verdict(inst, *fine_tests, psi)
     one_pass = localization._index_pass(inst, *fine_tests, psi)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hdist.grid import Grid, linf_norm
-from hdist.registry import (field_function, list_builtins, make_field,
-                            make_symbol)
+from hdist.registry import (_smooth_step, field_function, list_builtins,
+                            make_field, make_symbol)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,25 @@ class TestFields:
         r = np.sqrt(mesh[0] ** 2 + mesh[1] ** 2)
         assert np.all(f.values[r <= 2.0] == 0)
         assert np.allclose(f.values[r >= 3.0], 1.0)
+
+    def test_shell_cutoff_step_matches_full_lattice_formula(self):
+        # the step evaluates its exponentials on the transition band only;
+        # this is the formula that evaluated them on the whole lattice
+        def full_lattice_step(t):
+            t = np.clip(t, 0.0, 1.0)
+            with np.errstate(divide="ignore", over="ignore"):
+                a = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
+                b = np.where(t < 1, np.exp(-1.0 / np.where(t < 1, 1.0 - t, 1.0)), 0.0)
+            return a / (a + b)
+
+        g = Grid(3, 32, 8.0)
+        params = {"r_inner": 2.3, "r_outer": 3.3, "center": [0.1, -0.2, 0.0]}
+        r = np.sqrt(sum((x - c) ** 2 for x, c in zip(g.x_axes, params["center"])))
+        want = full_lattice_step((r - 2.3) / (3.3 - 2.3))
+        got = make_field(g, {"name": "shell_cutoff", "params": params}).values
+        assert np.array_equal(got, want)
+        edges = np.array([-1.0, 0.0, 1e-300, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-16, 1.0, 2.0])
+        assert np.array_equal(_smooth_step(edges), full_lattice_step(edges))
 
     def test_product_and_scale_combinators(self, grid):
         spec = {"scale": [0.0, 2.0],

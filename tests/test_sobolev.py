@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hdist.grid import Grid, lp_norm
+from hdist.grid import Grid, GridFunction, dft, lp_norm
 from hdist.registry import field_function, make_field
 from hdist.sobolev import (CONCENTRATION, SequenceFamily, strong_null_probe,
                            surrogate_negative_norm, wkq_norm)
@@ -149,6 +150,51 @@ class TestFamilies:
         assert fam.order == 0
         scaled = SequenceFamily(grid, "scaled_oscillation", amplitude=gaussian, k=2)
         assert scaled.direction == (1, 0) and scaled.order == 2
+
+    def test_concentration_has_no_spectral_shift(self):
+        fam = SequenceFamily(Grid(2, 64, 8.0), CONCENTRATION, indices=(2,),
+                             amplitude_fn=field_function(2, "gaussian"))
+        with pytest.raises(ValueError):
+            fam.spectral_shift(2)
+
+    def test_spectral_shift_guards_the_index(self, grid, gaussian):
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, indices=(8,))
+        with pytest.raises(AliasingError):
+            fam.spectral_shift(33)
+
+
+@st.composite
+def shifted_products(draw):
+    """A drawn oscillation family on a 2- or 3-D grid, a guarded index and a
+    random complex field g."""
+    d = draw(st.sampled_from([2, 3]))
+    grid = Grid(d, draw(st.sampled_from([16, 32])), draw(st.floats(2.0, 20.0)))
+    direction = tuple(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+                           .filter(any)))
+    n = draw(st.integers(1, grid.N // (4 * max(abs(c) for c in direction))))
+    kind, order = draw(st.sampled_from([("oscillation", 0), ("scaled_oscillation", 1),
+                                        ("scaled_oscillation", -2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def field():
+        return GridFunction(grid, rng.normal(size=grid.shape)
+                            + 1j * rng.normal(size=grid.shape))
+
+    fam = SequenceFamily(grid, kind, amplitude=field(), direction=direction,
+                         indices=(n,), order=order,
+                         prefactor_power=draw(st.sampled_from([0.0, -0.5])))
+    return fam, n, field()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(shifted_products())
+def test_spectral_shift_is_the_transform_of_the_modulation(case):
+    # dft(g u_n) is s_n times the roll of dft(g a) by the lattice row n xi0
+    fam, n, g = case
+    row, s = fam.spectral_shift(n)
+    want = dft(g * fam.u(n)).values
+    got = s * np.roll(dft(g * fam.amplitude).values, row, axis=tuple(range(g.grid.d)))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestProbes:
