@@ -74,11 +74,6 @@ class TestSample:
         cached[0, 0] = 5.0
         assert f.values[0, 0] == 1.0
 
-    def test_broadcast_result_fills_the_grid(self, grid):
-        f = grid.sample(lambda x, y: np.exp(-x**2))
-        assert f.values.shape == grid.shape
-        assert np.array_equal(f.values[:, 0], f.values[:, -1])
-
 
 class TestDft:
     def test_constant(self, grid):
