@@ -9,8 +9,7 @@ coefficient analysis of the test space.
 
 __version__ = "0.1.0"
 
-from .grid import (FREQUENCY, PHYSICAL, Grid, GridFunction, dft, idft,
-                   linf_norm, lp_norm, pairing)
+from .grid import Grid, GridFunction, dft, idft, linf_norm, lp_norm, pairing
 from .symbol import (SphereQuadrature, SphericalHarmonicBasis, SphericalSymbol,
                      hs_sphere_norm, sh_analyze)
 from .multiplier import (MultiplierOperator, bessel_potential, derivative,

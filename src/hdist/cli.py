@@ -30,7 +30,7 @@ from .functional import (FORM_RTOL, mu_tensor, pairing_records,
                          zero_mu_strong_convergence_check)
 from .grid import Grid
 from .localization import build_instance, localization_verdict
-from .registry import field_function, list_builtins, make_field, make_symbol
+from .registry import field_function, list_builtins, make_field, make_symbol, spec_label
 from .sobolev import CONCENTRATION, SequenceFamily, norm_table
 from .specbasis import HermiteBasis, se_analyze, se_membership_score
 from .symbol import SphericalHarmonicBasis
@@ -358,8 +358,9 @@ def run_hdist_sweep(cfg, grid):
         raise ValueError("families.v.indices must equal families.u.indices: "
                          "v_n is sampled at the u indices")
     v_fam = _family(grid, v_spec) if v_spec else u_fam
-    phi1 = make_field(grid, cfg["test_functions"]["phi1"])
-    phi2 = make_field(grid, cfg["test_functions"]["phi2"])
+    phi_specs = cfg["test_functions"]["phi1"], cfg["test_functions"]["phi2"]
+    phi1, phi2 = (make_field(grid, spec) for spec in phi_specs)
+    labels = [spec_label(spec) for spec in phi_specs]
     symbols = [make_symbol(grid.d, s) for s in cfg["symbols"]]
     tensor_cfg, zc = cfg.get("tensor"), cfg.get("zero_check")
     if tensor_cfg:
@@ -378,7 +379,7 @@ def run_hdist_sweep(cfg, grid):
         for psi, forms in zip(symbols, pairing_records(us, vs, phi1, phi2, symbols)):
             limits[psi.name] = fit_limit(ns, [a for a, _ in forms]).to_dict()
             for n, (a, b) in zip(ns, forms):
-                rows.append([psi.name, phi1.name, phi2.name, int(n), repr(a.real),
+                rows.append([psi.name, *labels, int(n), repr(a.real),
                              repr(a.imag), repr(b.real), repr(b.imag), repr(abs(a - b))])
                 max_gap = max(max_gap, abs(a - b) / (1.0 + abs(a)))
         files = {

@@ -10,6 +10,8 @@ import numpy as np
 ZERO_FLOOR = 1e-300
 # a sequence whose magnitudes all sit at or below this has limit zero
 NEGLIGIBLE = 1e-14
+# fit_decay reports magnitudes all at or below this as all_below_threshold
+DECAY_THRESHOLD = 1e-10
 # the decay model wins when its residual is within this factor of the best
 # offset residual
 DECAY_PREFERENCE = 3.0
@@ -17,19 +19,19 @@ DECAY_PREFERENCE = 3.0
 ROUNDING = 64 * np.finfo(float).eps
 
 
-def fit_decay(ns, values, threshold=1e-10) -> dict:
+def fit_decay(ns, values) -> dict:
     """Fit log10 |values| against log10 ns by least squares.
 
     Returns {"exponent", "all_below_threshold", "n_used"}, as decay tables
     hold it.  Entries at or below the floating-point floor are dropped (no
-    exponent below two entries); if everything sits below `threshold` the
-    sequence is reported as identically small instead of fitted.
+    exponent below two entries); if everything sits at or below DECAY_THRESHOLD
+    the sequence is reported as identically small instead of fitted.
     """
     ns = np.asarray(ns, dtype=float)
     mags = np.abs(np.asarray(values, dtype=complex))
     if len(ns) != len(mags) or len(ns) == 0:
         raise ValueError("need matching, nonempty index and value lists")
-    if np.all(mags <= threshold):
+    if np.all(mags <= DECAY_THRESHOLD):
         return {"exponent": None, "all_below_threshold": True, "n_used": 0}
     keep = mags > ZERO_FLOOR
     n_used = int(np.count_nonzero(keep))

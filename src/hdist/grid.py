@@ -7,8 +7,9 @@ transform convention is
     fhat(xi_m) = (L/N)^d * sum_j f(x_j) exp(-2 pi i x_j . xi_m),
 
 with frequency lattice xi_m = m/L, m in {-N/2, ..., N/2-1}^d, matching the
-continuum transform with 2 pi in the exponent.  Frequency-side arrays are
-stored in FFT layout (numpy fftfreq ordering).
+continuum transform with 2 pi in the exponent.  A field is a GridFunction of
+its samples at the grid points; a spectrum is a plain complex ndarray in FFT
+layout (numpy fftfreq ordering), on which a multiplier acts as a product.
 
 `dft` and `idft` are the only transform seam: they call `scipy.fft.fftn` /
 `ifftn` with scipy's default of one worker, looked up on the module at each
@@ -23,9 +24,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.fft
-
-PHYSICAL = "physical"
-FREQUENCY = "frequency"
 
 
 @dataclass(frozen=True)
@@ -132,87 +130,73 @@ class Grid:
 
     def sample(self, fn):
         """Sample a callable fn(*x_axes) -> array, broadcast to N^d, into a
-        physical GridFunction that aliases no array fn returned."""
+        GridFunction that aliases no array fn returned."""
         raw = fn(*self.x_axes)
         vals = np.asarray(raw, dtype=np.complex128)
         if vals.shape != self.shape or np.may_share_memory(vals, raw):
             vals = np.broadcast_to(vals, self.shape).copy()
-        return GridFunction(self, vals, PHYSICAL)
+        return GridFunction(self, vals)
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples of a function on a Grid, on one side of the DFT pair."""
+    """Complex samples of a function at the points of a Grid."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
-    side: str = PHYSICAL
-    name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.side not in (PHYSICAL, FREQUENCY):
-            raise ValueError(f"unknown side tag {self.side!r}")
         vals = np.ascontiguousarray(self.values, dtype=np.complex128)
         if vals.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid {self.grid.shape}"
-            )
+            raise ValueError(f"shape {vals.shape} does not match grid {self.grid.shape}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def _require_same(self, other):
         if self.grid != other.grid:
             raise ValueError("grid mismatch")
-        if self.side != other.side:
-            raise ValueError(f"side mismatch: {self.side} vs {other.side}")
 
     def __add__(self, other):
         self._require_same(other)
-        return GridFunction(self.grid, self.values + other.values, self.side)
+        return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other):
         self._require_same(other)
-        return GridFunction(self.grid, self.values - other.values, self.side)
+        return GridFunction(self.grid, self.values - other.values)
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
             self._require_same(other)
-            return GridFunction(self.grid, self.values * other.values, self.side)
-        return GridFunction(self.grid, self.values * other, self.side)
+            return GridFunction(self.grid, self.values * other.values)
+        return GridFunction(self.grid, self.values * other)
 
     __rmul__ = __mul__
 
     def conj(self):
-        return GridFunction(self.grid, np.conj(self.values), self.side)
+        return GridFunction(self.grid, np.conj(self.values))
 
 
-def dft(f: GridFunction) -> GridFunction:
-    """Forward transform of a physical-side function.
-
-    Returns samples of fhat on the frequency lattice in FFT layout, under
-    the convention fhat(xi) = integral of exp(-2 pi i x.xi) f(x) dx.
-    """
-    if f.side != PHYSICAL:
-        raise ValueError("dft expects a physical-side function")
-    g = f.grid
+def dft(f: GridFunction) -> np.ndarray:
+    """Samples of fhat on the frequency lattice in FFT layout, under the
+    convention fhat(xi) = integral of exp(-2 pi i x.xi) f(x) dx."""
     vals = scipy.fft.fftn(f.values)
-    vals *= g._forward_phase
-    return GridFunction(g, vals, FREQUENCY)
+    vals *= f.grid._forward_phase
+    return vals
 
 
-def idft(fh: GridFunction) -> GridFunction:
-    """Inverse transform; idft(dft(f)) == f to machine precision."""
-    if fh.side != FREQUENCY:
-        raise ValueError("idft expects a frequency-side function")
-    g = fh.grid
-    vals = scipy.fft.ifftn(fh.values * g._inverse_phase, overwrite_x=True)
-    return GridFunction(g, vals, PHYSICAL)
+def idft(grid: Grid, f_hat: np.ndarray) -> GridFunction:
+    """The field on grid whose spectrum is f_hat; idft(f.grid, dft(f)) == f
+    to machine precision."""
+    if not isinstance(f_hat, np.ndarray):
+        raise TypeError(f"idft takes a spectrum array, got {type(f_hat).__name__}")
+    if f_hat.shape != grid.shape:
+        raise ValueError(f"spectrum shape {f_hat.shape} does not match grid {grid.shape}")
+    return GridFunction(grid, scipy.fft.ifftn(f_hat * grid._inverse_phase,
+                                              overwrite_x=True))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
     """Riemann-sum L^p norm, 1 < p < infinity; see linf_norm for the sup norm."""
-    if f.side != PHYSICAL:
-        raise ValueError("lp_norm expects a physical-side function")
     return magnitude_lp_norm(f.grid, np.abs(f.values), p)
 
 
@@ -235,7 +219,5 @@ def pairing(u: GridFunction, v: GridFunction) -> complex:
     """
     if u.grid != v.grid:
         raise ValueError("grid mismatch")
-    if u.side != PHYSICAL or v.side != PHYSICAL:
-        raise ValueError("pairing expects physical-side functions")
     return complex(u.grid.cell_volume * np.vdot(v.values, u.values))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import LimitFit, fit_decay, fit_limit
-from .grid import FREQUENCY, Grid, GridFunction, dft, idft, lp_norm, pairing
+from .grid import Grid, GridFunction, dft, idft, lp_norm, pairing
 from .multiplier import bessel_potential, from_symbol, riesz, riesz_potential
 from .registry import make_field
 from .sobolev import SCALED_OSCILLATION, SequenceFamily, decay_table, wkq_norm
@@ -134,7 +134,7 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
     grad = [2j * np.pi * xi for xi in grid.xi_axes]  # d_j, broadcast from 1-D
 
     def spectra(g):
-        g_hat = dft(g * fam.amplitude).values
+        g_hat = dft(g * fam.amplitude)
         for row, s in shifts:
             out = np.roll(g_hat, row, axis=axes)
             out *= s
@@ -151,15 +151,14 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
             weighted[i] -= _parseval(b, r_j * t_hat[i], volume)
         del r_j
 
-    phi1_bar_hat = dft(phi1.conj()).values
-    weight = sum(a_j.values * np.conj(idft(GridFunction(
-        grid, d_j * phi1_bar_hat, FREQUENCY)).values)
-        for d_j, a_j in zip(grad, instance.coefficients))
+    phi1_bar_hat = dft(phi1.conj())
+    weight = sum(a_j.values * np.conj(idft(grid, d_j * phi1_bar_hat).values)
+                 for d_j, a_j in zip(grad, instance.coefficients))
     del phi1_bar_hat
     potential = riesz_potential(grid).m
     w, wkq, rhs = [], [], []
     for i, n in enumerate(ns):
-        w.append(idft(GridFunction(grid, potential * t_hat[i], FREQUENCY)))
+        w.append(idft(grid, potential * t_hat[i]))
         t_hat[i] = None
         wkq.append(wkq_norm(phi1 * w[i], fam.k, instance.q))
         rhs.append(-pairing(fam.u(n) * weight, w[i]))
@@ -173,7 +172,7 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
     smooth = bessel_potential(grid, -float(fam.k + 1))
     rows = []
     for i, n in enumerate(ns):
-        f = idft(GridFunction(grid, f_hat[i], FREQUENCY))
+        f = idft(grid, f_hat[i])
         f_hat[i] = None
         rhs[i] -= pairing(f, phi1.conj() * w[i])
         w[i] = None

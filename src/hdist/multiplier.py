@@ -1,9 +1,11 @@
 """Fourier multiplier operators on the periodic grid.
 
-Operators act by pointwise multiplication on the frequency side.  For a
-zero-homogeneous symbol the lattice values are psi(xi/|xi|), with the zero
-mode set to the sphere average of psi so that psi == 1 induces the exact
-identity and odd symbols (Riesz) annihilate the constant mode.
+An operator is its lattice array m in FFT layout: it acts on a spectrum as
+the product m * f_hat, composes as the product of arrays, and its adjoint
+is conj(m).  For a zero-homogeneous symbol the lattice values are
+psi(xi/|xi|), with the zero mode set to the sphere average of psi so that
+psi == 1 induces the exact identity and odd symbols (Riesz) annihilate the
+constant mode.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FREQUENCY, Grid, GridFunction, dft, idft
+from .grid import Grid, GridFunction, dft, idft
 from .symbol import SphericalSymbol
 
 
@@ -31,12 +33,7 @@ class MultiplierOperator:
     def apply(self, f: GridFunction) -> GridFunction:
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
-        if f.side == FREQUENCY:
-            return GridFunction(self.grid, self.m * f.values, FREQUENCY)
-        return idft(GridFunction(self.grid, self.m * dft(f).values, FREQUENCY))
-
-    def adjoint(self) -> "MultiplierOperator":
-        return MultiplierOperator(self.grid, np.conj(self.m))
+        return idft(self.grid, self.m * dft(f))
 
 
 def from_symbol(grid: Grid, psi: SphericalSymbol) -> MultiplierOperator:

@@ -160,20 +160,20 @@ def field_function(d: int, spec):
     return fn(d, params)
 
 
-def _spec_label(spec):
+def spec_label(spec) -> str:
+    """A field spec's name in artifacts: products joined by "*", scaled(...)."""
     if isinstance(spec, str):
         return spec
     if "product" in spec:
-        return "*".join(_spec_label(s) for s in spec["product"])
+        return "*".join(spec_label(s) for s in spec["product"])
     if "scale" in spec:
-        return f"scaled({_spec_label(spec['of'])})"
+        return f"scaled({spec_label(spec['of'])})"
     return spec["name"]
 
 
 def make_field(grid: Grid, spec) -> GridFunction:
-    """Sample a field spec onto a grid; the result carries the spec's name."""
-    gf = grid.sample(field_function(grid.d, spec))
-    return GridFunction(gf.grid, gf.values, gf.side, name=_spec_label(spec))
+    """Sample a field spec onto a grid."""
+    return grid.sample(field_function(grid.d, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fitting import fit_decay
-from .grid import (FREQUENCY, Grid, GridFunction, dft, idft, lp_norm,
-                   magnitude_lp_norm)
+from .grid import Grid, GridFunction, dft, idft, lp_norm, magnitude_lp_norm
 from .multiplier import bessel_potential, derivative_op
 from .util import AliasingError, multi_indices
 
@@ -27,10 +26,10 @@ def _derivatives(grid: Grid, k: int) -> dict:
 def _lp_norms(f: GridFunction, ops: dict, p_list) -> dict:
     """key -> p -> |idft(ops[key] f_hat)|_p, and |f|_p under alpha = 0: one
     forward transform, one inverse per multiplier, one magnitude for all p."""
-    f_hat = dft(f).values if ops else None
+    f_hat = dft(f) if ops else None
     norms = {}
     for key, m in [((0,) * f.grid.d, None), *ops.items()]:
-        g = f if m is None else idft(GridFunction(f.grid, m * f_hat, FREQUENCY))
+        g = f if m is None else idft(f.grid, m * f_hat)
         mag = np.abs(g.values)
         norms[key] = {p: magnitude_lp_norm(f.grid, mag, p) for p in p_list}
     return norms
@@ -186,7 +185,7 @@ class SequenceFamily:
                 if c:
                     wave = np.exp((2j * np.pi * n * c / g.L) * g.axis_x)
                     vals = vals * wave.reshape((-1,) + (1,) * (g.d - 1 - axis))
-            out = GridFunction(g, vals, "physical")
+            out = GridFunction(g, vals)
         s = self._scale(n)
         return out if s == 1.0 else out * s
 

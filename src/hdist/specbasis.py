@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .grid import Grid, GridFunction, PHYSICAL
+from .grid import Grid, GridFunction
 from .multiplier import derivative_op
 from .symbol import SphericalHarmonicBasis, sh_analyze
 from .util import SupportError
@@ -74,7 +74,7 @@ class HermiteBasis:
         vals = self.axis_table[m[0]]
         for v in m[1:]:
             vals = np.multiply.outer(vals, self.axis_table[v])
-        return GridFunction(self.grid, vals.astype(complex), PHYSICAL)
+        return GridFunction(self.grid, vals.astype(complex))
 
     def analyze(self, f: GridFunction) -> np.ndarray:
         """Coefficients <f, h_m> for all |m|_inf <= m_max, by grid quadrature.
@@ -100,7 +100,7 @@ def oscillator_apply(f: GridFunction) -> GridFunction:
     for axis in range(g.d):
         alpha = tuple(2 if i == axis else 0 for i in range(g.d))
         second = derivative_op(g, alpha).apply(out)
-        out = GridFunction(g, coords[axis] ** 2 * out.values - second.values, PHYSICAL)
+        out = GridFunction(g, coords[axis] ** 2 * out.values - second.values)
     return out
 
 

@@ -107,7 +107,7 @@ class TestFitDecay:
         assert fit["all_below_threshold"]
 
     def test_mixed_zero_entries_dropped(self):
-        fit = fit_decay([8, 16, 32], [1.0, 0.5, 0.0], threshold=1e-30)
+        fit = fit_decay([8, 16, 32], [1.0, 0.5, 0.0])
         assert fit["n_used"] == 2
         assert fit["exponent"] == pytest.approx(-1.0, abs=1e-10)
 

@@ -9,7 +9,7 @@ from hdist.grid import Grid, pairing
 from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, field_function,
                             make_field, make_symbol, riesz_symbol)
 from hdist.sobolev import CONCENTRATION, SequenceFamily
-from hdist.specbasis import HermiteBasis
+from hdist.specbasis import HermiteBasis, hermite_values
 from hdist.symbol import SphericalHarmonicBasis
 from hdist.util import AliasingError
 
@@ -232,8 +232,11 @@ class TestZeroCheck:
         assert res["consistent"]
         assert res["strong_fit_exponent"] == pytest.approx(-0.5, abs=0.1)
 
-    def test_unscaled_family_contrapositive(self, setup):
-        g, a = setup["grid"], setup["a"]
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_unscaled_family_contrapositive(self, setup, scale):
+        # the verdict reads the data only against their own baseline scale, so
+        # an amplitude of 1e-6 (tensor entries near 1e-13) changes nothing
+        g, a = setup["grid"], setup["a"] * scale
         u = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
                            indices=setup["ns"])
         us = samples(u)
@@ -282,3 +285,28 @@ class TestConcentrationOracle:
         fam.guard(4)  # n h = w/4 exactly: allowed
         with pytest.raises(AliasingError):
             fam.guard(8)
+
+    def test_tensor_degrees_match_the_h_measure(self):
+        # the H-measure of u_n is delta_0 x nu with nu = cos^2(theta) / (8 pi^2)
+        # on the circle, so entry (h_m, Y) tends to h_m(0) int_{S^1} Y nu.
+        # Degrees 0 and 2 carry nu; the error left there is the three-index
+        # extrapolation's (2.2e-3 and 1.35e-3 of max|oracle| at N = 512).
+        g = Grid(2, 512, 16.0)  # n h <= w/4 at every index
+        amp = field_function(2, {"product": [
+            {"name": "coordinate", "params": {"axis": 0}}, "gaussian"]})
+        fam = SequenceFamily(g, CONCENTRATION, indices=(2, 4, 8), amplitude_fn=amp)
+        hb, sb = HermiteBasis.build(g, 4), SphericalHarmonicBasis.build(2, 6)
+        us = samples(fam)
+        tensor = mu_tensor(fam.indices, us, us, hb, sb)
+
+        theta = 2 * np.pi * np.arange(64) / 64  # exact for degree < 62
+        nu = np.cos(theta) ** 2 / (8 * np.pi**2)
+        circle = np.stack([np.cos(theta), np.sin(theta)])
+        sphere = np.array([2 * np.pi * np.mean(sb.evaluate(n, j, circle) * nu)
+                           for n, j in sb.indices])
+        h0 = hermite_values(4, np.zeros(1))[:, 0]
+        oracle = np.outer([h0[m1] * h0[m2] for m1, m2 in hb.indices()], sphere)
+
+        error = np.abs(tensor["entries"] - oracle) / np.max(np.abs(oracle))
+        for b, (deg, _) in enumerate(sb.indices):
+            assert np.max(error[:, b]) <= (5e-3 if deg in (0, 2) else 1e-12), deg

@@ -7,8 +7,8 @@ from hdist.fitting import fit_limit
 from hdist.grid import Grid, lp_norm, pairing
 from hdist.localization import (build_instance, i1_chain_check,
                                 localization_verdict)
-from hdist.multiplier import (bessel_potential, derivative, from_symbol, riesz,
-                              riesz_potential)
+from hdist.multiplier import (MultiplierOperator, bessel_potential, derivative,
+                              from_symbol, riesz, riesz_potential)
 from hdist.registry import constant_symbol, make_field, riesz_symbol
 from hdist.sobolev import SequenceFamily, wkq_norm
 
@@ -197,7 +197,7 @@ def operator_chain(inst, phi1, phi2, psi):
                               direction=fam.direction, indices=fam.indices, k=fam.k,
                               order=-fam.k)
     op = from_symbol(grid, psi)
-    op_adj = op.adjoint()
+    op_adj = MultiplierOperator(grid, np.conj(op.m))
     pot = riesz_potential(grid)
     smooth = bessel_potential(grid, -float(fam.k + 1))
     units = [tuple(int(i == j) for i in range(grid.d)) for j in range(grid.d)]
