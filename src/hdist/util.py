@@ -45,14 +45,18 @@ def jsonable(obj):
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+        if np.iscomplexobj(obj):
+            return np.stack([obj.real, obj.imag], axis=-1).tolist()
+        return obj.tolist()
     return obj
 
 
 def dump_json(obj) -> str:
-    """Canonical (sorted-key, fixed-format) strict JSON text of obj, ending in
-    a newline; deterministic.  NaN and infinities raise ValueError."""
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical (sorted-key, compact) strict JSON text of obj, ending in a
+    newline; deterministic.  NaN and infinities raise ValueError."""
+    # json uses its C encoder only when indent is None.
+    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 def canonical_hash(obj):
