@@ -215,9 +215,13 @@ def linf_norm(f: GridFunction) -> float:
 def pairing(u: GridFunction, v: GridFunction) -> complex:
     """Sesquilinear quadrature pairing (L/N)^d sum u(x_j) conj(v(x_j)).
 
-    Conjugate symmetric: pairing(u, v) == conj(pairing(v, u)).
+    Conjugate symmetric: pairing(u, v) == conj(pairing(v, u)).  Summed
+    pairwise by numpy, not by a BLAS vdot, whose result depends on the BLAS
+    thread count.
     """
     if u.grid != v.grid:
         raise ValueError("grid mismatch")
-    return complex(u.grid.cell_volume * np.vdot(v.values, u.values))
+    prod = np.conj(v.values)
+    prod *= u.values
+    return complex(u.grid.cell_volume * prod.sum())
 

@@ -1,5 +1,9 @@
 import functools
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,31 @@ class TestPairing:
         uh, vh = dft(u), dft(v)
         rhs = np.sum(uh * np.conj(vh)) / grid.L**2
         assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
+
+    def test_independent_of_blas_threads(self):
+        """One fixed pair of random 256^2 fields pairs to the same bits with
+        1 and 2 BLAS threads: artifacts must not depend on the machine's
+        thread count."""
+        import hdist
+
+        script = (
+            "import numpy as np\n"
+            "from hdist.grid import Grid, GridFunction, pairing\n"
+            "grid = Grid(2, 256, 16.0)\n"
+            "rng = np.random.default_rng(2016)\n"
+            "u, v = (GridFunction(grid, rng.normal(size=grid.shape)"
+            " + 1j * rng.normal(size=grid.shape)) for _ in range(2))\n"
+            "print(repr(pairing(u, v)))\n"
+        )
+        src = str(Path(hdist.__file__).resolve().parents[1])
+        reprs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            reprs.append(proc.stdout.strip())
+        assert reprs[0] == reprs[1]
 
 
 class TestRoundTrip:
