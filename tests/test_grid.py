@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hdist
 from hdist.grid import (Grid, GridFunction, dft, idft, linf_norm, lp_norm,
                         pairing)
 
@@ -198,8 +199,6 @@ class TestPairing:
         """One fixed pair of random 256^2 fields pairs to the same bits with
         1 and 2 BLAS threads: artifacts must not depend on the machine's
         thread count."""
-        import hdist
-
         script = (
             "import numpy as np\n"
             "from hdist.grid import Grid, GridFunction, pairing\n"
