@@ -66,8 +66,8 @@ def mu_tensor(ns, us, vs, hermite_basis: HermiteBasis,
     m_flat = (hermite_basis.m_max + 1) ** grid.d
     b_sphere = sphere_basis.size
     per_n = np.empty((len(ns), m_flat, b_sphere), dtype=complex)
-    for b, (deg, j) in enumerate(sphere_basis.indices):
-        m_adj = np.conj(from_symbol(grid, sphere_basis.symbol(deg, j)).m)
+    for b, row in enumerate(sphere_basis.lattice_rows(grid)):
+        m_adj = np.conj(row)
         for i, (u, v_hat) in enumerate(zip(us, v_spectra)):
             w = idft(grid, m_adj * v_hat)
             slab = hermite_basis.analyze(u * w.conj())

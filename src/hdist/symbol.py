@@ -140,16 +140,27 @@ class SphericalHarmonicBasis:
             raise ValueError(f"harmonic j={j} outside 1..{harmonic_count(n, self.d)} at n={n}")
         return _harmonic_values(self.d, n, j, np.asarray(points, dtype=float))
 
-    def symbol(self, n, j) -> SphericalSymbol:
-        """The harmonic Y_{n,j} wrapped as a multiplier symbol."""
-        mean = 0.0 if n > 0 else 1.0 / np.sqrt(2 * np.pi) if self.d == 2 else \
-            1.0 / np.sqrt(4 * np.pi)
-        return SphericalSymbol(
-            self.d,
-            lambda xi, n=n, j=j: self.evaluate(n, j, xi),
-            name=f"harmonic_{n}_{j}",
-            sphere_mean=mean,
-        )
+    def lattice_rows(self, grid):
+        """Yield each Y_b at the lattice directions xi/|xi|, in indices order,
+        one array at a time (B stacked arrays would set peak memory); the zero
+        mode is the sphere mean.  In d = 2, Y_{n,1} = z^n / sqrt(2 pi) =
+        conj(Y_{n,2}) with z = (xi_1 + i xi_2) / |xi|, which is 0 at xi = 0."""
+        if self.d == 2:
+            z = (grid.xi_axes[0] + 1j * grid.xi_axes[1]) / grid.xi_norm_safe
+            p = np.full(grid.shape, 1.0 / np.sqrt(2 * np.pi), dtype=complex)
+            yield p
+            for _ in range(self.n_max):
+                p = p * z
+                yield p
+                yield np.conj(p)
+            return
+        directions = [c / grid.xi_norm_safe for c in grid.xi_axes]
+        theta = np.arccos(np.clip(directions[2], -1.0, 1.0))
+        phi = np.arctan2(directions[1], directions[0])
+        for n, j in self.indices:
+            row = sph_harm_y(n, j - 1 - n, theta, phi)
+            row[(0,) * self.d] = 1.0 / np.sqrt(4 * np.pi) if n == 0 else 0.0
+            yield row
 
 
 def sh_analyze(values, basis: SphericalHarmonicBasis):

@@ -187,6 +187,24 @@ class TestMuTensor:
                 got = tensor["entries"][mi, b]
                 assert abs(got - expected) <= 0.02 * abs(expected) + 2e-4
 
+    def test_off_axis_oscillation_orients_the_harmonics(self, grid, gaussian):
+        # along (1, 0) Y_{n,1} = Y_{n,2}, and the concentration oracle's
+        # measure is even in theta: only an off-axis direction tells the
+        # +-j rows apart (swapped, the error at degrees <= 2 reads >= 1.4)
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 1),
+                             indices=(8, 16, 32))
+        hb, sb = HermiteBasis.build(grid, 2), SphericalHarmonicBasis.build(2, 3)
+        us = samples(fam)
+        tensor = mu_tensor(fam.indices, us, us, hb, sb)
+        direction = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
+        sphere = np.array([complex(sb.evaluate(n, j, direction)[0]) for n, j in sb.indices])
+        oracle = np.outer(hb.analyze(gaussian * gaussian.conj()).ravel(), sphere)
+
+        error = np.abs(tensor["entries"] - oracle) / np.max(np.abs(oracle))
+        for b, (deg, _) in enumerate(sb.indices):
+            if deg <= 2:
+                assert np.max(error[:, b]) <= 1e-2, (deg, np.max(error[:, b]))
+
     def test_serialization(self, grid, family):
         hb = HermiteBasis.build(grid, 1)
         sb = SphericalHarmonicBasis.build(2, 1)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hdist.symbol import (SphericalHarmonicBasis, circle_quadrature,
+from hdist.grid import Grid
+from hdist.multiplier import from_symbol
+from hdist.symbol import (SphericalHarmonicBasis, SphericalSymbol, circle_quadrature,
                           hs_sphere_norm, s2_quadrature, sh_analyze)
 
 
@@ -64,6 +68,34 @@ class TestHarmonicTransforms:
         f = 1.0 + nodes[0] + 0.3 * nodes[2] ** 2
         back = sh_analyze(f, basis) @ basis.table
         assert np.max(np.abs(back - f)) < 1e-8
+
+
+class TestLatticeRows:
+    @pytest.mark.parametrize("d, n, n_max", [(2, 64, 12), (3, 16, 5)])
+    def test_rows_match_the_symbol_route(self, d, n, n_max):
+        # the reference: each harmonic wrapped as a symbol and evaluated at
+        # the lattice directions, zero mode set to its sphere mean
+        grid, basis = Grid(d, n, 8.0), SphericalHarmonicBasis.build(d, n_max)
+        rows = list(basis.lattice_rows(grid))
+        assert len(rows) == basis.size
+        for (deg, j), row in zip(basis.indices, rows):
+            mean = 0.0 if deg > 0 else 1.0 / np.sqrt(2 * np.pi if d == 2 else 4 * np.pi)
+            psi = SphericalSymbol(d, lambda xi, deg=deg, j=j: basis.evaluate(deg, j, xi),
+                                  sphere_mean=mean)
+            assert np.max(np.abs(row - from_symbol(grid, psi).m)) <= 1e-14, (deg, j)
+            assert row[(0,) * d] == mean
+
+    def test_rows_are_yielded_one_at_a_time(self):
+        # the 25 rows at 256^2 stacked would hold 25 MiB
+        grid, basis = Grid(2, 256, 16.0), SphericalHarmonicBasis.build(2, 12)
+        tracemalloc.start()
+        try:
+            for _ in basis.lattice_rows(grid):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSphereNorm:
