@@ -145,6 +145,8 @@ class SphericalHarmonicBasis:
         one array at a time (B stacked arrays would set peak memory); the zero
         mode is the sphere mean.  In d = 2, Y_{n,1} = z^n / sqrt(2 pi) =
         conj(Y_{n,2}) with z = (xi_1 + i xi_2) / |xi|, which is 0 at xi = 0."""
+        if grid.d != self.d:
+            raise ValueError(f"basis dimension {self.d} != grid dimension {grid.d}")
         if self.d == 2:
             z = (grid.xi_axes[0] + 1j * grid.xi_axes[1]) / grid.xi_norm_safe
             p = np.full(grid.shape, 1.0 / np.sqrt(2 * np.pi), dtype=complex)

@@ -85,6 +85,12 @@ class TestLatticeRows:
             assert np.max(np.abs(row - from_symbol(grid, psi).m)) <= 1e-14, (deg, j)
             assert row[(0,) * d] == mean
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_refuse_a_grid_of_another_dimension(self, d):
+        basis = SphericalHarmonicBasis.build(d, 2)
+        with pytest.raises(ValueError, match="dimension"):
+            next(basis.lattice_rows(Grid(5 - d, 8, 8.0)))
+
     def test_rows_are_yielded_one_at_a_time(self):
         # the 25 rows at 256^2 stacked would hold 25 MiB
         grid, basis = Grid(2, 256, 16.0), SphericalHarmonicBasis.build(2, 12)
