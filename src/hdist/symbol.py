@@ -3,8 +3,9 @@ harmonics.
 
 A symbol is given by an evaluator on unit vectors and its exact mean over
 the sphere; the induced multiplier takes psi(xi/|xi|) off the zero mode
-and the mean on it.  Spherical harmonics through a degree n_max, tabulated
-on a quadrature exact through 2 n_max, give the xi side of the test basis.
+and the mean on it.  Spherical harmonics through a degree n_max give the xi
+side of the test basis; one generator evaluates them, both on a quadrature
+exact through 2 n_max and at the lattice directions xi/|xi|.
 """
 
 from __future__ import annotations
@@ -86,24 +87,27 @@ def default_quadrature(d: int, degree: int) -> SphereQuadrature:
 # ---------------------------------------------------------------------------
 # spherical harmonics
 
-def harmonic_count(n: int, d: int) -> int:
-    """Dimension of the degree-n harmonics: 1 or 2 on S^1, 2n+1 on S^2."""
+def _harmonics(d, n_max, x, r=1.0):
+    """Yield ((n, j), Y_{n,j}) at the unit vectors x / r through degree n_max,
+    one array at a time in basis order (j is 1-based).  x is (d, ...) and r
+    broadcasts against each component.  In d = 2, Y_{n,1} = z^n / sqrt(2 pi)
+    = conj(Y_{n,2}) with z = (x_1 + i x_2) / r, one multiply per degree; in
+    d = 3, sph_harm_y once per harmonic on angles computed once."""
     if d == 2:
-        return 1 if n == 0 else 2
-    return 2 * n + 1
-
-
-def _harmonic_values(d, n, j, nodes):
-    if d == 2:
-        theta = np.arctan2(nodes[1], nodes[0])
-        if n == 0:
-            return np.full(nodes.shape[1], 1.0 / np.sqrt(2 * np.pi), dtype=complex)
-        sign = 1 if j == 1 else -1
-        return np.exp(sign * 1j * n * theta) / np.sqrt(2 * np.pi)
-    theta = np.arccos(np.clip(nodes[2], -1.0, 1.0))
-    phi = np.arctan2(nodes[1], nodes[0])
-    m = j - 1 - n
-    return sph_harm_y(n, m, theta, phi)
+        z = (x[0] + 1j * x[1]) / r
+        p = np.full(z.shape, 1.0 / np.sqrt(2 * np.pi), dtype=complex)
+        yield (0, 1), p
+        for n in range(1, n_max + 1):
+            p = p * z
+            yield (n, 1), p
+            yield (n, 2), np.conj(p)
+        return
+    u = [c / r for c in x]
+    theta = np.arccos(np.clip(u[2], -1.0, 1.0))
+    phi = np.arctan2(u[1], u[0])
+    for n in range(n_max + 1):
+        for j in range(1, 2 * n + 2):
+            yield (n, j), sph_harm_y(n, j - 1 - n, theta, phi)
 
 
 @dataclass(frozen=True)
@@ -120,15 +124,8 @@ class SphericalHarmonicBasis:
     @classmethod
     def build(cls, d, n_max):
         quadrature = default_quadrature(d, 2 * n_max)
-        idx = [
-            (n, j)
-            for n in range(n_max + 1)
-            for j in range(1, harmonic_count(n, d) + 1)
-        ]
-        table = np.stack(
-            [_harmonic_values(d, n, j, quadrature.nodes) for n, j in idx]
-        )
-        return cls(d, n_max, quadrature, tuple(idx), table)
+        idx, rows = zip(*_harmonics(d, n_max, quadrature.nodes))
+        return cls(d, n_max, quadrature, idx, np.stack(rows))
 
     @property
     def size(self):
@@ -136,32 +133,23 @@ class SphericalHarmonicBasis:
 
     def evaluate(self, n, j, points):
         """Basis function values at arbitrary unit vectors (d, M)."""
-        if not 1 <= j <= harmonic_count(n, self.d):
-            raise ValueError(f"harmonic j={j} outside 1..{harmonic_count(n, self.d)} at n={n}")
-        return _harmonic_values(self.d, n, j, np.asarray(points, dtype=float))
+        for nj, values in _harmonics(self.d, n, np.asarray(points, dtype=float)):
+            if nj == (n, j):
+                return values
+        raise ValueError(f"no harmonic (n, j) = ({n}, {j}) on S^{self.d - 1}")
 
     def lattice_rows(self, grid):
         """Yield each Y_b at the lattice directions xi/|xi|, in indices order,
-        one array at a time (B stacked arrays would set peak memory); the zero
-        mode is the sphere mean.  In d = 2, Y_{n,1} = z^n / sqrt(2 pi) =
-        conj(Y_{n,2}) with z = (xi_1 + i xi_2) / |xi|, which is 0 at xi = 0."""
+        one array at a time (B stacked arrays would set peak memory), with the
+        sphere mean at the zero mode.  The same recurrence as the quadrature
+        table, on x = xi and r = |xi|."""
         if grid.d != self.d:
             raise ValueError(f"basis dimension {self.d} != grid dimension {grid.d}")
-        if self.d == 2:
-            z = (grid.xi_axes[0] + 1j * grid.xi_axes[1]) / grid.xi_norm_safe
-            p = np.full(grid.shape, 1.0 / np.sqrt(2 * np.pi), dtype=complex)
-            yield p
-            for _ in range(self.n_max):
-                p = p * z
-                yield p
-                yield np.conj(p)
-            return
-        directions = [c / grid.xi_norm_safe for c in grid.xi_axes]
-        theta = np.arccos(np.clip(directions[2], -1.0, 1.0))
-        phi = np.arctan2(directions[1], directions[0])
-        for n, j in self.indices:
-            row = sph_harm_y(n, j - 1 - n, theta, phi)
-            row[(0,) * self.d] = 1.0 / np.sqrt(4 * np.pi) if n == 0 else 0.0
+        mean = 1.0 / np.sqrt(2 * np.pi if self.d == 2 else 4 * np.pi)
+        for (n, _), row in _harmonics(self.d, self.n_max, grid.xi_axes, grid.xi_norm_safe):
+            # in d = 2 the row is the recurrence's p, but z is 0 at the zero
+            # mode, so this write leaves the later degrees unchanged
+            row[(0,) * self.d] = mean if n == 0 else 0.0
             yield row
 
 

@@ -2,11 +2,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import sph_harm_y
 
 from hdist.grid import Grid
 from hdist.multiplier import from_symbol
-from hdist.symbol import (SphericalHarmonicBasis, SphericalSymbol, circle_quadrature,
-                          hs_sphere_norm, s2_quadrature, sh_analyze)
+from hdist.symbol import (SphericalHarmonicBasis, SphericalSymbol, _harmonics,
+                          circle_quadrature, hs_sphere_norm, s2_quadrature, sh_analyze)
+
+
+def angle_route(d, n, j, x):
+    """Y_{n,j} at the unit vectors x (d, M) from their angles: exp(+-i n theta)
+    on the circle, sph_harm_y on the sphere.  The reference for the
+    recurrence that the package evaluates."""
+    azimuth = np.arctan2(x[1], x[0])
+    if d == 2:
+        sign = 1 if j == 1 else -1
+        return np.exp(sign * 1j * n * azimuth) / np.sqrt(2 * np.pi)
+    return sph_harm_y(n, j - 1 - n, np.arccos(np.clip(x[2], -1.0, 1.0)), azimuth)
 
 
 class TestQuadrature:
@@ -71,16 +84,26 @@ class TestHarmonicTransforms:
 
 
 class TestLatticeRows:
-    @pytest.mark.parametrize("d, n, n_max", [(2, 64, 12), (3, 16, 5)])
+    @pytest.mark.parametrize("d, n, n_max", [
+        (2, 64, 12), (3, 16, 5),
+        # n = None: the quadrature table, against the angle route at its nodes
+        pytest.param(2, None, 16, id="table-2-16"), pytest.param(3, None, 16, id="table-3-16"),
+    ])
     def test_rows_match_the_symbol_route(self, d, n, n_max):
-        # the reference: each harmonic wrapped as a symbol and evaluated at
-        # the lattice directions, zero mode set to its sphere mean
-        grid, basis = Grid(d, n, 8.0), SphericalHarmonicBasis.build(d, n_max)
+        # the reference on the lattice: the angle route wrapped as a symbol
+        # and evaluated at the lattice directions, zero mode set to its mean
+        basis = SphericalHarmonicBasis.build(d, n_max)
+        if n is None:
+            nodes = basis.quadrature.nodes
+            for (deg, j), row in zip(basis.indices, basis.table):
+                assert np.max(np.abs(row - angle_route(d, deg, j, nodes))) <= 1e-14, (deg, j)
+            return
+        grid = Grid(d, n, 8.0)
         rows = list(basis.lattice_rows(grid))
         assert len(rows) == basis.size
         for (deg, j), row in zip(basis.indices, rows):
             mean = 0.0 if deg > 0 else 1.0 / np.sqrt(2 * np.pi if d == 2 else 4 * np.pi)
-            psi = SphericalSymbol(d, lambda xi, deg=deg, j=j: basis.evaluate(deg, j, xi),
+            psi = SphericalSymbol(d, lambda xi, deg=deg, j=j: angle_route(d, deg, j, xi),
                                   sphere_mean=mean)
             assert np.max(np.abs(row - from_symbol(grid, psi).m)) <= 1e-14, (deg, j)
             assert row[(0,) * d] == mean
@@ -102,6 +125,31 @@ class TestLatticeRows:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestAdditionTheorem:
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.sampled_from([2, 3]), n_max=st.integers(0, 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_degree_sums_and_missing_harmonics(self, d, n_max, seed):
+        # sum_j |Y_{n,j}|^2 is 1/(2 pi) at n = 0 and 1/pi above on the
+        # circle, (2n+1)/(4 pi) on the sphere; x / |x| are the unit vectors
+        x = np.random.default_rng(seed).normal(size=(d, 8))
+        sums = np.zeros((n_max + 1, 8))
+        for (n, _), y in _harmonics(d, n_max, x, np.linalg.norm(x, axis=0)):
+            sums[n] += np.abs(y) ** 2
+        n = np.arange(n_max + 1)[:, None]
+        expected = (np.where(n == 0, 1.0, 2.0) / (2 * np.pi) if d == 2
+                    else (2 * n + 1) / (4 * np.pi))
+        np.testing.assert_allclose(sums, np.broadcast_to(expected, sums.shape), rtol=1e-12)
+
+        basis = SphericalHarmonicBasis.build(d, 0)
+        count = (1 if n_max == 0 else 2) if d == 2 else 2 * n_max + 1
+        unit = x / np.linalg.norm(x, axis=0)
+        assert basis.evaluate(n_max, count, unit).shape == (8,)
+        for j in (0, count + 1):
+            with pytest.raises(ValueError):
+                basis.evaluate(n_max, j, unit)
 
 
 class TestSphereNorm:
