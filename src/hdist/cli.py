@@ -299,7 +299,7 @@ _KIND_KEYS = {"order": ("scaled_oscillation",), "k": ("scaled_oscillation",),
 
 
 def _family(grid: Grid, spec) -> SequenceFamily:
-    """The family of a config spec, with every index it will sample guarded."""
+    """The family of a config spec, every index guarded by SequenceFamily."""
     unread = sorted(key for key, kinds in _KIND_KEYS.items()
                     if key in spec and spec["kind"] not in kinds)
     if unread:
@@ -312,10 +312,7 @@ def _family(grid: Grid, spec) -> SequenceFamily:
         kw["amplitude_fn"] = field_function(grid.d, spec["amplitude"])
     else:
         kw["amplitude"] = make_field(grid, spec["amplitude"])
-    family = SequenceFamily(grid, **kw)
-    for n in family.indices:
-        family.guard(n)
-    return family
+    return SequenceFamily(grid, **kw)
 
 
 def _present(cfg, **types) -> dict:

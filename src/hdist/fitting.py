@@ -15,6 +15,9 @@ DECAY_THRESHOLD = 1e-10
 # the decay model wins when its residual is within this factor of the best
 # offset residual
 DECAY_PREFERENCE = 3.0
+# the slowest power decay n^(-rate) read as decay to zero, by fit_limit's decay
+# model and by strong_null_probe's strongly_null verdict
+MIN_DECAY_RATE = 0.25
 # offset residuals closer than this times the largest |value| are a tie
 ROUNDING = 64 * np.finfo(float).eps
 
@@ -113,11 +116,11 @@ def fit_limit(ns, values) -> LimitFit:
     beta = np.where(use_2, 2.0, 1.0)
 
     # pure decay c1 * n^(-gamma), admissible only for nonzero magnitudes
-    # that fall by a quarter and decay at a rate of at least 1/4
+    # that fall by a quarter and decay at a rate of at least MIN_DECAY_RATE
     decay = np.all(mags > ZERO_FLOOR, axis=0) & (mags[-1] <= 0.75 * mags[0])
     slope = np.polyfit(np.log(ns), np.log(np.where(decay, mags, 1.0)), 1)[0]
     gamma = np.where(decay, -slope, 0.0)
-    decay &= gamma >= 0.25
+    decay &= gamma >= MIN_DECAY_RATE
     basis = (ns[:, None] ** (-gamma)).astype(complex)
     c1 = np.sum(basis.conj() * table, axis=0) / np.sum(basis.conj() * basis, axis=0)
     decay_resid = _rms(table - c1 * basis)

@@ -89,10 +89,10 @@ def zero_mu_strong_convergence_check(
     of the tensor from these samples) with strong-norm decay.
 
     A tensor below threshold should come with decaying localized surrogate
-    norms (fitted exponent < -0.25); a clearly nonzero tensor is consistent
-    with non-decaying norms.  The threshold is 1e-3 of the baseline scale
-    max_n |<phi u_n, phi v_n>|, so the verdict is invariant under rescaling
-    the data.
+    norms (fitted exponent < -MIN_DECAY_RATE); a clearly nonzero tensor is
+    consistent with non-decaying norms.  The threshold is 1e-3 of the baseline
+    scale max_n |<phi u_n, phi v_n>|, so the verdict is invariant under
+    rescaling the data.
     """
     scale = max(abs(pairing(baseline_phi * u, baseline_phi * v))
                 for u, v in zip(us, vs))

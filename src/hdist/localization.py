@@ -71,7 +71,7 @@ def build_instance(grid: Grid, coefficient_specs, amplitude_spec, direction,
     For a characteristic instance every coefficient whose direction component
     is nonzero is multiplied by the shell cutoff (registry params `cutoff`),
     which vanishes on the amplitude's support and so makes A(x).xi0 = 0
-    there by construction.  The family is guarded at every index.
+    there by construction.  The family guards every index when it is built.
     """
     if grid.d != 3:
         raise ValueError("transport experiment runs on d = 3 grids only")
@@ -90,8 +90,6 @@ def build_instance(grid: Grid, coefficient_specs, amplitude_spec, direction,
         if characteristic and family.direction[axis] != 0:
             a_i = a_i * cutoff
         coeffs.append(a_i)
-    for n in family.indices:
-        family.guard(n)
     return TransportInstance(tuple(coeffs), p, q, characteristic, family)
 
 

@@ -40,8 +40,7 @@ def from_symbol(grid: Grid, psi: SphericalSymbol) -> MultiplierOperator:
     """Multiplier with values psi(xi/|xi|); zero mode = sphere average of psi."""
     if psi.d != grid.d:
         raise ValueError(f"symbol dimension {psi.d} != grid dimension {grid.d}")
-    directions = np.stack([(c / grid.xi_norm_safe).ravel() for c in grid.xi_axes])
-    values = psi(directions).reshape(grid.shape).astype(np.complex128)
+    values = psi([c / grid.xi_norm_safe for c in grid.xi_axes])
     values[(0,) * grid.d] = complex(psi.sphere_mean)
     return MultiplierOperator(grid, values)
 

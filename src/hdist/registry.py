@@ -183,45 +183,32 @@ def constant_symbol(d, value=1.0):
     v = complex(value)
     return SphericalSymbol(
         d,
-        lambda xi: np.full(xi.shape[1], v),
+        lambda xi: np.full(xi.shape[1:], v),
         name="constant_one" if v == 1.0 else f"constant_{value}",
         sphere_mean=v,
     )
 
 
-def coordinate_symbol(d, axis=0):
+def _odd_axis_symbol(d, axis, label, fn):
+    """fn as the symbol label_{axis+1}: a function of xi_j alone, odd in it."""
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for d={d}")
-    return SphericalSymbol(
-        d,
-        lambda xi: xi[axis].astype(complex),
-        name=f"coordinate_{axis + 1}",
-        sphere_mean=0.0,
-    )
+    return SphericalSymbol(d, fn, name=f"{label}_{axis + 1}", sphere_mean=0.0)
+
+
+def coordinate_symbol(d, axis=0):
+    return _odd_axis_symbol(d, axis, "coordinate", lambda xi: xi[axis].astype(complex))
 
 
 def riesz_symbol(d, axis=0):
     """Symbol xi_j / (i |xi|) of the j-th Riesz transform."""
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for d={d}")
-    return SphericalSymbol(
-        d,
-        lambda xi: -1j * xi[axis],
-        name=f"riesz_{axis + 1}",
-        sphere_mean=0.0,
-    )
+    return _odd_axis_symbol(d, axis, "riesz", lambda xi: -1j * xi[axis])
 
 
 def smoothed_sign_symbol(d, axis=0, eps=0.25):
     """tanh(xi_j / eps): a smooth odd step across the hyperplane xi_j = 0."""
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for d={d}")
-    return SphericalSymbol(
-        d,
-        lambda xi: np.tanh(xi[axis] / eps).astype(complex),
-        name=f"smoothed_sign_{axis + 1}",
-        sphere_mean=0.0,  # odd in xi_j
-    )
+    return _odd_axis_symbol(d, axis, "smoothed_sign",
+                            lambda xi: np.tanh(xi[axis] / eps).astype(complex))
 
 
 SYMBOL_BUILTINS = {

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fitting import fit_decay
+from .fitting import MIN_DECAY_RATE, fit_decay
 from .grid import Grid, GridFunction, dft, idft, lp_norm, magnitude_lp_norm
 from .multiplier import bessel_potential, derivative_op
 from .util import AliasingError, multi_indices
@@ -90,7 +90,8 @@ class SequenceFamily:
 
     An extra n^{prefactor_power} factor (default 0) lets families decay or
     grow on top of the kind's own scaling.  direction defaults to e_1 of the
-    grid, and order to k for a scaled oscillation (unused otherwise).
+    grid, and order to k for a scaled oscillation (unused otherwise).  Every
+    index in indices is guarded at build; u(n) and spectral_shift(n) guard n.
     """
 
     grid: Grid
@@ -123,6 +124,8 @@ class SequenceFamily:
             xi0 = np.asarray(self.direction)
             if len(xi0) != self.grid.d or not np.any(xi0):
                 raise ValueError("direction must be a nonzero integer lattice vector")
+        for n in self.indices:
+            self.guard(n)
 
     def guard(self, n: int):
         """Refuse indices whose spectrum leaves the safe band."""
@@ -212,5 +215,5 @@ def strong_null_probe(ns, us, theta: GridFunction, k: int, p: float) -> dict:
     table = decay_table(ns, {"surrogate_norm": norms}, meta)
     fit = table["fits"]["surrogate_norm"]
     meta["strongly_null"] = fit["all_below_threshold"] or (
-        fit["exponent"] is not None and fit["exponent"] < -0.25)
+        fit["exponent"] is not None and fit["exponent"] < -MIN_DECAY_RATE)
     return table

@@ -24,7 +24,7 @@ class SphericalSymbol:
     Parameters
     ----------
     d : ambient dimension (2 or 3).
-    eval : vectorized map from unit vectors, shape (d, M) -> (M,) complex.
+    eval : vectorized map from unit vectors, shape (d, ...) -> (...) complex.
     name : registry identifier.
     sphere_mean : exact mean over the sphere, the zero frequency mode of the
         induced multiplier.
@@ -36,7 +36,7 @@ class SphericalSymbol:
     sphere_mean: complex = field(kw_only=True)
 
     def __call__(self, xi):
-        """Evaluate at unit vectors, shape (d, M)."""
+        """Evaluate at unit vectors, shape (d, ...)."""
         return np.asarray(self.eval(np.asarray(xi, dtype=float)), dtype=complex)
 
 

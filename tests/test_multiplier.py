@@ -235,8 +235,17 @@ class TestLatticeArrays:
         m = np.where(r == 0, 0.0, 1.0 / (2 * np.pi * safe))
         assert (riesz_potential(g).m.tobytes()
                 == m.astype(np.complex128).tobytes())
-        psi = smoothed_sign_symbol(d, int(rng.integers(0, d)), eps=0.3)
+        # every registry symbol valid for d against the stacked (d, N^d) route
         directions = np.stack([(c / safe).ravel() for c in mesh])
-        m = psi(directions).reshape(g.shape).astype(np.complex128)
-        m[(0,) * d] = from_symbol(g, psi).m[(0,) * d]
-        assert from_symbol(g, psi).m.tobytes() == m.tobytes()
+        params = {"constant_one": {"value": -2.5},
+                  "smoothed_sign": {"axis": int(rng.integers(0, d)), "eps": 0.3}}
+        for name in SYMBOL_BUILTINS:
+            if name[-1].isdigit() and int(name[-1]) > d:
+                continue
+            psi = make_symbol(d, {"name": name, "params": params.get(name, {})})
+            m = psi(directions).reshape(g.shape).astype(np.complex128)
+            m[(0,) * d] = psi.sphere_mean
+            assert from_symbol(g, psi).m.tobytes() == m.tobytes(), name
+        for axis in range(d):  # riesz keeps its own formula; the values agree
+            assert np.array_equal(riesz(g, axis).m,
+                                  from_symbol(g, riesz_symbol(d, axis)).m)
