@@ -79,10 +79,9 @@ _SYMBOL_SPEC = {"oneOf": _NAMED_SPEC}
 _FAMILY_SPEC = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["oscillation", "scaled_oscillation", "concentration"]},
+        "kind": {"enum": ["oscillation", "concentration"]},
         "amplitude": {"$ref": "#/$defs/field"},
         "direction": {"type": "array", "items": {"type": "integer"}},
-        "k": {"type": "integer", "minimum": 0},
         "p": {"type": "number", "exclusiveMinimum": 1},
         "indices": {"type": "array", "items": {"type": "integer", "minimum": 1},
                     "minItems": 1},
@@ -292,10 +291,9 @@ def load_config(path):
 # builders
 
 # family keys that only some kinds read
-_KIND_KEYS = {"order": ("scaled_oscillation",), "k": ("scaled_oscillation",),
+_KIND_KEYS = {"order": ("oscillation",), "direction": ("oscillation",),
               "p": ("concentration",), "center": ("concentration",),
-              "profile_width": ("concentration",),
-              "direction": ("oscillation", "scaled_oscillation")}
+              "profile_width": ("concentration",)}
 
 
 def _family(grid: Grid, spec) -> SequenceFamily:

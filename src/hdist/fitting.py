@@ -80,7 +80,7 @@ def _rms(resid):
 
 
 def fit_limit(ns, values) -> LimitFit:
-    """Extrapolate lim values(n) from at least three indices.
+    """Extrapolate lim values(n) from at least three distinct indices.
 
     values has shape (len(ns),) for one sequence or (len(ns), E) for a
     table whose E columns are fitted independently with the same models.
@@ -91,8 +91,8 @@ def fit_limit(ns, values) -> LimitFit:
     offset residual: when a pure decay explains the data about as well, the
     offset's constant is spurious.
     """
-    if len(ns) < 3:
-        raise ValueError("need at least 3 records to extrapolate")
+    if len(set(ns)) < 3:
+        raise ValueError("need at least 3 distinct indices to extrapolate")
     order = np.argsort(ns, kind="stable")
     ns_sorted = tuple(int(ns[i]) for i in order)
     ns = np.asarray(ns, dtype=float)[order]

@@ -24,7 +24,7 @@ from .fitting import LimitFit, fit_decay, fit_limit
 from .grid import Grid, GridFunction, conj_sum, dft, idft, lp_norm, pairing
 from .multiplier import bessel_potential, from_symbol, riesz, riesz_potential
 from .registry import make_field
-from .sobolev import SCALED_OSCILLATION, SequenceFamily, decay_table, wkq_norm
+from .sobolev import OSCILLATION, SequenceFamily, decay_table, wkq_norm
 from .symbol import SphericalSymbol
 
 
@@ -35,10 +35,10 @@ TOL_CHAR = 0.05
 
 @dataclass(frozen=True)
 class TransportInstance:
-    """One configured transport experiment.  The family u_n (order +k) holds
-    the grid, amplitude, direction, k and indices; its dual companion v_n
-    (order -k) is (2 pi n |xi0| / L)^{-2k} u_n, so it has no family of its
-    own."""
+    """One configured transport experiment.  The family u_n, an oscillation
+    of order +k, holds the grid, amplitude, direction, k (as its order) and
+    indices; its dual companion v_n (order -k) is (2 pi n |xi0| / L)^{-2k} u_n,
+    so it has no family of its own."""
 
     coefficients: tuple            # d GridFunctions A_1 .. A_d
     p: float
@@ -49,7 +49,7 @@ class TransportInstance:
     def v(self, n: int, u):
         """v_n from u = u_n, or dft(g v_n) from u = dft(g u_n): a scalar
         multiple, with the factor exactly 1.0 when k = 0."""
-        return u * (2 * np.pi * self.family.frequency_shift(n)) ** (-2 * self.family.k)
+        return u * (2 * np.pi * self.family.frequency_shift(n)) ** (-2 * self.family.order)
 
     def characteristic_defect(self) -> float:
         """Amplitude-weighted size of A(x).xi0 / |xi0|: sup |(A.xi0) a| / sup |a|."""
@@ -80,7 +80,7 @@ def build_instance(grid: Grid, coefficient_specs, amplitude_spec, direction,
     if not (1.0 < q < grid.d):
         raise ValueError(f"need 1 < q < d; got q={q}, d={grid.d}")
     family = SequenceFamily(
-        grid, SCALED_OSCILLATION, k=k, indices=tuple(indices),
+        grid, OSCILLATION, order=k, indices=tuple(indices),
         direction=tuple(int(c) for c in direction),
         amplitude=make_field(grid, amplitude_spec))
     cutoff = make_field(grid, {"name": "shell_cutoff", "params": cutoff or {}})
@@ -150,7 +150,7 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
     for i, n in enumerate(ns):
         w.append(idft(grid, potential * t_hat[i]))
         t_hat[i] = None
-        wkq.append(wkq_norm(phi1 * w[i], fam.k, instance.q))
+        wkq.append(wkq_norm(phi1 * w[i], fam.order, instance.q))
         rhs.append(-pairing(fam.u(n) * weight, w[i]))
     del potential, weight
 
@@ -159,7 +159,7 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
         for i, b in enumerate(spectra(a_j)):
             f_hat[i] = f_hat[i] + d_j * b
 
-    smooth = bessel_potential(grid, -float(fam.k + 1))
+    smooth = bessel_potential(grid, -float(fam.order + 1))
     rows = []
     for i, n in enumerate(ns):
         f = idft(grid, f_hat[i])

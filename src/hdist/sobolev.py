@@ -72,7 +72,6 @@ def norm_table(grid: Grid, fields, k_list, p_list) -> list:
 # weakly-null sequence generators
 
 OSCILLATION = "oscillation"
-SCALED_OSCILLATION = "scaled_oscillation"
 CONCENTRATION = "concentration"
 
 
@@ -82,39 +81,36 @@ class SequenceFamily:
 
     kinds
     -----
-    oscillation        : u_n = a(x) exp(2 pi i n xi0.x / L)
-    scaled_oscillation : the same times (2 pi n |xi0| / L)^order; order = +k
-                         keeps the W^{-k,p} surrogate norm O(1), order = -k
-                         does the job for W^{k,q}.
-    concentration      : u_n = n^{d/p} a(n (x - x0)), sampled unperiodized.
+    oscillation   : u_n = (2 pi n |xi0| / L)^order a(x) exp(2 pi i n xi0.x / L);
+                    order = +k keeps the W^{-k,p} surrogate norm O(1), order
+                    = -k does the job for W^{k,q}.
+    concentration : u_n = n^{d/p} a(n (x - x0)), sampled unperiodized.
 
     An extra n^{prefactor_power} factor (default 0) lets families decay or
     grow on top of the kind's own scaling.  direction defaults to e_1 of the
-    grid, and order to k for a scaled oscillation (unused otherwise).  Every
-    index in indices is guarded at build; u(n) and spectral_shift(n) guard n.
+    grid.  The indices are distinct, and each is guarded at build; u(n) and
+    spectral_shift(n) guard n.
     """
 
     grid: Grid
     kind: str
-    k: int = 0
     p: float = 2.0
     indices: tuple = (8, 16, 32)
     direction: Optional[tuple] = None
     amplitude: Optional[GridFunction] = field(default=None, compare=False)
     amplitude_fn: Optional[Callable] = field(default=None, compare=False)
-    order: Optional[int] = None
+    order: int = 0
     prefactor_power: float = 0.0
     center: Optional[tuple] = None
     profile_width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (OSCILLATION, SCALED_OSCILLATION, CONCENTRATION):
+        if self.kind not in (OSCILLATION, CONCENTRATION):
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if len(set(self.indices)) != len(self.indices):
+            raise ValueError(f"family indices {list(self.indices)} repeat an index")
         if self.direction is None:
             object.__setattr__(self, "direction", (1,) + (0,) * (self.grid.d - 1))
-        if self.order is None:
-            object.__setattr__(
-                self, "order", self.k if self.kind == SCALED_OSCILLATION else 0)
         if self.kind == CONCENTRATION:
             if self.amplitude_fn is None:
                 raise ValueError("concentration families need amplitude_fn")
@@ -156,7 +152,7 @@ class SequenceFamily:
         u_n = s_n a(x) exp(2 pi i n xi0.x / L), n^{prefactor_power} on top
         of a concentration's own n^{d/p}."""
         s = 1.0
-        if self.kind == SCALED_OSCILLATION and self.order != 0:
+        if self.kind == OSCILLATION and self.order != 0:
             s = (2 * np.pi * self.frequency_shift(n)) ** self.order
         if self.prefactor_power != 0.0:
             s = s * float(n) ** self.prefactor_power

@@ -236,6 +236,20 @@ class TestBuild:
                      2, id="int-param-beyond-float-range"),
         pytest.param({**NORM_CFG, "grid": {**NORM_CFG["grid"], "L": 10**400}},
                      2, id="int-grid-side-beyond-float-range"),
+        # a repeated index would leave the limit fits fewer distinct points
+        pytest.param({**SWEEP_CFG, "families": {"u": {**U_FAMILY, "indices": [8, 8, 16]}}},
+                     2, id="sweep-repeated-index"),
+        pytest.param({**LOCALIZATION_CFG, "indices": [2, 2, 4]}, 2,
+                     id="localization-repeated-index"),
+        pytest.param({**COMMUTATOR_CFG, "family": {**COMMUTATOR_CFG["family"],
+                                                   "indices": [8, 8]}},
+                     2, id="commutator-repeated-index"),
+        # one oscillation kind, whose one exponent is order
+        pytest.param({**COMMUTATOR_CFG, "family": {**COMMUTATOR_CFG["family"],
+                                                   "kind": "scaled_oscillation"}},
+                     2, id="scaled-oscillation-kind"),
+        pytest.param({**COMMUTATOR_CFG, "family": {**COMMUTATOR_CFG["family"], "k": 1}},
+                     2, id="family-k"),
         # n h = 4/8 = w/2, the old edge of the concentration guard
         pytest.param({**COMMUTATOR_CFG, "family": {"kind": "concentration",
                                                    "amplitude": "gaussian",
@@ -251,11 +265,11 @@ class TestBuild:
         assert not out.exists()
 
     @pytest.mark.parametrize("family", [
-        {"kind": "scaled_oscillation", "amplitude": "gaussian", "direction": [1, 0],
-         "k": 1, "order": -1, "prefactor_power": 0.5, "indices": [8, 16, 32]},
+        {"kind": "oscillation", "amplitude": "gaussian", "direction": [1, 0],
+         "order": -1, "prefactor_power": 0.5, "indices": [8, 16, 32]},
         {"kind": "concentration", "amplitude": "gaussian", "p": 2.0, "center": [0, 0],
          "profile_width": 2.0, "prefactor_power": 0.5, "indices": [1, 2, 4]},
-    ], ids=["scaled_oscillation", "concentration"])
+    ], ids=["oscillation", "concentration"])
     def test_family_keys_each_kind_reads(self, family, tmp_path, capsys):
         path = write_cfg(tmp_path, {**COMMUTATOR_CFG, "family": family})
         assert main(["validate", str(path)]) == 0

@@ -178,6 +178,8 @@ class TestFitLimit:
     def test_needs_three_records(self):
         with pytest.raises(ValueError):
             fit_limit([8, 16], [1.0, 2.0])
+        with pytest.raises(ValueError, match="distinct"):  # two distinct indices
+            fit_limit([8, 8, 16], [1.0, 1.0, 2.0])
 
     def test_unsorted_input(self):
         fit = fit_limit([32, 8, 16], [2 + 1 / 32, 2 + 1 / 8, 2 + 1 / 16])

@@ -150,9 +150,8 @@ def test_v_is_the_order_minus_k_family(grid, k):
     # the order -k family; at k = 0 the two agree bit for bit
     inst = make(grid, False, k=k)
     fam = inst.family
-    v_family = SequenceFamily(grid, "scaled_oscillation", amplitude=fam.amplitude,
-                              direction=fam.direction, indices=fam.indices, k=k,
-                              order=-k)
+    v_family = SequenceFamily(grid, "oscillation", amplitude=fam.amplitude,
+                              direction=fam.direction, indices=fam.indices, order=-k)
     for n in fam.indices:
         got, want = inst.v(n, fam.u(n)).values, v_family.u(n).values
         if k == 0:
@@ -193,13 +192,13 @@ def operator_chain(inst, phi1, phi2, psi):
     its own order -k family."""
     fam = inst.family
     grid = fam.grid
-    v_family = SequenceFamily(grid, "scaled_oscillation", amplitude=fam.amplitude,
-                              direction=fam.direction, indices=fam.indices, k=fam.k,
-                              order=-fam.k)
+    v_family = SequenceFamily(grid, "oscillation", amplitude=fam.amplitude,
+                              direction=fam.direction, indices=fam.indices,
+                              order=-fam.order)
     op = from_symbol(grid, psi)
     op_adj = MultiplierOperator(grid, np.conj(op.m))
     pot = riesz_potential(grid)
-    smooth = bessel_potential(grid, -float(fam.k + 1))
+    smooth = bessel_potential(grid, -float(fam.order + 1))
     units = [tuple(int(i == j) for i in range(grid.d)) for j in range(grid.d)]
     d_phi1_bar = [derivative(phi1.conj(), e) for e in units]
     rows = []
@@ -221,7 +220,7 @@ def operator_chain(inst, phi1, phi2, psi):
             "weighted": lhs,
             "residual": abs(lhs - rhs) / (1.0 + abs(lhs)),
             "rhs_norm": lp_norm(smooth.apply(phi1 * f), inst.p),
-            "rellich": wkq_norm(phi1 * w, fam.k, inst.q),
+            "rellich": wkq_norm(phi1 * w, fam.order, inst.q),
         })
     return rows
 

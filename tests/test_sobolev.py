@@ -104,16 +104,17 @@ class TestFamilies:
     def test_scaled_oscillation_norm_window(self):
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
-        fam = SequenceFamily(g, "scaled_oscillation", amplitude=a, direction=(1, 0),
-                             indices=(8, 16, 32, 64), k=1)
+        fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+                             indices=(8, 16, 32, 64), order=1)
         ref = lp_norm(a, 2.0)
         for n in fam.indices:
             ratio = surrogate_negative_norm(fam.u(n), 1, 2.0) / ref
             assert 0.5 <= ratio <= 2.0
 
     def test_scaled_inverse_order(self, grid, gaussian):
-        fam = SequenceFamily(grid, "scaled_oscillation", amplitude=gaussian,
-                             direction=(1, 0), indices=(8, 16), k=1, order=-1)
+        # an oscillation reads its order
+        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian,
+                             direction=(1, 0), indices=(8, 16), order=-1)
         scale = (2 * np.pi * fam.frequency_shift(8)) ** -1
         expected = scale * np.abs(gaussian.values)
         assert np.max(np.abs(np.abs(fam.u(8).values) - expected)) < 1e-12
@@ -142,8 +143,9 @@ class TestFamilies:
                            amplitude_fn=field_function(2, "gaussian"))
 
     def test_kind_validation(self, grid, gaussian):
-        with pytest.raises(ValueError):
-            SequenceFamily(grid, "warp", amplitude=gaussian)
+        for kind in ("warp", "scaled_oscillation"):
+            with pytest.raises(ValueError):
+                SequenceFamily(grid, kind, amplitude=gaussian)
         with pytest.raises(ValueError):
             SequenceFamily(grid, "oscillation", amplitude=gaussian,
                            direction=(0, 0))
@@ -154,8 +156,13 @@ class TestFamilies:
         fam = SequenceFamily(g3, "oscillation", amplitude=a3, indices=(1, 2, 3))
         assert fam.direction == (1, 0, 0)
         assert fam.order == 0
-        scaled = SequenceFamily(grid, "scaled_oscillation", amplitude=gaussian, k=2)
-        assert scaled.direction == (1, 0) and scaled.order == 2
+        plain = SequenceFamily(grid, "oscillation", amplitude=gaussian, indices=(8,))
+        scaled = SequenceFamily(grid, "oscillation", amplitude=gaussian, order=2,
+                                indices=(8,))
+        assert scaled.direction == (1, 0)
+        factor = (2 * np.pi * 8 / 16) ** 2
+        assert scaled.spectral_shift(8)[1] == factor
+        assert np.array_equal(scaled.u(8).values, factor * plain.u(8).values)
 
     def test_concentration_has_no_spectral_shift(self):
         fam = SequenceFamily(Grid(2, 64, 8.0), CONCENTRATION, indices=(2,),
@@ -178,15 +185,14 @@ def shifted_products(draw):
     direction = tuple(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)
                            .filter(any)))
     n = draw(st.integers(1, grid.N // (4 * max(abs(c) for c in direction))))
-    kind, order = draw(st.sampled_from([("oscillation", 0), ("scaled_oscillation", 1),
-                                        ("scaled_oscillation", -2)]))
+    order = draw(st.sampled_from([0, 1, -2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def field():
         return GridFunction(grid, rng.normal(size=grid.shape)
                             + 1j * rng.normal(size=grid.shape))
 
-    fam = SequenceFamily(grid, kind, amplitude=field(), direction=direction,
+    fam = SequenceFamily(grid, "oscillation", amplitude=field(), direction=direction,
                          indices=(n,), order=order,
                          prefactor_power=draw(st.sampled_from([0.0, -0.5])))
     return fam, n, field()
@@ -229,7 +235,7 @@ class TestProbes:
     def test_order_two_transient_is_not_strongly_null(self, p):
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
-        fam = SequenceFamily(g, "scaled_oscillation", amplitude=a, k=2,
+        fam = SequenceFamily(g, "oscillation", amplitude=a, order=2,
                              direction=(1, 0), indices=(16, 32, 64))
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, a, 2, p)
