@@ -14,8 +14,8 @@ from .symbol import (SphereQuadrature, SphericalHarmonicBasis, SphericalSymbol,
                      hs_sphere_norm, sh_analyze)
 from .multiplier import (MultiplierOperator, bessel_potential, derivative,
                          derivative_op, from_symbol, riesz, riesz_potential)
-from .sobolev import (SequenceFamily, decay_table, norm_table, strong_null_probe,
-                      surrogate_negative_norm, wkq_norm)
+from .sobolev import (ConcentrationFamily, SequenceFamily, decay_table, norm_table,
+                      strong_null_probe, surrogate_negative_norm, wkq_norm)
 from .commutator import commutator_apply, compactness_probe
 from .fitting import LimitFit, fit_limit
 from .functional import (mu_tensor, pairing_records,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -31,7 +32,7 @@ from .functional import (FORM_RTOL, mu_tensor, pairing_records,
 from .grid import Grid
 from .localization import build_instance, localization_verdict
 from .registry import field_function, list_builtins, make_field, make_symbol, spec_label
-from .sobolev import CONCENTRATION, SequenceFamily, norm_table
+from .sobolev import ConcentrationFamily, SequenceFamily, norm_table
 from .specbasis import HermiteBasis, se_analyze, se_membership_score
 from .symbol import SphericalHarmonicBasis
 from .util import (AliasingError, SupportError, canonical_hash, dump_json,
@@ -290,27 +291,20 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 # builders
 
-# family keys that only some kinds read
-_KIND_KEYS = {"order": ("oscillation",), "direction": ("oscillation",),
-              "p": ("concentration",), "center": ("concentration",),
-              "profile_width": ("concentration",)}
-
-
-def _family(grid: Grid, spec) -> SequenceFamily:
-    """The family of a config spec, every index guarded by SequenceFamily."""
-    unread = sorted(key for key, kinds in _KIND_KEYS.items()
-                    if key in spec and spec["kind"] not in kinds)
-    if unread:
-        raise ValueError(f"family kind {spec['kind']!r} does not read {unread}")
-    # the family keys are SequenceFamily's own fields, which hold the defaults;
+def _family(grid: Grid, spec) -> SequenceFamily | ConcentrationFamily:
+    """The family of a config spec, every index guarded by its type."""
+    concentration = spec["kind"] == "concentration"
+    cls = ConcentrationFamily if concentration else SequenceFamily
+    # the keys a kind reads are its type's fields, which hold the defaults;
     # JSON arrays become tuples so that families compare and hash by value
     kw = {key: tuple(value) if isinstance(value, list) else value
-          for key, value in spec.items() if key != "amplitude"}
-    if spec["kind"] == CONCENTRATION:
-        kw["amplitude_fn"] = field_function(grid.d, spec["amplitude"])
-    else:
-        kw["amplitude"] = make_field(grid, spec["amplitude"])
-    return SequenceFamily(grid, **kw)
+          for key, value in spec.items() if key not in ("kind", "amplitude")}
+    unread = sorted(set(kw) - {f.name for f in dataclasses.fields(cls)})
+    if unread:
+        raise ValueError(f"family kind {spec['kind']!r} does not read {unread}")
+    if concentration:
+        return cls(grid, field_function(grid.d, spec["amplitude"]), **kw)
+    return cls(grid, make_field(grid, spec["amplitude"]), **kw)
 
 
 def _present(cfg, **types) -> dict:
@@ -445,11 +439,6 @@ def run_localization(cfg, grid):
 
     def compute():
         verdict = localization_verdict(instance, phi1, phi2, psi)
-        rows = [
-            [n, repr(v)]
-            for n, v in zip(verdict["rhs_table"]["ns"],
-                            verdict["rhs_table"]["columns"]["rhs_norm"])
-        ]
         max_chain = max(verdict["i1_chain_residuals"])
         checks = {
             "i1_chain": {"max_residual": max_chain, "tol": 1e-8,
@@ -459,8 +448,7 @@ def run_localization(cfg, grid):
             "flagged_limits": {"limits": [
                 key for key in ("baseline", "char_pairing") if verdict[key]["flagged"]]},
         }
-        return checks, {"localization.json": verdict,
-                        "rhs.csv": (["n", "rhs_norm"], rows)}
+        return checks, {"localization.json": verdict}
 
     return compute
 

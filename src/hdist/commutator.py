@@ -12,7 +12,7 @@ import numpy as np
 
 from .grid import GridFunction, linf_norm, lp_norm
 from .multiplier import from_symbol
-from .sobolev import SequenceFamily, decay_table
+from .sobolev import ConcentrationFamily, SequenceFamily, decay_table
 from .symbol import SphericalSymbol
 
 
@@ -26,7 +26,7 @@ def commutator_apply(psi: SphericalSymbol, b: GridFunction,
 
 
 def compactness_probe(psi: SphericalSymbol, b: GridFunction,
-                      family: SequenceFamily, r: float = 4.0,
+                      family: SequenceFamily | ConcentrationFamily, r: float = 4.0,
                       q_list=None) -> dict:
     """Decay table of |C v_n|_{L^q} per index and exponent, C the commutator
     of A_psi with b and v_n the family.

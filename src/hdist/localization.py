@@ -24,7 +24,7 @@ from .fitting import LimitFit, fit_decay, fit_limit
 from .grid import Grid, GridFunction, conj_sum, dft, idft, lp_norm, pairing
 from .multiplier import bessel_potential, from_symbol, riesz, riesz_potential
 from .registry import make_field
-from .sobolev import OSCILLATION, SequenceFamily, decay_table, wkq_norm
+from .sobolev import SequenceFamily, decay_table, wkq_norm
 from .symbol import SphericalSymbol
 
 
@@ -79,10 +79,8 @@ def build_instance(grid: Grid, coefficient_specs, amplitude_spec, direction,
         raise ValueError(f"need {grid.d} coefficients, got {len(coefficient_specs)}")
     if not (1.0 < q < grid.d):
         raise ValueError(f"need 1 < q < d; got q={q}, d={grid.d}")
-    family = SequenceFamily(
-        grid, OSCILLATION, order=k, indices=tuple(indices),
-        direction=tuple(int(c) for c in direction),
-        amplitude=make_field(grid, amplitude_spec))
+    family = SequenceFamily(grid, make_field(grid, amplitude_spec), order=k,
+                            indices=tuple(indices), direction=direction)
     cutoff = make_field(grid, {"name": "shell_cutoff", "params": cutoff or {}})
     coeffs = []
     for axis, spec in enumerate(coefficient_specs):

@@ -71,75 +71,47 @@ def norm_table(grid: Grid, fields, k_list, p_list) -> list:
 # ---------------------------------------------------------------------------
 # weakly-null sequence generators
 
-OSCILLATION = "oscillation"
-CONCENTRATION = "concentration"
+def _guard_indices(family):
+    """Refuse repeated indices and guard each index of a family at build."""
+    if len(set(family.indices)) != len(family.indices):
+        raise ValueError(f"family indices {list(family.indices)} repeat an index")
+    for n in family.indices:
+        family.guard(n)
 
 
 @dataclass(frozen=True)
 class SequenceFamily:
-    """Rule n -> u_n generating a weakly-null sequence.
+    """Oscillation n -> u_n = (2 pi n |xi0| / L)^order n^prefactor_power
+    a(x) exp(2 pi i n xi0.x / L), a weakly-null sequence.
 
-    kinds
-    -----
-    oscillation   : u_n = (2 pi n |xi0| / L)^order a(x) exp(2 pi i n xi0.x / L);
-                    order = +k keeps the W^{-k,p} surrogate norm O(1), order
-                    = -k does the job for W^{k,q}.
-    concentration : u_n = n^{d/p} a(n (x - x0)), sampled unperiodized.
-
-    An extra n^{prefactor_power} factor (default 0) lets families decay or
-    grow on top of the kind's own scaling.  direction defaults to e_1 of the
-    grid.  The indices are distinct, and each is guarded at build; u(n) and
-    spectral_shift(n) guard n.
+    order = +k keeps the W^{-k,p} surrogate norm O(1), order = -k does the
+    job for W^{k,q}; prefactor_power (default 0) lets the family decay or
+    grow on top.  direction xi0, a nonzero integer lattice vector, defaults
+    to e_1 of the grid.  The indices are distinct, and each is guarded at
+    build; u(n) and spectral_shift(n) guard n.
     """
 
     grid: Grid
-    kind: str
-    p: float = 2.0
+    amplitude: GridFunction = field(compare=False)
     indices: tuple = (8, 16, 32)
     direction: Optional[tuple] = None
-    amplitude: Optional[GridFunction] = field(default=None, compare=False)
-    amplitude_fn: Optional[Callable] = field(default=None, compare=False)
     order: int = 0
     prefactor_power: float = 0.0
-    center: Optional[tuple] = None
-    profile_width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (OSCILLATION, CONCENTRATION):
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError(f"family indices {list(self.indices)} repeat an index")
-        if self.direction is None:
-            object.__setattr__(self, "direction", (1,) + (0,) * (self.grid.d - 1))
-        if self.kind == CONCENTRATION:
-            if self.amplitude_fn is None:
-                raise ValueError("concentration families need amplitude_fn")
-        else:
-            if self.amplitude is None:
-                raise ValueError("oscillation families need a sampled amplitude")
-            xi0 = np.asarray(self.direction)
-            if len(xi0) != self.grid.d or not np.any(xi0):
-                raise ValueError("direction must be a nonzero integer lattice vector")
-        for n in self.indices:
-            self.guard(n)
+        xi0 = (1,) + (0,) * (self.grid.d - 1) if self.direction is None else self.direction
+        if len(xi0) != self.grid.d or not any(xi0) or any(c != int(c) for c in xi0):
+            raise ValueError("direction must be a nonzero integer lattice vector")
+        object.__setattr__(self, "direction", tuple(int(c) for c in xi0))
+        _guard_indices(self)
 
     def guard(self, n: int):
         """Refuse indices whose spectrum leaves the safe band."""
-        g = self.grid
-        if self.kind == CONCENTRATION:
-            # dilated profile must stay resolved by the lattice: on a Gaussian
-            # profile a sampled pairing is 4e-2 off at n h = w/2, 5e-9 at w/4
-            if n * g.spacing > self.profile_width / 4.0:
-                raise AliasingError(
-                    f"concentration index n={n} unresolved on N={g.N}, L={g.L} "
-                    f"(need n <= {self.profile_width / (4 * g.spacing):.1f})"
-                )
-            return
-        reach = n * int(np.max(np.abs(self.direction)))
-        if reach > g.N // 4:
+        reach = n * max(abs(c) for c in self.direction)
+        if reach > self.grid.N // 4:
             raise AliasingError(
                 f"oscillation index n={n} pushes the spectrum to lattice row "
-                f"{reach} > N/4 = {g.N // 4}; refine the grid or lower n"
+                f"{reach} > N/4 = {self.grid.N // 4}; refine the grid or lower n"
             )
 
     def frequency_shift(self, n: int) -> float:
@@ -148,44 +120,76 @@ class SequenceFamily:
         return float(n * np.linalg.norm(xi0) / self.grid.L)
 
     def _scale(self, n: int) -> float:
-        """The scalar factor of u_n: s_n of an oscillation
-        u_n = s_n a(x) exp(2 pi i n xi0.x / L), n^{prefactor_power} on top
-        of a concentration's own n^{d/p}."""
-        s = 1.0
-        if self.kind == OSCILLATION and self.order != 0:
-            s = (2 * np.pi * self.frequency_shift(n)) ** self.order
-        if self.prefactor_power != 0.0:
-            s = s * float(n) ** self.prefactor_power
-        return s
+        """s_n of u_n = s_n a(x) exp(2 pi i n xi0.x / L)."""
+        return ((2 * np.pi * self.frequency_shift(n)) ** self.order
+                * float(n) ** self.prefactor_power)
 
     def spectral_shift(self, n: int) -> tuple:
-        """(row, s_n) of an oscillation: for every field g,
+        """(row, s_n): for every field g,
         dft(g * u(n)) == s_n * np.roll(dft(g * amplitude), row, axis=all axes).
 
         Exact up to rounding: the modulation moves the spectrum by the
         integer lattice row n xi0, and the (-1)^m centring phase of dft
         cancels against the modulation's value at the -L/2 origin.
         """
-        if self.kind == CONCENTRATION:
-            raise ValueError("a concentration family has no spectral shift")
         self.guard(n)
-        return tuple(n * int(c) for c in self.direction), self._scale(n)
+        return tuple(n * c for c in self.direction), self._scale(n)
 
     def u(self, n: int) -> GridFunction:
         self.guard(n)
         g = self.grid
-        if self.kind == CONCENTRATION:
-            x0 = np.zeros(g.d) if self.center is None else np.asarray(self.center)
-            out = n ** (g.d / self.p) * g.sample(
-                lambda *x: self.amplitude_fn(*[n * (c - c0) for c, c0 in zip(x, x0)]))
-        else:
-            vals = self.amplitude.values  # times a product of d 1-D waves
-            for axis, c in enumerate(self.direction):
-                if c:
-                    wave = np.exp((2j * np.pi * n * c / g.L) * g.axis_x)
-                    vals = vals * wave.reshape((-1,) + (1,) * (g.d - 1 - axis))
-            out = GridFunction(g, vals)
+        vals = self.amplitude.values  # times a product of d 1-D waves
+        for axis, c in enumerate(self.direction):
+            if c:
+                wave = np.exp((2j * np.pi * n * c / g.L) * g.axis_x)
+                vals = vals * wave.reshape((-1,) + (1,) * (g.d - 1 - axis))
         s = self._scale(n)
+        return GridFunction(g, vals if s == 1.0 else vals * s)
+
+
+@dataclass(frozen=True)
+class ConcentrationFamily:
+    """Concentration n -> u_n = n^{d/p} n^prefactor_power a(n (x - x0)),
+    sampled unperiodized, with x0 = center, a point of the grid's dimension
+    (default the origin).
+
+    profile_width is the width of the profile a, which the index guard
+    reads.  The indices are distinct, and each is guarded at build; u(n)
+    guards n.
+    """
+
+    grid: Grid
+    amplitude_fn: Callable = field(compare=False)
+    indices: tuple = (8, 16, 32)
+    p: float = 2.0
+    center: Optional[tuple] = None
+    profile_width: float = 1.0
+    prefactor_power: float = 0.0
+
+    def __post_init__(self):
+        if self.center is not None and len(self.center) != self.grid.d:
+            raise ValueError(f"center {list(self.center)} is not a point of the "
+                             f"d = {self.grid.d} grid")
+        _guard_indices(self)
+
+    def guard(self, n: int):
+        """Refuse indices whose dilated profile the lattice does not resolve:
+        on a Gaussian profile a sampled pairing is 4e-2 off at n h = w/2,
+        5e-9 at w/4."""
+        g = self.grid
+        if n * g.spacing > self.profile_width / 4.0:
+            raise AliasingError(
+                f"concentration index n={n} unresolved on N={g.N}, L={g.L} "
+                f"(need n <= {self.profile_width / (4 * g.spacing):.1f})"
+            )
+
+    def u(self, n: int) -> GridFunction:
+        self.guard(n)
+        g = self.grid
+        x0 = np.zeros(g.d) if self.center is None else np.asarray(self.center)
+        out = n ** (g.d / self.p) * g.sample(
+            lambda *x: self.amplitude_fn(*[n * (c - c0) for c, c0 in zip(x, x0)]))
+        s = float(n) ** self.prefactor_power
         return out if s == 1.0 else out * s
 
 

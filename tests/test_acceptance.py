@@ -74,11 +74,11 @@ def zero_check_runs():
     hb = HermiteBasis.build(g, 2)
     sb = SphericalHarmonicBasis.build(2, 2)
     ns = (16, 32, 64)
-    v_fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0), indices=ns)
+    v_fam = SequenceFamily(g, amplitude=a, direction=(1, 0), indices=ns)
     vs = [v_fam.u(n) for n in ns]
     results = {}
     for power, name in [(-0.5, "scaled"), (0.0, "unscaled")]:
-        u_fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+        u_fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                                indices=ns, prefactor_power=power)
         us = [u_fam.u(n) for n in ns]
         tensor_max = float(abs(mu_tensor(ns, us, vs, hb, sb)["entries"]).max())
@@ -93,7 +93,7 @@ def zero_check_runs():
 def test_criterion_1_adjoint_identity():
     g = Grid(2, 128, 16.0)
     a = make_field(g, "gaussian")
-    fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+    fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                          indices=(8, 16, 32))
     symbols = [constant_symbol(2), riesz_symbol(2, 0), riesz_symbol(2, 1)]
     pairs = [
@@ -122,7 +122,7 @@ def test_criterion_2_oscillation_h_measure():
     g = Grid(2, 256, 16.0)
     a = make_field(g, "gaussian")
     phi = make_field(g, "gaussian")
-    fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+    fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                          indices=(16, 32, 64))
     us = [fam.u(n) for n in fam.indices]
     [forms] = pairing_records(us, us, phi, phi, [riesz_symbol(2, 0)])
@@ -158,7 +158,7 @@ def test_criterion_4_commutation_probe():
     g = Grid(2, 128, 16.0)
     a = make_field(g, "gaussian")
     b = make_field(g, "gaussian")
-    fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+    fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                          indices=(8, 16, 32))
     table = compactness_probe(riesz_symbol(2, 0), b, fam)
     v2 = table["columns"]["q=2"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from hdist import cli, functional, sobolev
+from hdist import cli, functional, localization, registry, sobolev
 from hdist.cli import CONFIG_SCHEMAS, main, run_config, validate_config
 from hdist.grid import Grid, lp_norm
 from hdist.multiplier import derivative
@@ -218,6 +218,14 @@ class TestBuild:
                                                    "gaussian", "direction": [1, 0],
                                                    "indices": [1, 2, 4]}},
                      2, id="concentration-direction"),
+        pytest.param({**COMMUTATOR_CFG, "family": {**COMMUTATOR_CFG["family"],
+                                                   "profile_width": 2.0}},
+                     2, id="oscillation-profile-width"),
+        pytest.param({**COMMUTATOR_CFG, "family": {"kind": "concentration",
+                                                   "amplitude": "gaussian",
+                                                   "profile_width": 2.0, "center": [1.0],
+                                                   "indices": [1, 2, 4]}},
+                     2, id="concentration-center-of-another-dimension"),
         pytest.param({**NORM_CFG, "fields": [{"name": "coordinate", "params": {"axis": 1.9}}]},
                      2, id="fractional-field-axis"),
         pytest.param({**SWEEP_CFG, "symbols": [{"name": "smoothed_sign",
@@ -288,6 +296,26 @@ class TestBuild:
         out = tmp_path / "out"
         assert main(["run", str(paths["commutator"]), "--output-dir", str(out)]) == 0
         assert counts["fft"] > 0 and counts["u"] > 0
+
+    def test_builders_are_called_through_the_module(self, monkeypatch):
+        # the benchmark's tracer counts make_field by swapping the module
+        # attribute in every hdist module that imported it; a reference a
+        # builder captured at import would hide its calls from the count
+        counts = dict.fromkeys(FULL_CFGS, 0)
+        for module in (cli, localization, registry):
+            assert module.make_field is registry.make_field
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        original = registry.make_field
+        for module in (cli, localization, registry):
+            monkeypatch.setattr(module, "make_field", counting)
+        for name, cfg in sorted(FULL_CFGS.items()):
+            cli.build_config(cfg)
+        assert counts == {"commutator": 2, "hdist_sweep": 4, "localization": 7,
+                          "norm_suite": 2, "se_analysis": 0}
 
 
 class TestMain:

@@ -73,7 +73,7 @@ class TestCommutatorApply:
 
 class TestCompactnessProbe:
     def test_oscillation_decay(self, grid, gaussian):
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16, 32))
         table = compactness_probe(riesz_symbol(2, 0), gaussian, fam)
         v2 = table["columns"]["q=2"]
@@ -85,7 +85,7 @@ class TestCompactnessProbe:
     def test_constant_sequence_flags_hypothesis(self, grid, gaussian):
         # u_n == u fixed: the weak-null hypothesis fails, and C u_n does
         # not decay
-        fixed = SequenceFamily(grid, "oscillation", amplitude=gaussian,
+        fixed = SequenceFamily(grid, amplitude=gaussian,
                                direction=(1, 0), indices=(8, 16, 32))
         object.__setattr__(fixed, "u", lambda n: gaussian)
         table = compactness_probe(riesz_symbol(2, 0), gaussian, fixed)
@@ -93,14 +93,14 @@ class TestCompactnessProbe:
         assert exponent is None or exponent > -0.1  # no decay
 
     def test_constant_symbol_identically_zero(self, grid, gaussian):
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16, 32))
         table = compactness_probe(constant_symbol(2), gaussian, fam)
         for vals in table["columns"].values():
             assert all(v < 1e-13 for v in vals)
 
     def test_q_grid_default(self, grid, gaussian):
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16))
         table = compactness_probe(riesz_symbol(2, 0), gaussian, fam, r=6.0)
         assert tuple(table["meta"]["q_list"]) == (2.0, 6.0)

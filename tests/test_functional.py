@@ -8,7 +8,7 @@ from hdist.functional import (FORM_RTOL, mu_tensor, pairing_records,
 from hdist.grid import Grid, pairing
 from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, field_function,
                             make_field, make_symbol, riesz_symbol)
-from hdist.sobolev import CONCENTRATION, SequenceFamily
+from hdist.sobolev import ConcentrationFamily, SequenceFamily
 from hdist.specbasis import HermiteBasis, hermite_values
 from hdist.symbol import SphericalHarmonicBasis
 from hdist.util import AliasingError
@@ -42,7 +42,7 @@ def gaussian(grid):
 
 @pytest.fixture(scope="module")
 def family(grid, gaussian):
-    return SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+    return SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                           indices=(8, 16, 32))
 
 
@@ -119,7 +119,7 @@ class TestExtrapolation:
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
         phi = make_field(g, "gaussian")
-        fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+        fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                              indices=(16, 32, 64))
         us = samples(fam)
         [forms] = pairing_records(us, us, phi, phi, [riesz_symbol(2, 0)])
@@ -135,7 +135,7 @@ class TestExtrapolation:
         phi1 = make_field(g, "gaussian")
         phi2 = make_field(g, {"name": "gaussian", "params": {"width": 1.5}})
         one = make_field(g, "constant_one")
-        fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+        fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                              indices=(16, 32, 64))
         psi = riesz_symbol(2, 0)
         ns, us = fam.indices, samples(fam)
@@ -158,7 +158,7 @@ class TestExtrapolation:
 class TestMuTensor:
     def test_zero_amplitude(self, grid):
         z = grid.sample(lambda x, y: np.zeros_like(x))
-        fam = SequenceFamily(grid, "oscillation", amplitude=z, direction=(1, 0),
+        fam = SequenceFamily(grid, amplitude=z, direction=(1, 0),
                              indices=(8, 16, 32))
         hb = HermiteBasis.build(grid, 1)
         sb = SphericalHarmonicBasis.build(2, 1)
@@ -171,7 +171,7 @@ class TestMuTensor:
         # |a|^2, computed here by direct quadrature as the oracle
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
-        fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+        fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                              indices=(16, 32, 64))
         hb = HermiteBasis.build(g, 2)
         sb = SphericalHarmonicBasis.build(2, 2)
@@ -191,7 +191,7 @@ class TestMuTensor:
         # along (1, 0) Y_{n,1} = Y_{n,2}, and the concentration oracle's
         # measure is even in theta: only an off-axis direction tells the
         # +-j rows apart (swapped, the error at degrees <= 2 reads >= 1.4)
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 1),
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 1),
                              indices=(8, 16, 32))
         hb, sb = HermiteBasis.build(grid, 2), SphericalHarmonicBasis.build(2, 3)
         us = samples(fam)
@@ -240,9 +240,9 @@ def zero_check(setup, us, vs):
 class TestZeroCheck:
     def test_scaled_family_is_zero_and_decays(self, setup):
         g, a = setup["grid"], setup["a"]
-        u = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+        u = SequenceFamily(g, amplitude=a, direction=(1, 0),
                            indices=setup["ns"], prefactor_power=-0.5)
-        v = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+        v = SequenceFamily(g, amplitude=a, direction=(1, 0),
                            indices=setup["ns"])
         res = zero_check(setup, samples(u), samples(v))
         assert res["tensor_is_zero"]
@@ -255,7 +255,7 @@ class TestZeroCheck:
         # the verdict reads the data only against their own baseline scale, so
         # an amplitude of 1e-6 (tensor entries near 1e-13) changes nothing
         g, a = setup["grid"], setup["a"] * scale
-        u = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+        u = SequenceFamily(g, amplitude=a, direction=(1, 0),
                            indices=setup["ns"])
         us = samples(u)
         res = zero_check(setup, us, us)
@@ -267,7 +267,7 @@ class TestZeroCheck:
     def test_zero_family(self, setup):
         g = setup["grid"]
         z = g.sample(lambda x, y: np.zeros_like(x))
-        fam = SequenceFamily(g, "oscillation", amplitude=z, direction=(1, 0),
+        fam = SequenceFamily(g, amplitude=z, direction=(1, 0),
                              indices=setup["ns"])
         us = samples(fam)
         res = zero_check(setup, us, us)
@@ -287,7 +287,7 @@ class TestConcentrationOracle:
         g = Grid(2, 256, 16.0)  # h = 1/16, profile width w = 1
         amp = field_function(2, {"product": [
             {"name": "coordinate", "params": {"axis": 0}}, "gaussian"]})
-        fam = SequenceFamily(g, CONCENTRATION, indices=(2, 4), amplitude_fn=amp)
+        fam = ConcentrationFamily(g, indices=(2, 4), amplitude_fn=amp)
         return fam, make_field(g, "gaussian")
 
     @pytest.mark.parametrize("n", [2, 4])
@@ -312,7 +312,7 @@ class TestConcentrationOracle:
         g = Grid(2, 512, 16.0)  # n h <= w/4 at every index
         amp = field_function(2, {"product": [
             {"name": "coordinate", "params": {"axis": 0}}, "gaussian"]})
-        fam = SequenceFamily(g, CONCENTRATION, indices=(2, 4, 8), amplitude_fn=amp)
+        fam = ConcentrationFamily(g, indices=(2, 4, 8), amplitude_fn=amp)
         hb, sb = HermiteBasis.build(g, 4), SphericalHarmonicBasis.build(2, 6)
         us = samples(fam)
         tensor = mu_tensor(fam.indices, us, us, hb, sb)

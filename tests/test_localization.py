@@ -150,7 +150,7 @@ def test_v_is_the_order_minus_k_family(grid, k):
     # the order -k family; at k = 0 the two agree bit for bit
     inst = make(grid, False, k=k)
     fam = inst.family
-    v_family = SequenceFamily(grid, "oscillation", amplitude=fam.amplitude,
+    v_family = SequenceFamily(grid, amplitude=fam.amplitude,
                               direction=fam.direction, indices=fam.indices, order=-k)
     for n in fam.indices:
         got, want = inst.v(n, fam.u(n)).values, v_family.u(n).values
@@ -192,7 +192,7 @@ def operator_chain(inst, phi1, phi2, psi):
     its own order -k family."""
     fam = inst.family
     grid = fam.grid
-    v_family = SequenceFamily(grid, "oscillation", amplitude=fam.amplitude,
+    v_family = SequenceFamily(grid, amplitude=fam.amplitude,
                               direction=fam.direction, indices=fam.indices,
                               order=-fam.order)
     op = from_symbol(grid, psi)

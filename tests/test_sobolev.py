@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hdist.grid import Grid, GridFunction, dft, lp_norm
 from hdist.registry import field_function, make_field
-from hdist.sobolev import (CONCENTRATION, SequenceFamily, strong_null_probe,
+from hdist.sobolev import (ConcentrationFamily, SequenceFamily, strong_null_probe,
                            surrogate_negative_norm, wkq_norm)
 from hdist.multiplier import derivative
 from hdist.util import AliasingError
@@ -57,7 +57,7 @@ class TestNegativeNorms:
         # surrogate norm times the modulation frequency recovers |a|_2
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
-        fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+        fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                              indices=(32,))
         u = fam.u(32)
         scale = 2 * np.pi * fam.frequency_shift(32)
@@ -81,30 +81,30 @@ class TestNegativeNorms:
 
 class TestFamilies:
     def test_modulation_invariance(self, grid, gaussian):
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(2, 1),
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(2, 1),
                              indices=(4, 8))
         for n in (4, 8):
             for p in (1.5, 2.0, 4.0):
                 assert lp_norm(fam.u(n), p) == pytest.approx(lp_norm(gaussian, p))
 
     def test_aliasing_guard(self, grid, gaussian):
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8,))
         fam.u(32)  # exactly N/4: allowed
         with pytest.raises(AliasingError):
             fam.u(33)
-        fam2 = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(2, 1),
+        fam2 = SequenceFamily(grid, amplitude=gaussian, direction=(2, 1),
                               indices=(8,))
         with pytest.raises(AliasingError):
             fam2.u(17)
         with pytest.raises(AliasingError):  # the family guards its indices
-            SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+            SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                            indices=(33,))
 
     def test_scaled_oscillation_norm_window(self):
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
-        fam = SequenceFamily(g, "oscillation", amplitude=a, direction=(1, 0),
+        fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                              indices=(8, 16, 32, 64), order=1)
         ref = lp_norm(a, 2.0)
         for n in fam.indices:
@@ -113,51 +113,75 @@ class TestFamilies:
 
     def test_scaled_inverse_order(self, grid, gaussian):
         # an oscillation reads its order
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian,
+        fam = SequenceFamily(grid, amplitude=gaussian,
                              direction=(1, 0), indices=(8, 16), order=-1)
         scale = (2 * np.pi * fam.frequency_shift(8)) ** -1
         expected = scale * np.abs(gaussian.values)
         assert np.max(np.abs(np.abs(fam.u(8).values) - expected)) < 1e-12
 
     def test_prefactor_power(self, grid, gaussian):
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(4, 9), prefactor_power=-0.5)
         assert lp_norm(fam.u(4), 2.0) == pytest.approx(0.5 * lp_norm(gaussian, 2.0))
         assert lp_norm(fam.u(9), 2.0) == pytest.approx(lp_norm(gaussian, 2.0) / 3.0)
 
     def test_concentration_lp_constant(self):
         g = Grid(2, 256, 8.0)
-        fam = SequenceFamily(g, CONCENTRATION, p=2.0, indices=(2, 4, 8),
-                             amplitude_fn=field_function(2, "gaussian"))
+        fam = ConcentrationFamily(g, p=2.0, indices=(2, 4, 8),
+                                  amplitude_fn=field_function(2, "gaussian"))
         norms = [lp_norm(fam.u(n), 2.0) for n in fam.indices]
         assert norms[0] == pytest.approx(norms[-1], rel=1e-6)
 
     def test_concentration_resolution_guard(self):
         g = Grid(2, 64, 8.0)
-        fam = SequenceFamily(g, CONCENTRATION, indices=(2,),
-                             amplitude_fn=field_function(2, "gaussian"))
+        fam = ConcentrationFamily(g, indices=(2,),
+                                  amplitude_fn=field_function(2, "gaussian"))
         with pytest.raises(AliasingError):
             fam.u(16)
         with pytest.raises(AliasingError):  # the family guards its indices
-            SequenceFamily(g, CONCENTRATION, indices=(16,),
-                           amplitude_fn=field_function(2, "gaussian"))
+            ConcentrationFamily(g, indices=(16,),
+                                amplitude_fn=field_function(2, "gaussian"))
+
+    def test_center_is_a_point_of_the_grid(self, grid):
+        # zip(x, x0) would drop a coordinate: a 1-entry center on d = 2
+        # would sample a ridge along the second axis, not a concentration
+        amp = field_function(2, "gaussian")
+        for center in ((1.0,), (1.0, 0.0, 5.0)):
+            with pytest.raises(ValueError, match="center"):
+                ConcentrationFamily(grid, amp, indices=(2,), center=center)
 
     def test_kind_validation(self, grid, gaussian):
-        for kind in ("warp", "scaled_oscillation"):
-            with pytest.raises(ValueError):
-                SequenceFamily(grid, kind, amplitude=gaussian)
         with pytest.raises(ValueError):
-            SequenceFamily(grid, "oscillation", amplitude=gaussian,
+            SequenceFamily(grid, amplitude=gaussian,
                            direction=(0, 0))
+
+    def test_direction_is_an_integer_vector(self):
+        # a fractional direction would modulate off the lattice row that
+        # spectral_shift names, and int() truncation would hide its reach
+        g = Grid(2, 64, 16.0)
+        a = make_field(g, "gaussian")
+        for direction, indices in (((0.5, 0), (8,)), ((0.9, 0), (100,))):
+            with pytest.raises(ValueError, match="integer"):
+                SequenceFamily(g, amplitude=a, direction=direction, indices=indices)
+        fam = SequenceFamily(g, amplitude=a, direction=(2.0, 0), indices=(8,))
+        assert fam.direction == (2, 0) and fam.spectral_shift(8)[0] == (16, 0)
+
+    def test_each_kind_takes_only_its_own_keys(self, grid, gaussian):
+        # a key of the other kind is refused, not silently ignored
+        with pytest.raises(TypeError, match="argument 'p'"):
+            SequenceFamily(grid, amplitude=gaussian, indices=(8,), p=4.0)
+        with pytest.raises(TypeError, match="argument 'order'"):
+            ConcentrationFamily(grid, amplitude_fn=field_function(2, "gaussian"),
+                                indices=(2,), order=3)
 
     def test_defaults_follow_grid_and_kind(self, grid, gaussian):
         g3 = Grid(3, 16, 8.0)
         a3 = make_field(g3, "gaussian")
-        fam = SequenceFamily(g3, "oscillation", amplitude=a3, indices=(1, 2, 3))
+        fam = SequenceFamily(g3, amplitude=a3, indices=(1, 2, 3))
         assert fam.direction == (1, 0, 0)
         assert fam.order == 0
-        plain = SequenceFamily(grid, "oscillation", amplitude=gaussian, indices=(8,))
-        scaled = SequenceFamily(grid, "oscillation", amplitude=gaussian, order=2,
+        plain = SequenceFamily(grid, amplitude=gaussian, indices=(8,))
+        scaled = SequenceFamily(grid, amplitude=gaussian, order=2,
                                 indices=(8,))
         assert scaled.direction == (1, 0)
         factor = (2 * np.pi * 8 / 16) ** 2
@@ -165,13 +189,13 @@ class TestFamilies:
         assert np.array_equal(scaled.u(8).values, factor * plain.u(8).values)
 
     def test_concentration_has_no_spectral_shift(self):
-        fam = SequenceFamily(Grid(2, 64, 8.0), CONCENTRATION, indices=(2,),
-                             amplitude_fn=field_function(2, "gaussian"))
-        with pytest.raises(ValueError):
+        fam = ConcentrationFamily(Grid(2, 64, 8.0), indices=(2,),
+                                  amplitude_fn=field_function(2, "gaussian"))
+        with pytest.raises(AttributeError):
             fam.spectral_shift(2)
 
     def test_spectral_shift_guards_the_index(self, grid, gaussian):
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, indices=(8,))
+        fam = SequenceFamily(grid, amplitude=gaussian, indices=(8,))
         with pytest.raises(AliasingError):
             fam.spectral_shift(33)
 
@@ -192,7 +216,7 @@ def shifted_products(draw):
         return GridFunction(grid, rng.normal(size=grid.shape)
                             + 1j * rng.normal(size=grid.shape))
 
-    fam = SequenceFamily(grid, "oscillation", amplitude=field(), direction=direction,
+    fam = SequenceFamily(grid, amplitude=field(), direction=direction,
                          indices=(n,), order=order,
                          prefactor_power=draw(st.sampled_from([0.0, -0.5])))
     return fam, n, field()
@@ -211,7 +235,7 @@ def test_spectral_shift_is_the_transform_of_the_modulation(case):
 
 class TestProbes:
     def test_strong_null_scaled_decay(self, grid, gaussian):
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16, 32), prefactor_power=-0.5)
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, gaussian, 0, 2.0)
@@ -219,7 +243,7 @@ class TestProbes:
         assert table["meta"]["strongly_null"]
 
     def test_strong_null_fails_without_scaling(self, grid, gaussian):
-        fam = SequenceFamily(grid, "oscillation", amplitude=gaussian, direction=(1, 0),
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16, 32))
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, gaussian, 0, 2.0)
@@ -235,7 +259,7 @@ class TestProbes:
     def test_order_two_transient_is_not_strongly_null(self, p):
         g = Grid(2, 256, 16.0)
         a = make_field(g, "gaussian")
-        fam = SequenceFamily(g, "oscillation", amplitude=a, order=2,
+        fam = SequenceFamily(g, amplitude=a, order=2,
                              direction=(1, 0), indices=(16, 32, 64))
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, a, 2, p)
@@ -243,7 +267,7 @@ class TestProbes:
 
     def test_strong_null_zero_family(self, grid, gaussian):
         z = grid.sample(lambda x, y: np.zeros_like(x))
-        fam = SequenceFamily(grid, "oscillation", amplitude=z, direction=(1, 0),
+        fam = SequenceFamily(grid, amplitude=z, direction=(1, 0),
                              indices=(8, 16))
         us = [fam.u(n) for n in fam.indices]
         table = strong_null_probe(fam.indices, us, gaussian, 1, 2.0)
