@@ -15,8 +15,8 @@ DECAY_THRESHOLD = 1e-10
 # the decay model wins when its residual is within this factor of the best
 # offset residual
 DECAY_PREFERENCE = 3.0
-# the slowest power decay n^(-rate) read as decay to zero, by fit_limit's decay
-# model and by strong_null_probe's strongly_null verdict
+# the slowest power decay n^(-rate) that fit_limit's decay model reads as
+# decay to zero
 MIN_DECAY_RATE = 0.25
 # offset residuals closer than this times the largest |value| are a tie
 ROUNDING = 64 * np.finfo(float).eps

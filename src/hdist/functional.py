@@ -88,11 +88,11 @@ def zero_mu_strong_convergence_check(
     """Confront the tensor-is-zero verdict (tensor_max, the largest |entry|
     of the tensor from these samples) with strong-norm decay.
 
-    A tensor below threshold should come with decaying localized surrogate
-    norms (fitted exponent < -MIN_DECAY_RATE); a clearly nonzero tensor is
-    consistent with non-decaying norms.  The threshold is 1e-3 of the baseline
-    scale max_n |<phi u_n, phi v_n>|, so the verdict is invariant under
-    rescaling the data.
+    A tensor below threshold should come with localized surrogate norms
+    whose fitted limit is zero (fit_limit's decay or negligible model); a
+    clearly nonzero tensor is consistent with norms of a nonzero limit.  The
+    threshold is 1e-3 of the baseline scale max_n |<phi u_n, phi v_n>|, so
+    the verdict is invariant under rescaling the data.
     """
     scale = max(abs(pairing(baseline_phi * u, baseline_phi * v))
                 for u, v in zip(us, vs))

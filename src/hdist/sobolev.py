@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fitting import MIN_DECAY_RATE, fit_decay
+from .fitting import fit_decay, fit_limit
 from .grid import Grid, GridFunction, dft, idft, lp_norm, magnitude_lp_norm
 from .multiplier import bessel_potential, derivative_op
 from .util import AliasingError, multi_indices
@@ -87,8 +87,9 @@ class SequenceFamily:
     order = +k keeps the W^{-k,p} surrogate norm O(1), order = -k does the
     job for W^{k,q}; prefactor_power (default 0) lets the family decay or
     grow on top.  direction xi0, a nonzero integer lattice vector, defaults
-    to e_1 of the grid.  The indices are distinct, and each is guarded at
-    build; u(n) and spectral_shift(n) guard n.
+    to e_1 of the grid.  The amplitude is sampled on the family's grid.  The
+    indices are distinct, and each is guarded at build; u(n) and
+    spectral_shift(n) guard n.
     """
 
     grid: Grid
@@ -99,6 +100,9 @@ class SequenceFamily:
     prefactor_power: float = 0.0
 
     def __post_init__(self):
+        if self.amplitude.grid != self.grid:
+            raise ValueError(f"amplitude sampled on {self.amplitude.grid}, "
+                             f"not on the family's {self.grid}")
         xi0 = (1,) + (0,) * (self.grid.d - 1) if self.direction is None else self.direction
         if len(xi0) != self.grid.d or not any(xi0) or any(c != int(c) for c in xi0):
             raise ValueError("direction must be a nonzero integer lattice vector")
@@ -205,15 +209,9 @@ def decay_table(ns, columns: dict, meta: dict) -> dict:
 
 def strong_null_probe(ns, us, theta: GridFunction, k: int, p: float) -> dict:
     """Surrogate W^{-k,p} norms of theta * u_n, u_n = us[i] at n = ns[i],
-    as a decay table; strongly_null reads the fitted trend."""
+    as a decay table; strongly_null reads the fitted limit of the norms,
+    which fit_limit extrapolates from at least three distinct indices."""
     norms = [surrogate_negative_norm(theta * u, k, p) for u in us]
-    meta = {
-        "monotone_nonincreasing": all(b <= a * (1 + 1e-12)
-                                      for a, b in zip(norms, norms[1:])),
-        "ratio_last_first": (norms[-1] / norms[0]) if norms[0] > 0 else 0.0,
-    }
-    table = decay_table(ns, {"surrogate_norm": norms}, meta)
-    fit = table["fits"]["surrogate_norm"]
-    meta["strongly_null"] = fit["all_below_threshold"] or (
-        fit["exponent"] is not None and fit["exponent"] < -MIN_DECAY_RATE)
-    return table
+    limit = fit_limit(ns, norms)
+    return decay_table(ns, {"surrogate_norm": norms},
+                       {"limit": limit.to_dict(), "strongly_null": limit.value == 0})

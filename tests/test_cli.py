@@ -419,11 +419,13 @@ class TestExperiments:
             return wrapper
 
         for module, name in ((cli, "mu_tensor"), (functional, "mu_tensor"),
-                             (cli, "fit_limit"), (functional, "fit_limit")):
+                             (cli, "fit_limit"), (functional, "fit_limit"),
+                             (sobolev, "fit_limit")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         summary = run_config(SWEEP_CFG, output_dir=tmp_path)
+        # one fit per symbol, one for the tensor, one for the strong norms
         assert calls == {"mu_tensor": 1,
-                         "fit_limit": len(SWEEP_CFG["symbols"]) + 1}
+                         "fit_limit": len(SWEEP_CFG["symbols"]) + 2}
         tensor = json.loads((tmp_path / "tensor.json").read_text())["tensor"]
         assert (summary["checks"]["flagged_limits"]["tensor_entries"]
                 == sum(map(sum, tensor["flagged"])))
