@@ -30,7 +30,7 @@ from .fitting import fit_limit
 from .functional import (FORM_RTOL, mu_tensor, pairing_records,
                          zero_mu_strong_convergence_check)
 from .grid import Grid
-from .localization import build_instance, localization_verdict
+from .localization import TOL_CHAIN, build_instance, localization_verdict
 from .registry import field_function, list_builtins, make_field, make_symbol, spec_label
 from .sobolev import ConcentrationFamily, SequenceFamily, norm_table
 from .specbasis import HermiteBasis, se_analyze, se_membership_score
@@ -411,8 +411,7 @@ def run_commutator(cfg, grid):
         rows, decay = [], {}
         for label, vals in sorted(table["columns"].items()):
             fit = table["fits"][label]
-            decay[label] = {"exponent": fit["exponent"],
-                            "all_below_threshold": fit["all_below_threshold"]}
+            decay[label] = {"exponent": fit["exponent"]}
             exponent = "" if fit["exponent"] is None else repr(fit["exponent"])
             q = float(label.split("=")[1])
             rows += [[n, repr(q), repr(v), exponent] for n, v in zip(table["ns"], vals)]
@@ -441,8 +440,8 @@ def run_localization(cfg, grid):
         verdict = localization_verdict(instance, phi1, phi2, psi)
         max_chain = max(verdict["i1_chain_residuals"])
         checks = {
-            "i1_chain": {"max_residual": max_chain, "tol": 1e-8,
-                         "passed": max_chain <= 1e-8},
+            "i1_chain": {"max_residual": max_chain, "tol": TOL_CHAIN,
+                         "passed": max_chain <= TOL_CHAIN},
             "ratio": {"value": verdict["ratio"]},
             "rhs_exponent": {"value": verdict["rates"]["rhs_exponent"]},
             "flagged_limits": {"limits": [

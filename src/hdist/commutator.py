@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fitting import ZERO_FLOOR
 from .grid import GridFunction, linf_norm, lp_norm
 from .multiplier import from_symbol
 from .sobolev import ConcentrationFamily, SequenceFamily, decay_table
@@ -45,7 +46,7 @@ def compactness_probe(psi: SphericalSymbol, b: GridFunction,
     meta = {"q_list": list(qs), "violations": []}
     for q in (2.0, r):
         norms = np.array([lp_norm(v, q) for v in vs])
-        if norms.max() > 10.0 * max(norms.min(), 1e-300):
+        if norms.max() > 10.0 * max(norms.min(), ZERO_FLOOR):
             meta["violations"].append(
                 f"family norms in L^{q} vary by more than 10x over the index set"
             )

@@ -10,8 +10,6 @@ import numpy as np
 ZERO_FLOOR = 1e-300
 # a sequence whose magnitudes all sit at or below this has limit zero
 NEGLIGIBLE = 1e-14
-# fit_decay reports magnitudes all at or below this as all_below_threshold
-DECAY_THRESHOLD = 1e-10
 # the decay model wins when its residual is within this factor of the best
 # offset residual
 DECAY_PREFERENCE = 3.0
@@ -22,25 +20,23 @@ MIN_DECAY_RATE = 0.25
 ROUNDING = 64 * np.finfo(float).eps
 
 
-def fit_decay(ns, values) -> dict:
-    """Fit log10 |values| against log10 ns by least squares.
+def log_slope(ns, mags):
+    """Least-squares slope of ln mags against ln ns, per column of mags."""
+    return np.polyfit(np.log(ns), np.log(mags), 1)[0]
 
-    Returns {"exponent", "all_below_threshold", "n_used"}, as decay tables
-    hold it.  Entries at or below the floating-point floor are dropped (no
-    exponent below two entries); if everything sits at or below DECAY_THRESHOLD
-    the sequence is reported as identically small instead of fitted.
-    """
+
+def fit_decay(ns, values) -> dict:
+    """{"exponent", "n_used"} of |values| against ns, as decay tables hold
+    it: the exponent is the log_slope of the entries above ZERO_FLOOR (none
+    below two entries), so rescaling the values leaves it unchanged."""
     ns = np.asarray(ns, dtype=float)
     mags = np.abs(np.asarray(values, dtype=complex))
     if len(ns) != len(mags) or len(ns) == 0:
         raise ValueError("need matching, nonempty index and value lists")
-    if np.all(mags <= DECAY_THRESHOLD):
-        return {"exponent": None, "all_below_threshold": True, "n_used": 0}
     keep = mags > ZERO_FLOOR
     n_used = int(np.count_nonzero(keep))
-    exponent = (float(np.polyfit(np.log10(ns[keep]), np.log10(mags[keep]), 1)[0])
-                if n_used >= 2 else None)
-    return {"exponent": exponent, "all_below_threshold": False, "n_used": n_used}
+    exponent = float(log_slope(ns[keep], mags[keep])) if n_used >= 2 else None
+    return {"exponent": exponent, "n_used": n_used}
 
 
 @dataclass(frozen=True)
@@ -118,8 +114,7 @@ def fit_limit(ns, values) -> LimitFit:
     # pure decay c1 * n^(-gamma), admissible only for nonzero magnitudes
     # that fall by a quarter and decay at a rate of at least MIN_DECAY_RATE
     decay = np.all(mags > ZERO_FLOOR, axis=0) & (mags[-1] <= 0.75 * mags[0])
-    slope = np.polyfit(np.log(ns), np.log(np.where(decay, mags, 1.0)), 1)[0]
-    gamma = np.where(decay, -slope, 0.0)
+    gamma = np.where(decay, -log_slope(ns, np.where(decay, mags, 1.0)), 0.0)
     decay &= gamma >= MIN_DECAY_RATE
     basis = (ns[:, None] ** (-gamma)).astype(complex)
     c1 = np.sum(basis.conj() * table, axis=0) / np.sum(basis.conj() * basis, axis=0)

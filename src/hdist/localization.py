@@ -31,6 +31,8 @@ from .symbol import SphericalSymbol
 # a characteristic instance passes when |char limit| / |baseline limit| is at
 # most this
 TOL_CHAR = 0.05
+# the I_1 chain holds when each residual |lhs - rhs| / (1 + |lhs|) is at most this
+TOL_CHAIN = 1e-8
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from .fitting import ZERO_FLOOR, log_slope
 from .grid import Grid, GridFunction
 from .multiplier import derivative_op
 from .symbol import SphericalHarmonicBasis, sh_analyze
@@ -164,16 +165,15 @@ def se_membership_score(coeffs: dict, r_list) -> dict:
         bins = shell_sums[1:k_full + 1:2] + shell_sums[2:k_full + 2:2]
         positive = True
         slope = None
-        if len(bins) >= 2 and bins.sum() > 1e-14 * max(total, 1e-300):
+        if len(bins) >= 2 and bins.sum() > 1e-14 * max(total, ZERO_FLOOR):
             # the asymptotics live in the tail half; early shells may still
             # be climbing toward the weight/decay crossover
             tail = centers >= max(1.0, k_full / 2.0)
             if np.count_nonzero(tail) < 2:
                 tail = np.ones(len(bins), dtype=bool)
-            keep = tail & (bins > 1e-26 * max(float(bins.max()), 1e-300))
+            keep = tail & (bins > 1e-26 * max(float(bins.max()), ZERO_FLOOR))
             if np.count_nonzero(keep) >= 2:
-                slope = float(np.polyfit(np.log10(centers[keep]),
-                                         np.log10(bins[keep]), 1)[0])
+                slope = float(log_slope(centers[keep], bins[keep]))
                 positive = slope < -1.0
         report["r"][float(r)] = {
             "weighted_sum": float(total),

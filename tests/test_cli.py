@@ -449,6 +449,17 @@ class TestExperiments:
         lines = (tmp_path / "commutator.csv").read_text().splitlines()
         assert lines[1].split(",") == ["n", "q", "norm", "fitted_exponent"]
 
+    def test_commutator_decay_exponent_is_scale_invariant(self, tmp_path):
+        # |C v_n| is linear in b, so a rescaled b must report the same exponents
+        plain = run_config(COMMUTATOR_CFG, output_dir=tmp_path / "plain")
+        cfg = {**COMMUTATOR_CFG, "b": {"scale": 1e-12, "of": "gaussian"}}
+        scaled = run_config(cfg, output_dir=tmp_path / "scaled")
+        want, got = plain["checks"]["decay"], scaled["checks"]["decay"]
+        assert want.keys() == got.keys()
+        for label, fit in want.items():
+            assert fit["exponent"] < 0
+            assert got[label]["exponent"] == pytest.approx(fit["exponent"], rel=1e-12)
+
     def test_localization_outputs(self, tmp_path):
         summary = run_config(LOCALIZATION_CFG, output_dir=tmp_path)
         data = json.loads((tmp_path / "localization.json").read_text())

@@ -100,11 +100,13 @@ class TestFitDecay:
         ns = [8, 16, 32, 64]
         fit = fit_decay(ns, [3.0 * n**-1.5 for n in ns])
         assert fit["exponent"] == pytest.approx(-1.5, abs=1e-10)
-        assert not fit["all_below_threshold"]
 
-    def test_all_tiny(self):
-        fit = fit_decay([8, 16, 32], [1e-14, 2e-15, 0.0])
-        assert fit["all_below_threshold"]
+    @pytest.mark.parametrize("c", [1e-200, 1e-12, 1.0, 1e12])
+    def test_exponent_is_scale_invariant(self, c):
+        ns = [8, 16, 32, 64]
+        fit = fit_decay(ns, [c * n**-1.5 for n in ns])
+        assert fit["n_used"] == 4
+        assert fit["exponent"] == pytest.approx(-1.5, abs=1e-10)
 
     def test_mixed_zero_entries_dropped(self):
         fit = fit_decay([8, 16, 32], [1.0, 0.5, 0.0])
@@ -225,3 +227,16 @@ class TestFitLimitTable:
         table = np.column_stack([_column(kind, n, *params)
                                  for kind, *params in columns])
         _assert_columns_match_oracle(ns, table)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.integers(2, 256), min_size=3, max_size=6, unique=True).map(sorted),
+           st.lists(_columns, min_size=1, max_size=8))
+    def test_decay_rate_is_fit_decay_exponent(self, ns, columns):
+        # one log-log slope: a decay fit's beta is -fit_decay's exponent, bit
+        # for bit, for indices in increasing order
+        n = np.array(ns, dtype=float)
+        table = np.column_stack([_column(kind, n, *params)
+                                 for kind, *params in columns])
+        fit = fit_limit(ns, table)
+        for e in np.flatnonzero(fit.model == "decay"):
+            assert fit.beta[e] == -fit_decay(ns, table[:, e])["exponent"]

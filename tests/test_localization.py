@@ -3,7 +3,7 @@ import pytest
 import scipy.fft
 
 from hdist import localization
-from hdist.fitting import fit_limit
+from hdist.fitting import MIN_DECAY_RATE, fit_limit
 from hdist.grid import Grid, lp_norm, pairing
 from hdist.localization import (build_instance, i1_chain_check,
                                 localization_verdict)
@@ -142,6 +142,17 @@ class TestProbes:
         val_ctrl = abs(limit_value(fine_verdicts["ctrl"]["char_pairing"]))
         assert val_char <= 0.05 * base
         assert val_ctrl >= 0.5 * base
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: at k = 2 the control's rhs norms 0.881, 0.613, 0.498 "
+    "are a pre-asymptotic transient toward a nonzero limit, yet their "
+    "exponent reads -0.83 and fit_limit picks decay"))
+def test_control_rhs_does_not_decay_at_k2(fine_grid, fine_tests):
+    # loc64's non-characteristic config at k = 2: f_n does not vanish
+    inst = make(fine_grid, False, indices=(8, 12, 16), k=2)
+    verdict = localization_verdict(inst, *fine_tests, constant_symbol(3))
+    assert verdict["rates"]["rhs_exponent"] > -MIN_DECAY_RATE
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdist.fitting import DECAY_THRESHOLD
 from hdist.grid import Grid, GridFunction, dft, lp_norm
 from hdist.registry import field_function, make_field
 from hdist.sobolev import (ConcentrationFamily, SequenceFamily, strong_null_probe,
@@ -275,12 +274,9 @@ class TestProbes:
         assert table["meta"]["strongly_null"]
         limit = table["meta"]["limit"]
         assert limit["model"] == "decay" and limit["beta"] == pytest.approx(0.5, abs=0.1)
-        # fit_decay leaves norms all at or below DECAY_THRESHOLD unfitted
+        # the exponent beside the verdict is scale invariant too
         fit = table["fits"]["surrogate_norm"]
-        if max(table["columns"]["surrogate_norm"]) <= DECAY_THRESHOLD:
-            assert fit["all_below_threshold"] and fit["exponent"] is None
-        else:
-            assert fit["exponent"] == pytest.approx(-0.5, abs=0.1)
+        assert fit["exponent"] == pytest.approx(-0.5, abs=0.1)
 
     @pytest.mark.parametrize("c", SCALES)
     def test_strong_null_fails_without_scaling(self, grid, gaussian, c):
