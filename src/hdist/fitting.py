@@ -28,11 +28,15 @@ def log_slope(ns, mags):
 def fit_decay(ns, values) -> dict:
     """{"exponent", "n_used"} of |values| against ns, as decay tables hold
     it: the exponent is the log_slope of the entries above ZERO_FLOOR (none
-    below two entries), so rescaling the values leaves it unchanged."""
+    below two entries), so rescaling the values leaves it unchanged.  The
+    entries are fitted in increasing n, as fit_limit fits them, so the order
+    the indices come in does not move the exponent's last bits."""
     ns = np.asarray(ns, dtype=float)
     mags = np.abs(np.asarray(values, dtype=complex))
     if len(ns) != len(mags) or len(ns) == 0:
         raise ValueError("need matching, nonempty index and value lists")
+    order = np.argsort(ns, kind="stable")
+    ns, mags = ns[order], mags[order]
     keep = mags > ZERO_FLOOR
     n_used = int(np.count_nonzero(keep))
     exponent = float(log_slope(ns[keep], mags[keep])) if n_used >= 2 else None

@@ -8,8 +8,9 @@ transform convention is
 
 with frequency lattice xi_m = m/L, m in {-N/2, ..., N/2-1}^d, matching the
 continuum transform with 2 pi in the exponent.  A field is a GridFunction of
-its samples at the grid points; a spectrum is a plain complex ndarray in FFT
-layout (numpy fftfreq ordering), on which a multiplier acts as a product.
+its samples at the grid points, real samples held as float64 and complex ones
+as complex128; a spectrum is a plain complex ndarray in FFT layout (numpy
+fftfreq ordering), on which a multiplier acts as a product.
 
 `dft` and `idft` are the only transform seam: they call `scipy.fft.fftn` /
 `ifftn` with scipy's default of one worker, looked up on the module at each
@@ -132,21 +133,28 @@ class Grid:
         """Sample a callable fn(*x_axes) -> array, broadcast to N^d, into a
         GridFunction that aliases no array fn returned."""
         raw = fn(*self.x_axes)
-        vals = np.asarray(raw, dtype=np.complex128)
+        vals = np.asarray(raw, dtype=_sample_dtype(raw))
         if vals.shape != self.shape or np.may_share_memory(vals, raw):
             vals = np.broadcast_to(vals, self.shape).copy()
         return GridFunction(self, vals)
 
 
+def _sample_dtype(values):
+    """complex128 for complex samples, float64 for real (float, int, bool) ones."""
+    return np.complex128 if np.iscomplexobj(values) else np.float64
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples of a function at the points of a Grid."""
+    """Real or complex samples of a function at the points of a Grid.  Real
+    samples stay float64, and scipy transforms them real-to-complex at about
+    half the cost of complex128 ones."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
+        vals = np.ascontiguousarray(self.values, dtype=_sample_dtype(self.values))
         if vals.shape != self.grid.shape:
             raise ValueError(f"shape {vals.shape} does not match grid {self.grid.shape}")
         vals.flags.writeable = False
@@ -173,6 +181,8 @@ class GridFunction:
     __rmul__ = __mul__
 
     def conj(self):
+        if not np.iscomplexobj(self.values):
+            return self
         return GridFunction(self.grid, np.conj(self.values))
 
 
@@ -216,8 +226,9 @@ def conj_sum(f: np.ndarray, g: np.ndarray):
     """sum f conj(g) over the lattice, summed pairwise by numpy, not by a BLAS
     vdot: a vdot's result depends on the BLAS thread count, and over N^d
     points it rounds about 30 times worse.  The product is taken in place in
-    the fresh array conj(g)."""
-    prod = np.conj(g)
+    the fresh array conj(g), cast to the result type so that a real g can
+    meet a complex f."""
+    prod = np.conj(g, dtype=np.result_type(f, g))
     prod *= f
     return prod.sum()
 

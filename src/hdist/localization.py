@@ -50,8 +50,9 @@ class TransportInstance:
 
     def v(self, n: int, u):
         """v_n from u = u_n, or dft(g v_n) from u = dft(g u_n): a scalar
-        multiple, with the factor exactly 1.0 when k = 0."""
-        return u * (2 * np.pi * self.family.frequency_shift(n)) ** (-2 * self.family.order)
+        multiple, and u itself when k = 0, where the factor is exactly 1.0."""
+        k = self.family.order
+        return u if k == 0 else u * (2 * np.pi * self.family.frequency_shift(n)) ** (-2 * k)
 
     def characteristic_defect(self) -> float:
         """Amplitude-weighted size of A(x).xi0 / |xi0|: sup |(A.xi0) a| / sup |a|."""
@@ -111,9 +112,13 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
     shift; pairings against a spectrum go by Parseval,
     <f, g> = sum fhat conj(ghat) / L^d.  That is 3d + 3 transforms per pass
     (G takes d + 1) and 4 per index when k = 0: w, f_n and the J_{-k-1}
-    round trip.  The stages hold one product spectrum at a time with the
-    indices inside, build each multiplier where it is used, and drop each
-    index's t_hat, w and f_hat after their last use.
+    round trip.  Real coefficients, test functions and amplitude make the
+    2d + 3 fields transformed once per pass real, so those transforms run
+    real-to-complex; phi1 f_n (and phi1 w when k > 0) are complex.  At
+    k = 0, s_n and the v_n factor are exactly 1.0 and are not multiplied.
+    The stages hold one product spectrum at a time with the indices inside,
+    build each multiplier where it is used, and drop each index's t_hat, w
+    and f_hat after their last use.
     """
     fam = instance.family
     grid = fam.grid
@@ -127,7 +132,8 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
         g_hat = dft(g * fam.amplitude)
         for row, s in shifts:
             out = np.roll(g_hat, row, axis=axes)
-            out *= s
+            if s != 1.0:
+                out *= s
             yield out
 
     psi_bar = np.conj(from_symbol(grid, psi).m)

@@ -3,6 +3,8 @@
 Registry names are stable identifiers used by the experiment configs; field
 specs are small dicts {"name": ..., "params": {...}} with two combinators,
 {"product": [...]} and {"scale": c, "of": ...}, for composite coefficients.
+Every builtin field is real, and so is a product of them or a scale by a
+real c; a scale by an [re, im] pair makes the field complex.
 """
 
 from __future__ import annotations
@@ -153,7 +155,8 @@ def field_function(d: int, spec):
         return lambda *x: functools.reduce(operator.mul, [p(*x) for p in parts])
     if isinstance(spec, dict) and "scale" in spec:
         c = spec["scale"]
-        scale = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
+        # an [re, im] pair is complex; a real factor keeps a real field real
+        scale = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else c
         inner = field_function(d, spec["of"])
         return lambda *x: scale * inner(*x)
     _, fn, params = _resolve("field", FIELD_BUILTINS, spec)

@@ -75,6 +75,8 @@ class HermiteBasis:
         vals = self.axis_table[m[0]]
         for v in m[1:]:
             vals = np.multiply.outer(vals, self.axis_table[v])
+        # complex on purpose: analyze contracts a complex field by complex
+        # BLAS, whose rounding-level se_coeffs entries a real one would move
         return GridFunction(self.grid, vals.astype(complex))
 
     def analyze(self, f: GridFunction) -> np.ndarray:

@@ -117,6 +117,21 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay([], [])
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.permutations([8, 16, 32]), st.floats(0.1, 10.0),
+           st.floats(0.3, 3.0), st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3))
+    def test_index_order_does_not_move_exponent(self, ns, c, gamma, wobble):
+        # a config may list its indices in any order: the exponent is the same
+        # to the bit, and so is fit_limit's decay rate beside it
+        n = np.array(ns, dtype=float)
+        col = c * n ** (-gamma) * np.array(wobble) ** 0.1
+        exponent = fit_decay(ns, col)["exponent"]
+        order = np.argsort(n)
+        assert exponent == fit_decay(n[order], col[order])["exponent"]
+        fit = fit_limit(ns, col)
+        if fit.model == "decay":
+            assert fit.beta == -exponent
+
 
 class TestFitLimit:
     def test_constant_records(self):
@@ -229,11 +244,11 @@ class TestFitLimitTable:
         _assert_columns_match_oracle(ns, table)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.lists(st.integers(2, 256), min_size=3, max_size=6, unique=True).map(sorted),
+    @given(st.lists(st.integers(2, 256), min_size=3, max_size=6, unique=True),
            st.lists(_columns, min_size=1, max_size=8))
     def test_decay_rate_is_fit_decay_exponent(self, ns, columns):
         # one log-log slope: a decay fit's beta is -fit_decay's exponent, bit
-        # for bit, for indices in increasing order
+        # for bit, for indices in any order
         n = np.array(ns, dtype=float)
         table = np.column_stack([_column(kind, n, *params)
                                  for kind, *params in columns])

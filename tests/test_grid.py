@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdist
-from hdist.grid import (Grid, GridFunction, dft, idft, linf_norm, lp_norm,
-                        pairing)
+from hdist.grid import (Grid, GridFunction, conj_sum, dft, idft, linf_norm,
+                        lp_norm, pairing)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,68 @@ class TestSample:
         assert not np.may_share_memory(f.values, cached)
         cached[0, 0] = 5.0
         assert f.values[0, 0] == 1.0
+
+
+def sampler(kind, seed):
+    """A callable on the sparse x_axes returning random samples of one kind."""
+    rng = np.random.default_rng(seed)
+
+    def fn(*x):
+        vals = rng.normal(size=np.broadcast_shapes(*(c.shape for c in x)))
+        if kind == "int":
+            return np.rint(4 * vals).astype(np.int64)
+        if kind == "bool":
+            return vals > 0
+        if kind == "complex":
+            return vals + 1j * rng.normal(size=vals.shape)
+        return vals
+
+    return fn
+
+
+SAMPLE_KINDS = ["float", "int", "bool", "complex"]
+
+
+class TestRealSamples:
+    """Real samples stay float64 and complex ones complex128; both meet the
+    transform and the pairing as their complex cast would."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(grids(), st.sampled_from(SAMPLE_KINDS), st.integers(0, 2**16))
+    def test_dtype_rule(self, grid, kind, seed):
+        want = np.complex128 if kind == "complex" else np.float64
+        raw = sampler(kind, seed)(*grid.x_axes)
+        for f in (grid.sample(sampler(kind, seed)), GridFunction(grid, raw)):
+            assert f.values.dtype == want
+            assert f.values.flags.c_contiguous and not f.values.flags.writeable
+            assert np.array_equal(f.values, raw)
+            conj = f.conj()
+            assert conj is f if kind != "complex" else np.array_equal(
+                conj.values, np.conj(raw))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(grids(), st.integers(0, 2**16))
+    def test_real_dft_matches_complex_cast(self, grid, seed):
+        f = grid.sample(sampler("float", seed))
+        got, want = dft(f), dft(GridFunction(grid, f.values.astype(np.complex128)))
+        assert got.dtype == np.complex128
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(got - want)) <= 8 * eps * np.max(np.abs(want))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(grids(), st.sampled_from(["float", "complex"]),
+           st.sampled_from(["float", "complex"]), st.integers(0, 2**16))
+    def test_conj_sum_matches_complex_cast(self, grid, kind_f, kind_g, seed):
+        f = sampler(kind_f, seed)(*grid.x_axes)
+        g = sampler(kind_g, seed + 1)(*grid.x_axes)
+        got = conj_sum(f, g)
+        want = conj_sum(f.astype(np.complex128), g.astype(np.complex128))
+        if "complex" in (kind_f, kind_g):
+            assert got == want  # the same products, summed in the same order
+        else:
+            # a float sum: numpy blocks float and complex sums differently
+            assert want.imag == 0
+            assert abs(got - want.real) <= 1e-14 * np.sum(np.abs(f * g))
 
 
 class TestDft:
@@ -196,9 +258,9 @@ class TestPairing:
         assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
 
     def test_independent_of_blas_threads(self):
-        """One fixed pair of random 256^2 fields pairs to the same bits with
-        1 and 2 BLAS threads: artifacts must not depend on the machine's
-        thread count."""
+        """Fixed pairs of random 256^2 fields, complex x complex and real x
+        complex both ways, pair to the same bits with 1 and 2 BLAS threads:
+        artifacts must not depend on the machine's thread count."""
         script = (
             "import numpy as np\n"
             "from hdist.grid import Grid, GridFunction, pairing\n"
@@ -206,7 +268,8 @@ class TestPairing:
             "rng = np.random.default_rng(2016)\n"
             "u, v = (GridFunction(grid, rng.normal(size=grid.shape)"
             " + 1j * rng.normal(size=grid.shape)) for _ in range(2))\n"
-            "print(repr(pairing(u, v)))\n"
+            "r = GridFunction(grid, rng.normal(size=grid.shape))\n"
+            "print(repr([pairing(u, v), pairing(r, v), pairing(u, r)]))\n"
         )
         src = str(Path(hdist.__file__).resolve().parents[1])
         reprs = []

@@ -196,6 +196,25 @@ class TestOnePass:
         assert counts["u"] == len(ns)  # v_n is a multiple of u_n
         assert counts["smooth"] == 1  # J_{-k-1}, once per verdict
 
+    @pytest.mark.parametrize("characteristic", [False, True])
+    def test_real_product_fields_transform_as_float64(self, grid, tests_pair,
+                                                      characteristic, monkeypatch):
+        # at k = 0 the 2d + 3 fields a pass transforms once (phi2 a, phi1 a,
+        # A_j phi1 a, A_j a, conj(phi1)) are real; only the forward half of
+        # the J_{-1} round trip, one per index, takes complex input
+        inst = make(grid, characteristic)
+        dtypes = []
+        fftn = scipy.fft.fftn
+
+        def recorded(x, *args, **kwargs):
+            dtypes.append(np.asarray(x).dtype)
+            return fftn(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "fftn", recorded)
+        localization._index_pass(inst, *tests_pair, constant_symbol(3))
+        assert len(dtypes) == 2 * grid.d + 3 + len(inst.family.indices)
+        assert dtypes.count(np.float64) == 2 * grid.d + 3
+
 
 def operator_chain(inst, phi1, phi2, psi):
     """Per-index values along the operator-by-operator route: every

@@ -104,7 +104,14 @@ class TestFields:
                 "of": {"product": ["gaussian", "constant_one"]}}
         f = make_field(grid, spec)
         g = make_field(grid, "gaussian")
+        assert f.values.dtype == np.complex128
         assert np.max(np.abs(f.values - 2j * g.values)) < 1e-15
+
+    def test_real_scale_keeps_field_real(self, grid):
+        f = make_field(grid, {"scale": 2.0, "of": "gaussian"})
+        g = make_field(grid, "gaussian")
+        assert g.values.dtype == f.values.dtype == np.float64
+        assert np.array_equal(f.values, 2.0 * g.values)
 
     def test_field_function_matches_sample(self, grid):
         fn = field_function(2, {"name": "gaussian", "params": {"width": 1.5}})
