@@ -33,7 +33,7 @@ from .grid import Grid
 from .localization import TOL_CHAIN, build_instance, localization_verdict
 from .registry import field_function, list_builtins, make_field, make_symbol, spec_label
 from .sobolev import ConcentrationFamily, SequenceFamily, norm_table
-from .specbasis import HermiteBasis, se_analyze, se_membership_score
+from .specbasis import HermiteBasis, se_analyze, se_membership_score, se_sparse
 from .symbol import SphericalHarmonicBasis
 from .util import (AliasingError, SupportError, canonical_hash, dump_json,
                    jsonable)
@@ -474,7 +474,7 @@ def run_se_analysis(cfg, grid):
         coeffs = se_analyze([(fx, gs)], hb, sb)
         score = se_membership_score(coeffs, r_list)
         checks = {"membership_verdict": {"value": score["verdict"]}}
-        return checks, {"se_coeffs.json": {"coefficients": coeffs},
+        return checks, {"se_coeffs.json": {"coefficients": se_sparse(coeffs)},
                         "se_membership.json": {"membership": score}}
 
     return compute

@@ -76,7 +76,8 @@ class HermiteBasis:
         for v in m[1:]:
             vals = np.multiply.outer(vals, self.axis_table[v])
         # complex on purpose: analyze contracts a complex field by complex
-        # BLAS, whose rounding-level se_coeffs entries a real one would move
+        # BLAS; a real one moves the table's rounding-level entries, and with
+        # them se_membership.json's head and weighted sums by up to 4.3e-16
         return GridFunction(self.grid, vals.astype(complex))
 
     def analyze(self, f: GridFunction) -> np.ndarray:
@@ -117,7 +118,7 @@ def oscillator_eigenvalue(m) -> float:
 def se_analyze(theta, hermite_basis: HermiteBasis,
                sphere_basis: SphericalHarmonicBasis) -> dict:
     """Coefficients entries[(n,j), m] of theta(x, xi) against h_m x Y_{n,j},
-    as se_coeffs.json holds them.
+    the dense table that se_membership_score reads and se_sparse thins.
 
     theta is a list of separable terms (GridFunction, sphere node values)
     summed together.
@@ -133,6 +134,29 @@ def se_analyze(theta, hermite_basis: HermiteBasis,
     return {"d": grid.d, "m_max": hermite_basis.m_max, "n_max": sphere_basis.n_max,
             "sphere_indices": tuple(sphere_basis.indices),
             "hermite_indices": tuple(hermite_basis.indices()), "entries": out}
+
+
+SE_DROP_RTOL = 1e-12  # se_sparse drops |c| <= SE_DROP_RTOL * max|c|
+
+
+def se_sparse(coeffs: dict) -> dict:
+    """The se_coeffs.json dict of se_analyze's dense table.
+
+    Keeps each entry with |c| > SE_DROP_RTOL * max|c| as
+    [[n, j], [m_1, ..., m_d], c], in the table's row-major order, and states
+    the count and summed |c|^2 of the entries it drops.  d, m_max and n_max
+    fix the sphere and Hermite index sets, so those are not written.
+    """
+    entries = coeffs["entries"]
+    mags = np.abs(entries)
+    keep = mags > SE_DROP_RTOL * mags.max()
+    sphere, hermite = coeffs["sphere_indices"], coeffs["hermite_indices"]
+    return {"d": coeffs["d"], "m_max": coeffs["m_max"], "n_max": coeffs["n_max"],
+            "drop_rtol": SE_DROP_RTOL,
+            "entries": [[sphere[i], hermite[k], entries[i, k]]
+                        for i, k in zip(*np.nonzero(keep))],
+            "dropped": {"count": int(np.count_nonzero(~keep)),
+                        "sum_abs2": float(np.sum(mags[~keep] ** 2))}}
 
 
 def se_membership_score(coeffs: dict, r_list) -> dict:

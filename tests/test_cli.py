@@ -490,7 +490,7 @@ class TestExperiments:
         summary = run_config(SE_CFG, output_dir=tmp_path)
         coeffs = json.loads((tmp_path / "se_coeffs.json").read_text())
         entries = coeffs["coefficients"]["entries"]
-        flat = [abs(complex(re, im)) for row in entries for re, im in row]
+        flat = [abs(complex(re, im)) for _, _, (re, im) in entries]
         top = sorted(flat)[-1]
         assert top == pytest.approx(1.0, abs=1e-8)
         assert sum(v > 1e-6 for v in flat) == 1
@@ -525,12 +525,15 @@ class TestExperiments:
         assert data["config_hash"] == summary["config_hash"]
 
     def test_determinism_byte_identical(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_config(SWEEP_CFG, output_dir=out1)
-        run_config(SWEEP_CFG, output_dir=out2)
-        for name in ("summary.json", "limits.json", "tensor.json",
-                     "zero_check.json", "records.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        for cfg in (SWEEP_CFG, SE_CFG):
+            outs = [tmp_path / cfg["experiment"] / run for run in ("a", "b")]
+            for out in outs:
+                run_config(cfg, output_dir=out)
+            first, second = ({f.name: f.read_bytes() for f in out.iterdir()}
+                             for out in outs)
+            assert first == second, cfg["experiment"]
+            assert sorted(first) == sorted(
+                json.loads(first["summary.json"])["artifacts"] + ["summary.json"])
 
 
 NORM_ORACLE_CFG = {**NORM_CFG, "fields": ["gaussian", "bump"],

@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdist.grid import Grid, GridFunction, lp_norm, pairing
 from hdist.registry import make_field
-from hdist.specbasis import (HermiteBasis, hermite_values, oscillator_apply,
-                             oscillator_eigenvalue, required_box, se_analyze,
-                             se_membership_score)
+from hdist.specbasis import (SE_DROP_RTOL, HermiteBasis, hermite_values,
+                             oscillator_apply, oscillator_eigenvalue, required_box,
+                             se_analyze, se_membership_score, se_sparse)
 from hdist.symbol import SphericalHarmonicBasis
-from hdist.util import SupportError
+from hdist.util import SupportError, dump_json
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +162,82 @@ class TestSECoefficients:
         total = np.sum(w * np.abs(theta) ** 2, axis=-1)
         total = g.cell_volume * np.sum(total)
         assert total == pytest.approx(float(np.sum(np.abs(coeffs["entries"]) ** 2)), abs=1e-7)
+
+
+def _written(coeffs):
+    """se_sparse(coeffs) as se_coeffs.json holds it, parsed strictly."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    return json.loads(dump_json(se_sparse(coeffs)), parse_constant=reject)
+
+
+def _kept_positions(coeffs, sparse):
+    rows = [tuple(i) for i in coeffs["sphere_indices"]]
+    cols = [tuple(m) for m in coeffs["hermite_indices"]]
+    return [(rows.index(tuple(nj)), cols.index(tuple(m)))
+            for nj, m, _ in sparse["entries"]]
+
+
+@pytest.fixture(scope="module", params=["single", "separable"])
+def dense(request, bases):
+    # one coefficient over rounding noise, and a table of many real entries
+    g, hb, sb = bases
+    if request.param == "single":
+        term = (hb.function((2, 0)), sb.evaluate(1, 1, sb.quadrature.nodes))
+    else:
+        term = (make_field(g, "gaussian"), 1.0 + sb.quadrature.nodes[0])
+    return se_analyze([term], hb, sb)
+
+
+class TestSparseArtifact:
+    def test_kept_and_dropped_cover_the_table(self, dense):
+        sparse = _written(dense)
+        assert sparse["dropped"]["count"] > 0
+        assert len(sparse["entries"]) + sparse["dropped"]["count"] == dense["entries"].size
+        assert {k: sparse[k] for k in ("d", "m_max", "n_max", "drop_rtol")} == {
+            "d": 2, "m_max": 4, "n_max": 3, "drop_rtol": SE_DROP_RTOL}
+
+    def test_kept_entries_are_the_dense_entries_bit_for_bit(self, dense):
+        sparse = _written(dense)
+        table = dense["entries"]
+        positions = _kept_positions(dense, sparse)
+        # exactly the entries the rule keeps, in row-major order
+        rule = np.abs(table) > SE_DROP_RTOL * np.max(np.abs(table))
+        assert positions == [tuple(ik) for ik in np.argwhere(rule)]
+        for (i, k), (_, _, (re, im)) in zip(positions, sparse["entries"]):
+            assert complex(re, im) == table[i, k]
+
+    def test_kept_and_dropped_mass_add_up(self, dense):
+        sparse = _written(dense)
+        kept = sum(abs(complex(re, im)) ** 2 for _, _, (re, im) in sparse["entries"])
+        total = np.sum(np.abs(dense["entries"]) ** 2)
+        assert kept + sparse["dropped"]["sum_abs2"] == pytest.approx(total, rel=1e-14)
+
+    def test_zero_theta_keeps_nothing(self, bases):
+        g, hb, sb = bases
+        z = g.sample(lambda x, y: np.zeros_like(x))
+        coeffs = se_analyze([(z, np.zeros(sb.quadrature.weights.shape))], hb, sb)
+        sparse = _written(coeffs)
+        assert sparse["entries"] == []
+        assert sparse["dropped"] == {"count": coeffs["entries"].size, "sum_abs2": 0.0}
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-20, 20))
+    def test_kept_set_is_scale_free(self, bases, seed, k):
+        # the rule is relative, and scaling by 2**k is exact
+        g, hb, sb = bases
+        rng = np.random.default_rng(seed)
+        shape = (sb.size, (hb.m_max + 1) ** g.d)
+        table = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+            * 10.0 ** rng.uniform(-20.0, 0.0, size=shape)
+        coeffs = {"d": g.d, "m_max": hb.m_max, "n_max": sb.n_max,
+                  "sphere_indices": tuple(sb.indices),
+                  "hermite_indices": tuple(hb.indices()), "entries": table}
+        scaled = {**coeffs, "entries": table * 2.0 ** k}
+        labels = [(nj, m) for nj, m, _ in se_sparse(coeffs)["entries"]]
+        assert 0 < len(labels) < table.size
+        assert [(nj, m) for nj, m, _ in se_sparse(scaled)["entries"]] == labels
 
 
 class TestMembership:
