@@ -17,7 +17,7 @@ from .multiplier import (MultiplierOperator, bessel_potential, derivative,
 from .sobolev import (ConcentrationFamily, SequenceFamily, decay_table, norm_table,
                       strong_null_probe, surrogate_negative_norm, wkq_norm)
 from .commutator import commutator_apply, compactness_probe
-from .fitting import LimitFit, fit_limit
+from .fitting import fit_limit
 from .functional import (mu_tensor, pairing_records,
                          zero_mu_strong_convergence_check)
 from .localization import (TransportInstance, build_instance, i1_chain_check,

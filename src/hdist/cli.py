@@ -366,7 +366,7 @@ def run_hdist_sweep(cfg, grid):
         vs = us if v_fam is u_fam else [v_fam.u(n) for n in ns]
         rows, limits, max_gap = [], {}, 0.0
         for psi, forms in zip(symbols, pairing_records(us, vs, phi1, phi2, symbols)):
-            limits[psi.name] = fit_limit(ns, [a for a, _ in forms]).to_dict()
+            limits[psi.name] = fit_limit(ns, [a for a, _ in forms])
             for n, (a, b) in zip(ns, forms):
                 rows.append([psi.name, *labels, int(n), repr(a.real),
                              repr(a.imag), repr(b.real), repr(b.imag), repr(abs(a - b))])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # magnitudes below this are treated as numerically zero when fitting logs
@@ -43,53 +41,27 @@ def fit_decay(ns, values) -> dict:
     return {"exponent": exponent, "n_used": n_used}
 
 
-@dataclass(frozen=True)
-class LimitFit:
-    """Extrapolated limit of a sequence of (complex) values.
-
-    model is one of:
-      "offset"     : c0 + c1 * n^(-beta), beta in {1, 2}
-      "decay"      : c1 * n^(-beta) with fitted beta, limit zero
-      "negligible" : all values at rounding level, limit zero
-
-    For one sequence every field is a Python scalar; for a table of E
-    sequences value, residual, model, beta and flagged are arrays of
-    shape (E,).  ns holds the sorted indices.
-    """
-
-    value: complex
-    residual: float
-    model: str
-    beta: float
-    flagged: bool
-    ns: tuple = ()
-
-    def to_dict(self):
-        return {
-            "value": [self.value.real, self.value.imag],
-            "residual": self.residual,
-            "model": self.model,
-            "beta": self.beta,
-            "flagged": self.flagged,
-            "ns": list(self.ns),
-        }
-
-
 def _rms(resid):
     return np.sqrt(np.mean(np.abs(resid) ** 2, axis=0))
 
 
-def fit_limit(ns, values) -> LimitFit:
-    """Extrapolate lim values(n) from at least three distinct indices.
+def fit_limit(ns, values) -> dict:
+    """Extrapolate lim values(n) from at least three distinct indices, as
+    {"value", "residual", "model", "beta", "flagged", "ns"}.
 
     values has shape (len(ns),) for one sequence or (len(ns), E) for a
     table whose E columns are fitted independently with the same models.
-    Candidate models: a constant offset plus n^(-1) or n^(-2) correction,
-    and a zero-limit pure power decay for sequences vanishing at rates the
-    offset models cannot represent.  The decay model is preferred whenever
-    it is admissible and fits within DECAY_PREFERENCE times the best
-    offset residual: when a pure decay explains the data about as well, the
-    offset's constant is spurious.
+    model is one of:
+      "offset"     : c0 + c1 * n^(-beta), beta in {1, 2}
+      "decay"      : c1 * n^(-beta) with fitted beta, limit zero
+      "negligible" : all values at rounding level, limit zero
+    The decay model is preferred whenever it is admissible and fits within
+    DECAY_PREFERENCE times the best offset residual: when a pure decay
+    explains the data about as well, the offset's constant is spurious.
+
+    For one sequence every field is a Python scalar (value a complex); for
+    a table value, residual, model, beta and flagged are arrays of shape
+    (E,).  ns holds the sorted indices.
     """
     if len(set(ns)) < 3:
         raise ValueError("need at least 3 distinct indices to extrapolate")
@@ -136,7 +108,8 @@ def fit_limit(ns, values) -> LimitFit:
     model = np.where(negligible, "negligible", model)
     flagged = residual > 0.1 * np.abs(value) + 1e-8
 
+    fit = {"value": value, "residual": residual, "model": model, "beta": beta,
+           "flagged": flagged}
     if single:
-        return LimitFit(complex(value[0]), float(residual[0]), str(model[0]),
-                        float(beta[0]), bool(flagged[0]), ns_sorted)
-    return LimitFit(value, residual, model, beta, flagged, ns_sorted)
+        fit = {key: column.item() for key, column in fit.items()}
+    return {**fit, "ns": ns_sorted}

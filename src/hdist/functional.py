@@ -59,8 +59,8 @@ def mu_tensor(ns, us, vs, hermite_basis: HermiteBasis,
     """
     grid = hermite_basis.grid
     ns = tuple(ns)
-    if len(ns) < 3:
-        raise ValueError("need at least 3 indices for tensor extrapolation")
+    if len(set(ns)) < 3:
+        raise ValueError("need at least 3 distinct indices to extrapolate")
     v_spectra = [dft(v) for v in vs]
 
     m_flat = (hermite_basis.m_max + 1) ** grid.d
@@ -77,8 +77,9 @@ def mu_tensor(ns, us, vs, hermite_basis: HermiteBasis,
     shape = (m_flat, b_sphere)
     return {"hermite_indices": tuple(hermite_basis.indices()),
             "sphere_indices": tuple(sphere_basis.indices), "ns": ns,
-            "entries": fit.value.reshape(shape), "residuals": fit.residual.reshape(shape),
-            "flagged": fit.flagged.reshape(shape),
+            "entries": fit["value"].reshape(shape),
+            "residuals": fit["residual"].reshape(shape),
+            "flagged": fit["flagged"].reshape(shape),
             "order_in_xi": "finite-basis surrogate; extension order not certified"}
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import LimitFit, fit_decay, fit_limit
+from .fitting import fit_decay, fit_limit
 from .grid import Grid, GridFunction, conj_sum, dft, idft, lp_norm, pairing
 from .multiplier import bessel_potential, from_symbol, riesz, riesz_potential
 from .registry import make_field
@@ -182,7 +182,7 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
     return rows
 
 
-def _limit(rows, key: str) -> LimitFit:
+def _limit(rows, key: str) -> dict:
     return fit_limit([r["n"] for r in rows], [r[key] for r in rows])
 
 
@@ -212,13 +212,13 @@ def localization_verdict(instance: TransportInstance, phi1: GridFunction,
     rhs = decay_table(ns, {"rhs_norm": [r["rhs_norm"] for r in rows]}, {
         "characteristic": instance.characteristic,
         "characteristic_defect": defect})
-    ratio = abs(char.value) / abs(base.value) if abs(base.value) > 0 else None
+    ratio = abs(char["value"]) / abs(base["value"]) if abs(base["value"]) > 0 else None
     check = instance.characteristic and ratio is not None
     return {
         "characteristic_flag": bool(instance.characteristic),
         "characteristic_defect": defect,
-        "baseline": base.to_dict(),
-        "char_pairing": char.to_dict(),
+        "baseline": base,
+        "char_pairing": char,
         "ratio": ratio,
         "passes_tol_char": bool(ratio <= TOL_CHAR) if check else None,
         "rates": {

@@ -49,9 +49,7 @@ def riesz(grid: Grid, axis: int) -> MultiplierOperator:
     """j-th Riesz transform, symbol xi_j / (i |xi|), zero mode 0."""
     if not 0 <= axis < grid.d:
         raise ValueError(f"axis {axis} out of range for d={grid.d}")
-    m = np.where(grid.xi_norm == 0, 0.0,
-                 grid.xi_axes[axis] / grid.xi_norm_safe) / 1j
-    return MultiplierOperator(grid, m)
+    return MultiplierOperator(grid, grid.xi_axes[axis] / grid.xi_norm_safe / 1j)
 
 
 def riesz_potential(grid: Grid) -> MultiplierOperator:
@@ -67,8 +65,7 @@ def riesz_potential(grid: Grid) -> MultiplierOperator:
 
 def bessel_potential(grid: Grid, s: float) -> MultiplierOperator:
     """Smoothing scale s: multiplier (1 + |2 pi xi|^2)^(s/2), no singularity."""
-    m = (1.0 + (2 * np.pi * grid.xi_norm) ** 2) ** (s / 2.0)
-    return MultiplierOperator(grid, m.astype(np.complex128))
+    return MultiplierOperator(grid, (1.0 + (2 * np.pi * grid.xi_norm) ** 2) ** (s / 2.0))
 
 
 def derivative_op(grid: Grid, alpha) -> MultiplierOperator:

@@ -200,7 +200,7 @@ def _odd_axis_symbol(d, axis, label, fn):
 
 
 def coordinate_symbol(d, axis=0):
-    return _odd_axis_symbol(d, axis, "coordinate", lambda xi: xi[axis].astype(complex))
+    return _odd_axis_symbol(d, axis, "coordinate", lambda xi: xi[axis])
 
 
 def riesz_symbol(d, axis=0):
@@ -210,8 +210,7 @@ def riesz_symbol(d, axis=0):
 
 def smoothed_sign_symbol(d, axis=0, eps=0.25):
     """tanh(xi_j / eps): a smooth odd step across the hyperplane xi_j = 0."""
-    return _odd_axis_symbol(d, axis, "smoothed_sign",
-                            lambda xi: np.tanh(xi[axis] / eps).astype(complex))
+    return _odd_axis_symbol(d, axis, "smoothed_sign", lambda xi: np.tanh(xi[axis] / eps))
 
 
 SYMBOL_BUILTINS = {

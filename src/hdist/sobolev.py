@@ -214,4 +214,4 @@ def strong_null_probe(ns, us, theta: GridFunction, k: int, p: float) -> dict:
     norms = [surrogate_negative_norm(theta * u, k, p) for u in us]
     limit = fit_limit(ns, norms)
     return decay_table(ns, {"surrogate_norm": norms},
-                       {"limit": limit.to_dict(), "strongly_null": limit.value == 0})
+                       {"limit": limit, "strongly_null": limit["value"] == 0})

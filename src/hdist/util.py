@@ -18,13 +18,8 @@ class SupportError(ValueError):
 
 def multi_indices(d, k):
     """All multi-indices alpha in N_0^d with |alpha| <= k, lexicographic."""
-    out = [
-        alpha
-        for alpha in itertools.product(range(k + 1), repeat=d)
-        if sum(alpha) <= k
-    ]
-    out.sort()
-    return out
+    return [alpha for alpha in itertools.product(range(k + 1), repeat=d)
+            if sum(alpha) <= k]
 
 
 def jsonable(obj):

@@ -130,10 +130,10 @@ def test_criterion_2_oscillation_h_measure():
     # frequency-shift oracle: psi(xi0/|xi0|) * integral |phi|^2 |a|^2;
     # for unit-width Gaussians the mass integral is exactly 1/4 in d = 2
     oracle = -0.25j
-    rel = abs(est.value - oracle) / abs(oracle)
+    rel = abs(est["value"] - oracle) / abs(oracle)
     elapsed = time.time() - t0
     report(2, rel <= 0.01 and elapsed < 30.0,
-           f"estimate {est.value:.6f} vs oracle {oracle}, relative error "
+           f"estimate {est['value']:.6f} vs oracle {oracle}, relative error "
            f"{rel:.2%} (tol 1%), runtime {elapsed:.1f}s (< 30s)")
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,13 @@ class TestBuild:
         out = tmp_path / "out"
         assert main(["run", str(paths["commutator"]), "--output-dir", str(out)]) == 0
         assert counts["fft"] > 0 and counts["u"] > 0
+
+    def test_readme_config_builds(self):
+        # the README's one json block is a config that passes the schema and
+        # builds, so the documented example cannot drift from the schema
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        [block] = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert callable(cli.build_config(json.loads(block)))
 
     def test_builders_are_called_through_the_module(self, monkeypatch):
         # the benchmark's tracer counts make_field by swapping the module

@@ -84,15 +84,15 @@ _columns = st.tuples(st.sampled_from(KINDS), _complex, _complex, _gamma,
 
 def _assert_columns_match_oracle(ns, table):
     fit = fit_limit(ns, table)
-    assert fit.ns == tuple(sorted(ns))
+    assert fit["ns"] == tuple(sorted(ns))
     for e in range(table.shape[1]):
         value, residual, model, beta, flagged = oracle_fit_limit(ns, table[:, e])
         scale = float(np.max(np.abs(table[:, e])))
-        assert fit.model[e] == model
-        assert fit.flagged[e] == flagged
-        assert abs(fit.value[e] - value) <= 1e-12 * max(abs(value), scale)
-        assert abs(fit.residual[e] - residual) <= 1e-12 * max(residual, scale)
-        assert abs(fit.beta[e] - beta) <= 1e-12 * max(abs(beta), 1.0)
+        assert fit["model"][e] == model
+        assert fit["flagged"][e] == flagged
+        assert abs(fit["value"][e] - value) <= 1e-12 * max(abs(value), scale)
+        assert abs(fit["residual"][e] - residual) <= 1e-12 * max(residual, scale)
+        assert abs(fit["beta"][e] - beta) <= 1e-12 * max(abs(beta), 1.0)
 
 
 class TestFitDecay:
@@ -129,29 +129,29 @@ class TestFitDecay:
         order = np.argsort(n)
         assert exponent == fit_decay(n[order], col[order])["exponent"]
         fit = fit_limit(ns, col)
-        if fit.model == "decay":
-            assert fit.beta == -exponent
+        if fit["model"] == "decay":
+            assert fit["beta"] == -exponent
 
 
 class TestFitLimit:
     def test_constant_records(self):
         v = 0.7 - 0.2j
         fit = fit_limit([8, 16, 32], [v, v, v])
-        assert fit.value == pytest.approx(v, abs=1e-14)
-        assert fit.residual < 1e-14
+        assert fit["value"] == pytest.approx(v, abs=1e-14)
+        assert fit["residual"] < 1e-14
 
     def test_exact_offset_model(self):
         v = 1.5 + 0.5j
         ns = [8, 16, 32]
         fit = fit_limit(ns, [v + 1.0 / n for n in ns])
-        assert abs(fit.value - v) < 1e-10
-        assert fit.model == "offset" and fit.beta == 1.0
+        assert abs(fit["value"] - v) < 1e-10
+        assert fit["model"] == "offset" and fit["beta"] == 1.0
 
     def test_exact_quadratic_model(self):
         ns = [8, 16, 32]
         fit = fit_limit(ns, [2.0 - 5.0 / n**2 for n in ns])
-        assert abs(fit.value - 2.0) < 1e-10
-        assert fit.beta == 2.0
+        assert abs(fit["value"] - 2.0) < 1e-10
+        assert fit["beta"] == 2.0
 
     def test_rounding_noise_does_not_pick_beta(self):
         # a constant sequence plus every {-1, 0, 1} * 1e-16 perturbation:
@@ -160,37 +160,37 @@ class TestFitLimit:
         noise = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=3))).T
         table = 0.2909 + 1e-16 * noise
         fit = fit_limit(ns, table)
-        assert np.all(fit.beta == 1.0) and np.all(fit.model == "offset")
-        assert np.max(np.abs(fit.value - 0.2909)) < 1e-15
+        assert np.all(fit["beta"] == 1.0) and np.all(fit["model"] == "offset")
+        assert np.max(np.abs(fit["value"] - 0.2909)) < 1e-15
         for column in table.T:
-            assert fit_limit(ns, column).beta == 1.0
+            assert fit_limit(ns, column)["beta"] == 1.0
 
     def test_half_power_decay_extrapolates_to_zero(self):
         ns = [16, 32, 64]
         fit = fit_limit(ns, [0.3 * n**-0.5 for n in ns])
-        assert fit.model == "decay"
-        assert fit.value == 0.0
-        assert fit.beta == pytest.approx(0.5, abs=1e-8)
+        assert fit["model"] == "decay"
+        assert fit["value"] == 0.0
+        assert fit["beta"] == pytest.approx(0.5, abs=1e-8)
 
     def test_decay_not_preferred_for_true_offset(self):
         # decaying toward a clearly nonzero limit: keep the offset estimate
         ns = [8, 16, 32]
         fit = fit_limit(ns, [1.0 + 16.0 / n for n in ns])
-        assert fit.model == "offset"
-        assert abs(fit.value - 1.0) < 1e-10
+        assert fit["model"] == "offset"
+        assert abs(fit["value"] - 1.0) < 1e-10
 
     def test_negligible(self):
         fit = fit_limit([8, 16, 32], [1e-16, -1e-17, 1e-16])
-        assert fit.model == "negligible"
-        assert fit.value == 0.0
+        assert fit["model"] == "negligible"
+        assert fit["value"] == 0.0
 
     def test_negligible_boundary(self):
         # magnitudes at NEGLIGIBLE still count as zero; one ulp above do not
         fit = fit_limit([8, 16, 32], [NEGLIGIBLE, 0.0, 0.0])
-        assert fit.model == "negligible"
-        assert fit.value == 0.0
+        assert fit["model"] == "negligible"
+        assert fit["value"] == 0.0
         above = fit_limit([8, 16, 32], [np.nextafter(NEGLIGIBLE, 1.0), 0.0, 0.0])
-        assert above.model != "negligible"
+        assert above["model"] != "negligible"
 
     def test_needs_three_records(self):
         with pytest.raises(ValueError):
@@ -200,12 +200,12 @@ class TestFitLimit:
 
     def test_unsorted_input(self):
         fit = fit_limit([32, 8, 16], [2 + 1 / 32, 2 + 1 / 8, 2 + 1 / 16])
-        assert abs(fit.value - 2.0) < 1e-10
+        assert abs(fit["value"] - 2.0) < 1e-10
 
     def test_flagging(self):
         # wildly non-model data must come back flagged
         fit = fit_limit([8, 16, 32], [1.0, -1.0, 1.0])
-        assert fit.flagged
+        assert fit["flagged"]
 
 
 class TestFitLimitTable:
@@ -220,19 +220,19 @@ class TestFitLimitTable:
             np.where(n == 32, 0.0, 0.3 * n**-0.5),  # zero entry: no decay
         ])
         fit = fit_limit(ns, table)
-        assert list(fit.model) == ["negligible", "offset", "offset", "decay",
+        assert list(fit["model"]) == ["negligible", "offset", "offset", "decay",
                                    "offset"]
-        assert list(fit.beta[1:3]) == [1.0, 2.0]
+        assert list(fit["beta"][1:3]) == [1.0, 2.0]
         _assert_columns_match_oracle(ns, table)
 
     def test_one_sequence_gives_scalars(self):
         fit = fit_limit([8, 16, 32], [2 + 1 / 8, 2 + 1 / 16, 2 + 1 / 32])
-        assert isinstance(fit.value, complex)
-        assert isinstance(fit.residual, float)
-        assert isinstance(fit.model, str)
-        assert isinstance(fit.beta, float)
-        assert isinstance(fit.flagged, bool)
-        assert fit.ns == (8, 16, 32)
+        assert isinstance(fit["value"], complex)
+        assert isinstance(fit["residual"], float)
+        assert isinstance(fit["model"], str)
+        assert isinstance(fit["beta"], float)
+        assert isinstance(fit["flagged"], bool)
+        assert fit["ns"] == (8, 16, 32)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.integers(2, 256), min_size=3, max_size=6, unique=True),
@@ -246,6 +246,24 @@ class TestFitLimitTable:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.integers(2, 256), min_size=3, max_size=6, unique=True),
            st.lists(_columns, min_size=1, max_size=8))
+    def test_one_sequence_fit_is_its_table_column(self, ns, columns):
+        # the scalar and the table shape are one fit: a column fitted alone
+        # gives the table's model, flag, limit and rate, and its residual to
+        # rounding of the column's scale
+        n = np.array(ns, dtype=float)
+        table = np.column_stack([_column(kind, n, *params)
+                                 for kind, *params in columns])
+        fit = fit_limit(ns, table)
+        for e in range(table.shape[1]):
+            one = fit_limit(ns, table[:, e])
+            for key in ("model", "flagged", "value", "beta"):
+                assert one[key] == fit[key][e], key
+            scale = float(np.max(np.abs(table[:, e])))
+            assert abs(one["residual"] - fit["residual"][e]) <= 1e-15 * scale
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.integers(2, 256), min_size=3, max_size=6, unique=True),
+           st.lists(_columns, min_size=1, max_size=8))
     def test_decay_rate_is_fit_decay_exponent(self, ns, columns):
         # one log-log slope: a decay fit's beta is -fit_decay's exponent, bit
         # for bit, for indices in any order
@@ -253,5 +271,5 @@ class TestFitLimitTable:
         table = np.column_stack([_column(kind, n, *params)
                                  for kind, *params in columns])
         fit = fit_limit(ns, table)
-        for e in np.flatnonzero(fit.model == "decay"):
-            assert fit.beta[e] == -fit_decay(ns, table[:, e])["exponent"]
+        for e in np.flatnonzero(fit["model"] == "decay"):
+            assert fit["beta"][e] == -fit_decay(ns, table[:, e])["exponent"]

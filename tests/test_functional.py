@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hdist import functional
 from hdist.fitting import fit_limit
 from hdist.functional import (FORM_RTOL, mu_tensor, pairing_records,
                               zero_mu_strong_convergence_check)
@@ -11,7 +12,7 @@ from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, field_function,
 from hdist.sobolev import ConcentrationFamily, SequenceFamily
 from hdist.specbasis import HermiteBasis, hermite_values
 from hdist.symbol import SphericalHarmonicBasis
-from hdist.util import AliasingError
+from hdist.util import AliasingError, jsonable
 
 from .test_grid import grids, random_field
 
@@ -125,7 +126,7 @@ class TestExtrapolation:
         [forms] = pairing_records(us, us, phi, phi, [riesz_symbol(2, 0)])
         est = fit_limit(fam.indices, [a for a, _ in forms])
         oracle = -0.25j  # (1/i) * integral exp(-4 pi |x|^2) = -i/4
-        assert abs(est.value - oracle) <= 0.01 * abs(oracle)
+        assert abs(est["value"] - oracle) <= 0.01 * abs(oracle)
 
     def test_factorization_sanity(self):
         # pairing with (phi1, phi2) agrees in the limit with (theta, 1)
@@ -144,13 +145,13 @@ class TestExtrapolation:
         theta = phi1 * phi2.conj()
         [merged] = pairing_records(us, us, theta, one, [psi])
         merged = fit_limit(ns, [a for a, _ in merged])
-        assert abs(split.value - merged.value) <= 0.02 * abs(split.value)
+        assert abs(split["value"] - merged["value"]) <= 0.02 * abs(split["value"])
 
     def test_estimate_serialization(self, family, gaussian):
         us = samples(family)
         [forms] = pairing_records(us, us, gaussian, gaussian, [constant_symbol(2)])
         est = fit_limit(family.indices, [a for a, _ in forms])
-        d = est.to_dict()
+        d = jsonable(est)
         assert set(d) == {"value", "residual", "model", "beta", "flagged", "ns"}
         assert d["ns"] == [8, 16, 32]
 
@@ -213,6 +214,19 @@ class TestMuTensor:
         assert len(tensor["entries"]) == 4  # (m_max+1)^2 hermite rows
         assert len(tensor["entries"][0]) == sb.size
         assert "order_in_xi" in tensor
+
+    def test_repeated_index_refused_before_any_transform(self, grid, family, monkeypatch):
+        # two distinct indices cannot be extrapolated: the tensor refuses them
+        # with fit_limit's message before it transforms a single sample
+        def no_transform(*args):
+            raise AssertionError("transform before the index check")
+
+        monkeypatch.setattr(functional, "dft", no_transform)
+        monkeypatch.setattr(functional, "idft", no_transform)
+        hb, sb = HermiteBasis.build(grid, 1), SphericalHarmonicBasis.build(2, 1)
+        us = samples(family)
+        with pytest.raises(ValueError, match="need at least 3 distinct indices"):
+            mu_tensor((2, 2, 4), us, us, hb, sb)
 
 
 @pytest.fixture(scope="module")

@@ -260,8 +260,7 @@ def order_two_1024():
 
 
 def _limit(table):
-    re, im = table["meta"]["limit"]["value"]
-    return complex(re, im)
+    return table["meta"]["limit"]["value"]
 
 
 class TestProbes:
