@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fitting import ZERO_FLOOR
-from .grid import GridFunction, linf_norm, lp_norm
+from .grid import GridFunction, linf_norm, lp_norms
 from .multiplier import from_symbol
 from .sobolev import ConcentrationFamily, SequenceFamily, decay_table
 from .symbol import SphericalSymbol
@@ -44,15 +44,16 @@ def compactness_probe(psi: SphericalSymbol, b: GridFunction,
     qs = tuple(q_list) if q_list else (2.0, r)
 
     meta = {"q_list": list(qs), "violations": []}
+    v_norms = [lp_norms(v, (2.0, r)) for v in vs]
     for q in (2.0, r):
-        norms = np.array([lp_norm(v, q) for v in vs])
+        norms = np.array([n[q] for n in v_norms])
         if norms.max() > 10.0 * max(norms.min(), ZERO_FLOOR):
             meta["violations"].append(
                 f"family norms in L^{q} vary by more than 10x over the index set"
             )
 
     op = from_symbol(family.grid, psi)
-    images = [op.apply(b * v) - b * op.apply(v) for v in vs]
-    columns = {f"q={q:g}": [lp_norm(c, q) for c in images] for q in qs}
+    c_norms = [lp_norms(op.apply(b * v) - b * op.apply(v), qs) for v in vs]
+    columns = {f"q={q:g}": [n[q] for n in c_norms] for q in qs}
     meta["sup_b"] = linf_norm(b)
     return decay_table(ns, columns, meta)

@@ -73,11 +73,11 @@ def derivative_op(grid: Grid, alpha) -> MultiplierOperator:
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != grid.d or any(a < 0 for a in alpha):
         raise ValueError(f"bad multi-index {alpha} for d={grid.d}")
-    m = np.ones(grid.shape, dtype=np.complex128)
+    m = np.ones((1,) * grid.d, dtype=np.complex128)  # broadcast 1-D factors
     for axis, a in enumerate(alpha):
         if a:
             m = m * (2j * np.pi * grid.xi_axes[axis]) ** a
-    return MultiplierOperator(grid, m)
+    return MultiplierOperator(grid, np.broadcast_to(m, grid.shape))
 
 
 def derivative(f: GridFunction, alpha) -> GridFunction:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fitting import fit_decay, fit_limit
-from .grid import Grid, GridFunction, dft, idft, lp_norm, magnitude_lp_norm
+from .grid import Grid, GridFunction, dft, idft, lp_norm, lp_norms
 from .multiplier import bessel_potential, derivative_op
 from .util import AliasingError, multi_indices
 
@@ -27,17 +27,15 @@ def _lp_norms(f: GridFunction, ops: dict, p_list) -> dict:
     """key -> p -> |idft(ops[key] f_hat)|_p, and |f|_p under alpha = 0: one
     forward transform, one inverse per multiplier, one magnitude for all p."""
     f_hat = dft(f) if ops else None
-    norms = {}
-    for key, m in [((0,) * f.grid.d, None), *ops.items()]:
-        g = f if m is None else idft(f.grid, m * f_hat)
-        mag = np.abs(g.values)
-        norms[key] = {p: magnitude_lp_norm(f.grid, mag, p) for p in p_list}
-    return norms
+    return {key: lp_norms(f if m is None else idft(f.grid, m * f_hat), p_list)
+            for key, m in [((0,) * f.grid.d, None), *ops.items()]}
 
 
 def _wkq(norms: dict, d: int, k: int, q: float) -> float:
-    """The W^{k,q} norm from alpha -> q -> |d^alpha v|_q."""
-    return float(sum(norms[alpha][q] ** q for alpha in multi_indices(d, k)) ** (1.0 / q))
+    """The W^{k,q} norm from alpha -> q -> |d^alpha v|_q, summed peak-scaled."""
+    parts = [norms[alpha][q] for alpha in multi_indices(d, k)]
+    top = max(parts)
+    return top * sum((x / top) ** q for x in parts) ** (1.0 / q) if top > 0 else top
 
 
 def wkq_norm(v: GridFunction, k: int, q: float) -> float:

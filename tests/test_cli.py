@@ -623,3 +623,24 @@ def test_norm_suite_matches_one_at_a_time(tmp_path, monkeypatch):
                 neg = entry["negative"][f"k={k},p={p:g}"]
                 close(neg["surrogate"], surrogate_negative_norm(u, k, p))
                 close(neg["representation_upper"], lp_norm(f, p))
+
+
+@pytest.mark.parametrize("c", [1e80, 1e-90])
+def test_norm_suite_scales_with_the_field(c, tmp_path):
+    # unscaled powers made |c f|_4 read 0 at 1e-90, and at 1e80 wrote an
+    # infinite norm that strict JSON refused
+    cfg = {**NORM_CFG, "k_list": [0, 1, 2], "p_list": [1.5, 2.0, 4.0]}
+    entries = []
+    for field in ("gaussian", {"scale": c, "of": "gaussian"}):
+        path = write_cfg(tmp_path, {**cfg, "fields": [field]})
+        out = tmp_path / f"out{len(entries)}"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 0
+        entries.append(json.loads((out / "norms.json").read_text())["norms"][0])
+    plain, scaled = entries
+    pairs = [(scaled[part][key], plain[part][key])
+             for part in ("lp", "wkq") for key in plain[part]]
+    pairs += [(scaled["negative"][key][side], plain["negative"][key][side])
+              for key in plain["negative"] for side in plain["negative"][key]]
+    assert len(pairs) == 3 + 2 * 9 + 9
+    for got, want in pairs:
+        assert abs(got - c * want) <= 1e-13 * c * want

@@ -99,6 +99,20 @@ class TestCompactnessProbe:
         for vals in table["columns"].values():
             assert all(v < 1e-13 for v in vals)
 
+    @pytest.mark.parametrize("c", [1e-100, 1e100])
+    def test_linear_in_the_scale_of_b(self, grid, gaussian, c):
+        # unscaled powers read the L^4 column of a 1e-100 b as zeros
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
+                             indices=(8, 16, 32))
+        psi = riesz_symbol(2, 0)
+        plain = compactness_probe(psi, gaussian, fam)
+        scaled = compactness_probe(psi, gaussian * c, fam)
+        for label, vals in plain["columns"].items():
+            assert all(abs(got - c * want) <= 1e-12 * c * want
+                       for got, want in zip(scaled["columns"][label], vals))
+            assert (abs(scaled["fits"][label]["exponent"] - plain["fits"][label]["exponent"])
+                    <= 1e-12)
+
     def test_q_grid_default(self, grid, gaussian):
         fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16))

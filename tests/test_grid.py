@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import hdist
 from hdist.grid import (Grid, GridFunction, conj_sum, dft, idft, linf_norm,
-                        lp_norm, pairing)
+                        lp_norm, lp_norms, pairing)
+from hdist.registry import make_field
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +219,37 @@ class TestNorms:
         g = f * 0.5
         for p in (1.5, 2.0, 3.0):
             assert lp_norm(g, p) <= lp_norm(f, p)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(e=st.integers(-150, 150), sign=st.sampled_from([1.0, -1.0]),
+           p=st.floats(1.0, 8.0, exclude_min=True))
+    def test_scale_invariant_over_the_float_range(self, e, sign, p):
+        # the gaussian's tails reach 1e-175, so c^p f^p leaves the normal
+        # floats long before c f does
+        f = make_field(Grid(2, 64, 16.0), "gaussian")
+        c = sign * 10.0 ** e
+        assert abs(lp_norm(f * c, p) - abs(c) * lp_norm(f, p)) <= 1e-13 * abs(c) * lp_norm(f, p)
+
+    def test_tails_take_no_subnormal_power(self):
+        # the norm_suite fields of the benchmark: a power that underflows
+        # takes libm's subnormal slow path, ten times slower
+        g = Grid(2, 256, 16.0)
+        fields = [make_field(g, spec) for spec in (
+            "gaussian",
+            {"name": "bump", "params": {"radius": 2.0, "center": [0.5, 0.0]}},
+            {"product": [{"name": "gaussian", "params": {"width": 1.5}},
+                         {"name": "coordinate", "params": {"axis": 0}}]})]
+        with np.errstate(under="raise", over="raise"):
+            for f in fields:
+                assert all(n > 0 for n in lp_norms(f, (1.5, 2.0, 4.0)).values())
+                for p in (1.5, 2.0, 4.0):
+                    assert lp_norm(f, p) > 0
+
+    def test_lp_norms_match_one_at_a_time(self, grid):
+        f = random_field(grid, seed=3)
+        norms = lp_norms(f, (1.5, 2.0, 4.0))
+        assert norms == {p: lp_norm(f, p) for p in (1.5, 2.0, 4.0)}
+        assert lp_norms(f * 0.0, (2.0, 3.0)) == {2.0: 0.0, 3.0: 0.0}
 
 
 class TestPairing:

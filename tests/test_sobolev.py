@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from hdist.grid import Grid, GridFunction, dft, lp_norm
 from hdist.registry import field_function, make_field
-from hdist.sobolev import (ConcentrationFamily, SequenceFamily, strong_null_probe,
-                           surrogate_negative_norm, wkq_norm)
+from hdist.sobolev import (ConcentrationFamily, SequenceFamily, norm_table,
+                           strong_null_probe, surrogate_negative_norm, wkq_norm)
 from hdist.multiplier import derivative
 from hdist.util import AliasingError
 
@@ -37,6 +37,14 @@ class TestWkqNorm:
         xi2 = (2 * np.pi * np.hypot(*m0) / grid.L) ** 2
         expected = grid.L ** (grid.d / 2) * (1 + xi2) ** 0.5
         assert wkq_norm(v, 1, 2.0) == pytest.approx(expected, rel=1e-10)
+
+    def test_sum_of_powers_neither_overflows_nor_flushes(self, grid, gaussian):
+        # |d^alpha v|_4^4 of a 1e80 field is beyond the float range
+        for c in (1e80, 1e-90):
+            with np.errstate(under="raise", over="raise"):
+                [(_, wkq, _)] = norm_table(grid, [gaussian * c], [0, 1, 2], [1.5, 4.0])
+            for k in (1, 2):
+                assert wkq[k, 4.0] == pytest.approx(c * wkq_norm(gaussian, k, 4.0), rel=1e-13)
 
 
 class TestNegativeNorms:
