@@ -12,10 +12,10 @@ its samples at the grid points, real samples held as float64 and complex ones
 as complex128; a spectrum is a plain complex ndarray in FFT layout (numpy
 fftfreq ordering), on which a multiplier acts as a product.
 
-`dft` and `idft` are the only transform seam: they call `scipy.fft.fftn` /
-`ifftn` with scipy's default of one worker, looked up on the module at each
-call so that a wrapper installed there (a tracer, a test counter) sees every
-transform.
+`dft` and `idft` are the seam for spectra; `round_trips` takes a field through
+multipliers and back without the centring phase, which cancels.  Transforms are
+counted where `scipy.fft` is entered: each looks it up at call time, so a
+wrapper installed there (a tracer, a test counter) sees every transform.
 """
 
 from __future__ import annotations
@@ -203,6 +203,30 @@ def idft(grid: Grid, f_hat: np.ndarray) -> GridFunction:
         raise ValueError(f"spectrum shape {f_hat.shape} does not match grid {grid.shape}")
     return GridFunction(grid, scipy.fft.ifftn(f_hat * grid._inverse_phase,
                                               overwrite_x=True))
+
+
+def hermitian_part(m: np.ndarray, half: bool) -> np.ndarray:
+    """(m(xi) + conj m(-xi)) / 2 of lattice array m, on the last axis' indices
+    0..N/2 if half: the multiplier that takes a field's real and imaginary
+    parts to real images, zero where an odd derivative meets Nyquist."""
+    n = m.shape[-1]
+    neg = -np.arange(n) % n  # the index of -xi along an axis
+    last = n // 2 + 1 if half else n
+    mirror = m[np.ix_(*[neg] * (m.ndim - 1), neg[:last])]
+    return (m[..., :last] + np.conj(mirror)) / 2
+
+
+def round_trips(f: GridFunction, ms):
+    """Yield idft(f.grid, m * dft(f)) for each lattice array m in ms, one image
+    alive at a time, from one forward transform with neither centring phase
+    (they cancel, bitwise where L/N is a power of two).  A complex f takes
+    full arrays through fftn / ifftn, a real f half ones (hermitian_part)
+    through rfftn / irfftn, and its image is the real part of the full one."""
+    real = not np.iscomplexobj(f.values)
+    f_hat = (scipy.fft.rfftn if real else scipy.fft.fftn)(f.values)
+    inv = scipy.fft.irfftn if real else scipy.fft.ifftn
+    for m in ms:
+        yield GridFunction(f.grid, inv(m * f_hat, s=f.grid.shape, overwrite_x=True))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -13,22 +13,30 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fitting import fit_decay, fit_limit
-from .grid import Grid, GridFunction, dft, idft, lp_norm, lp_norms
+from .grid import Grid, GridFunction, hermitian_part, lp_norm, lp_norms, round_trips
 from .multiplier import bessel_potential, derivative_op
 from .util import AliasingError, multi_indices
 
 
-def _derivatives(grid: Grid, k: int) -> dict:
-    """alpha -> the lattice array (2 pi i xi)^alpha, for 0 < |alpha| <= k."""
-    return {a: derivative_op(grid, a).m for a in multi_indices(grid.d, k) if any(a)}
+def _norm_rows(grid: Grid, fields, k_max: int, ks, p_list):
+    """Per field f, key -> p -> |f|_p under alpha = 0, |d^alpha f|_p under
+    0 < |alpha| <= k_max and |J_{-k} d^{(k,0,...)} f|_p under each k in ks.
+    Each multiplier is built once, and a field takes its hermitian_part, on
+    the half lattice if the field is real, so i f reads the norms of f."""
+    def arrays():
+        for a in multi_indices(grid.d, k_max)[1:]:  # lexicographic: 0 first
+            yield a, (m := derivative_op(grid, a).m)
+            if a[0] in ks and not any(a[1:]):
+                yield a[0], bessel_potential(grid, -float(a[0])).m * m
 
-
-def _lp_norms(f: GridFunction, ops: dict, p_list) -> dict:
-    """key -> p -> |idft(ops[key] f_hat)|_p, and |f|_p under alpha = 0: one
-    forward transform, one inverse per multiplier, one magnitude for all p."""
-    f_hat = dft(f) if ops else None
-    return {key: lp_norms(f if m is None else idft(f.grid, m * f_hat), p_list)
-            for key, m in [((0,) * f.grid.d, None), *ops.items()]}
+    lattices = {f.values.dtype: {} for f in fields}
+    for key, m in arrays():
+        for dtype, ops in lattices.items():
+            ops[key] = hermitian_part(m, half=dtype == np.float64)
+    for f in fields:  # one forward transform, one inverse per multiplier
+        ops = lattices[f.values.dtype]
+        norms = (lp_norms(g, p_list) for g in round_trips(f, ops.values()))
+        yield {(0,) * grid.d: lp_norms(f, p_list), **dict(zip(ops, norms))}
 
 
 def _wkq(norms: dict, d: int, k: int, q: float) -> float:
@@ -40,7 +48,7 @@ def _wkq(norms: dict, d: int, k: int, q: float) -> float:
 
 def wkq_norm(v: GridFunction, k: int, q: float) -> float:
     """(sum_{|alpha|<=k} |d^alpha v|_q^q)^(1/q) with spectral derivatives."""
-    return _wkq(_lp_norms(v, _derivatives(v.grid, k), [q]), v.grid.d, k, q)
+    return _wkq(next(_norm_rows(v.grid, [v], k, (), [q])), v.grid.d, k, q)
 
 
 def surrogate_negative_norm(u: GridFunction, k: int, p: float) -> float:
@@ -54,16 +62,14 @@ def norm_table(grid: Grid, fields, k_list, p_list) -> list:
     """(lp, wkq, surrogate) per field f: p -> |f|_p, (k, q) -> wkq_norm(f, k, q)
     and (k, p) -> surrogate_negative_norm of the element d^{(k,0,...)} f, whose
     representation bound is |f|_p.  Each multiplier is built once, with
-    J_{-k} d^{(k,0,...)} as one array, so a field takes
-    1 + #{0 < |alpha| <= max k} + #{k > 0} transforms."""
-    e1 = [(k,) + (0,) * (grid.d - 1) for k in range(max(k_list) + 1)]
-    ops = _derivatives(grid, max(k_list))
-    ops.update({k: bessel_potential(grid, -float(k)).m * ops[e1[k]]
-                for k in set(k_list) if k > 0})
-    return [(norms[e1[0]],
+    J_{-k} d^{(k,0,...)} as one array, so a field takes 1 + #{0 < |alpha| <=
+    max k} + #{k > 0} transforms, a real one on the half lattice whatever the
+    other fields are."""
+    zero = (0,) * grid.d
+    return [(norms[zero],
              {(k, p): _wkq(norms, grid.d, k, p) for k in k_list for p in p_list},
-             {(k, p): norms[k or e1[0]][p] for k in k_list for p in p_list})
-            for norms in (_lp_norms(f, ops, p_list) for f in fields)]
+             {(k, p): norms[k or zero][p] for k in k_list for p in p_list})
+            for norms in _norm_rows(grid, fields, max(k_list), set(k_list) - {0}, p_list)]
 
 
 # ---------------------------------------------------------------------------

@@ -556,9 +556,11 @@ def counted(counts, key, fn):
 
 
 def patch_fft(monkeypatch, counts, forward, inverse):
-    """Count the transforms that grid.dft / grid.idft make."""
-    monkeypatch.setattr(scipy.fft, "fftn", counted(counts, forward, scipy.fft.fftn))
-    monkeypatch.setattr(scipy.fft, "ifftn", counted(counts, inverse, scipy.fft.ifftn))
+    """Count the transforms that grid.dft / grid.idft / grid.round_trips make,
+    complex and real."""
+    for name, key in [("fftn", forward), ("ifftn", inverse),
+                      ("rfftn", forward), ("irfftn", inverse)]:
+        monkeypatch.setattr(scipy.fft, name, counted(counts, key, getattr(scipy.fft, name)))
 
 
 def grid_of(cfg):
@@ -644,3 +646,24 @@ def test_norm_suite_scales_with_the_field(c, tmp_path):
     assert len(pairs) == 3 + 2 * 9 + 9
     for got, want in pairs:
         assert abs(got - c * want) <= 1e-13 * c * want
+
+
+def test_norm_suite_entries_do_not_depend_on_the_other_fields(tmp_path):
+    # a complex field in the list keeps the real one on the half lattice,
+    # and i times a field reads that field's norms
+    cfg = {**NORM_CFG, "k_list": [0, 1, 2], "p_list": [1.5, 2.0, 4.0]}
+    runs = []
+    for fields in (["gaussian", {"scale": [0, 1], "of": "gaussian"}], ["gaussian"]):
+        path = write_cfg(tmp_path, {**cfg, "fields": fields})
+        out = tmp_path / f"out{len(runs)}"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 0
+        runs.append(json.loads((out / "norms.json").read_text())["norms"])
+    (real, imag), (alone,) = runs
+    assert json.dumps(real, sort_keys=True) == json.dumps(alone, sort_keys=True)
+    pairs = [(imag[part][key], real[part][key])
+             for part in ("lp", "wkq") for key in real[part]]
+    pairs += [(imag["negative"][key][side], real["negative"][key][side])
+              for key in real["negative"] for side in real["negative"][key]]
+    assert len(pairs) == 3 + 2 * 9 + 9
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-13 * want

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdist
-from hdist.grid import (Grid, GridFunction, conj_sum, dft, idft, linf_norm,
-                        lp_norm, lp_norms, pairing)
+from hdist.grid import (Grid, GridFunction, conj_sum, dft, hermitian_part, idft,
+                        linf_norm, lp_norm, lp_norms, pairing, round_trips)
+from hdist.multiplier import bessel_potential, derivative_op
 from hdist.registry import make_field
+from hdist.util import multi_indices
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +322,39 @@ class TestRoundTrip:
         f = random_field(grid, seed)
         back = idft(grid, dft(f))
         assert np.max(np.abs(back.values - f.values)) <= 1e-12 * linf_norm(f)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.sampled_from([8, 16, 32]),
+           st.floats(0.5, 50.0), st.sampled_from(["float", "complex"]),
+           st.integers(0, 2**16))
+    def test_round_trips_match_idft_of_dft(self, d, N, L, kind, seed):
+        # every multiplier norm_table builds: d^alpha for |alpha| <= 2, and
+        # J_{-k} d^(k,0,...) as one array.  A real field takes the Hermitian
+        # part on the half lattice and yields the real part of the full image;
+        # a complex one takes the full part to the images of its real and
+        # imaginary parts
+        grid = Grid(d, N, L)
+        f = GridFunction(grid, sampler(kind, seed)(*grid.x_axes))
+        ms = [derivative_op(grid, a).m for a in multi_indices(d, 2)]
+        ms += [bessel_potential(grid, -float(k)).m * derivative_op(grid, e).m
+               for k, e in [(1, (1,) + (0,) * (d - 1)), (2, (2,) + (0,) * (d - 1))]]
+        real = kind == "float"
+        images = list(round_trips(f, [hermitian_part(m, half=True) if real else m
+                                      for m in ms]))
+        assert len(images) == len(ms)
+        for m, got in zip(ms, images):
+            full = idft(grid, m * dft(f)).values
+            want = full.real if real else full
+            scale = np.max(np.abs(full))
+            assert got.values.dtype == want.dtype
+            assert np.max(np.abs(got.values - want)) <= 1e-14 * scale
+            if not real:
+                half = hermitian_part(m, half=True)
+                [sym] = round_trips(f, [hermitian_part(m, half=False)])
+                [re], [im] = (round_trips(GridFunction(grid, part), [half])
+                              for part in (f.values.real, f.values.imag))
+                parts = re.values + 1j * im.values
+                assert np.max(np.abs(sym.values - parts)) <= 1e-14 * scale
 
 
 def reference_dft(f):

@@ -183,8 +183,8 @@ class TestOnePass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(scipy.fft, "fftn", counted(scipy.fft.fftn, "fft"))
-        monkeypatch.setattr(scipy.fft, "ifftn", counted(scipy.fft.ifftn, "fft"))
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name), "fft"))
         monkeypatch.setattr(SequenceFamily, "u", counted(SequenceFamily.u, "u"))
         monkeypatch.setattr(localization, "bessel_potential",
                             counted(localization.bessel_potential, "smooth"))
