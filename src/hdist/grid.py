@@ -13,9 +13,10 @@ as complex128; a spectrum is a plain complex ndarray in FFT layout (numpy
 fftfreq ordering), on which a multiplier acts as a product.
 
 `dft` and `idft` are the seam for spectra; `round_trips` takes a field through
-multipliers and back without the centring phase, which cancels.  Transforms are
-counted where `scipy.fft` is entered: each looks it up at call time, so a
-wrapper installed there (a tracer, a test counter) sees every transform.
+multipliers and back, a real one without the centring phase, which cancels.
+Transforms are counted where `scipy.fft` is entered: each looks it up at call
+time, so a wrapper installed there (a tracer, a test counter) sees every
+transform.
 """
 
 from __future__ import annotations
@@ -205,28 +206,29 @@ def idft(grid: Grid, f_hat: np.ndarray) -> GridFunction:
                                               overwrite_x=True))
 
 
-def hermitian_part(m: np.ndarray, half: bool) -> np.ndarray:
-    """(m(xi) + conj m(-xi)) / 2 of lattice array m, on the last axis' indices
-    0..N/2 if half: the multiplier that takes a field's real and imaginary
-    parts to real images, zero where an odd derivative meets Nyquist."""
-    n = m.shape[-1]
-    neg = -np.arange(n) % n  # the index of -xi along an axis
-    last = n // 2 + 1 if half else n
-    mirror = m[np.ix_(*[neg] * (m.ndim - 1), neg[:last])]
-    return (m[..., :last] + np.conj(mirror)) / 2
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m(xi) + conj m(-xi)) / 2 of lattice array m: it takes a real field to
+    the real part of its image under m, and is zero where an odd derivative
+    meets an unpaired Nyquist plane."""
+    neg = -np.arange(m.shape[0]) % m.shape[0]  # the index of -xi along an axis
+    return (m + np.conj(m[np.ix_(*[neg] * m.ndim)])) / 2
 
 
 def round_trips(f: GridFunction, ms):
     """Yield idft(f.grid, m * dft(f)) for each lattice array m in ms, one image
-    alive at a time, from one forward transform with neither centring phase
-    (they cancel, bitwise where L/N is a power of two).  A complex f takes
-    full arrays through fftn / ifftn, a real f half ones (hermitian_part)
-    through rfftn / irfftn, and its image is the real part of the full one."""
-    real = not np.iscomplexobj(f.values)
-    f_hat = (scipy.fft.rfftn if real else scipy.fft.fftn)(f.values)
-    inv = scipy.fft.irfftn if real else scipy.fft.ifftn
+    alive at a time, from one forward transform.  A complex f goes through
+    dft / idft.  A real f needs each m Hermitian (see hermitian_part): it
+    reads m on the half lattice, the last axis' indices 0..N/2, and goes
+    through rfftn / irfftn without the centring phases, which cancel (bitwise
+    where L/N is a power of two)."""
+    if np.iscomplexobj(f.values):
+        f_hat = dft(f)
+        yield from (idft(f.grid, m * f_hat) for m in ms)
+        return
+    f_hat = scipy.fft.rfftn(f.values)
     for m in ms:
-        yield GridFunction(f.grid, inv(m * f_hat, s=f.grid.shape, overwrite_x=True))
+        yield GridFunction(f.grid, scipy.fft.irfftn(m[..., :f.grid.N // 2 + 1] * f_hat,
+                                                    s=f.grid.shape, overwrite_x=True))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -21,20 +21,14 @@ from .util import AliasingError, multi_indices
 def _norm_rows(grid: Grid, fields, k_max: int, ks, p_list):
     """Per field f, key -> p -> |f|_p under alpha = 0, |d^alpha f|_p under
     0 < |alpha| <= k_max and |J_{-k} d^{(k,0,...)} f|_p under each k in ks.
-    Each multiplier is built once, and a field takes its hermitian_part, on
-    the half lattice if the field is real, so i f reads the norms of f."""
-    def arrays():
-        for a in multi_indices(grid.d, k_max)[1:]:  # lexicographic: 0 first
-            yield a, (m := derivative_op(grid, a).m)
-            if a[0] in ks and not any(a[1:]):
-                yield a[0], bessel_potential(grid, -float(a[0])).m * m
-
-    lattices = {f.values.dtype: {} for f in fields}
-    for key, m in arrays():
-        for dtype, ops in lattices.items():
-            ops[key] = hermitian_part(m, half=dtype == np.float64)
+    Each multiplier is built once as its hermitian_part, so a real field's
+    images are real (the half lattice) and i f reads the norms of f."""
+    ops = {}
+    for a in multi_indices(grid.d, k_max)[1:]:  # lexicographic: 0 first
+        ops[a] = m = hermitian_part(derivative_op(grid, a).m)
+        if a[0] in ks and not any(a[1:]):
+            ops[a[0]] = bessel_potential(grid, -float(a[0])).m * m
     for f in fields:  # one forward transform, one inverse per multiplier
-        ops = lattices[f.values.dtype]
         norms = (lp_norms(g, p_list) for g in round_trips(f, ops.values()))
         yield {(0,) * grid.d: lp_norms(f, p_list), **dict(zip(ops, norms))}
 
@@ -61,7 +55,8 @@ def surrogate_negative_norm(u: GridFunction, k: int, p: float) -> float:
 def norm_table(grid: Grid, fields, k_list, p_list) -> list:
     """(lp, wkq, surrogate) per field f: p -> |f|_p, (k, q) -> wkq_norm(f, k, q)
     and (k, p) -> surrogate_negative_norm of the element d^{(k,0,...)} f, whose
-    representation bound is |f|_p.  Each multiplier is built once, with
+    representation bound is |f|_p; every derivative is the Hermitian part of
+    derivative's, whose real part it is for a real f.  Each multiplier is built once, with
     J_{-k} d^{(k,0,...)} as one array, so a field takes 1 + #{0 < |alpha| <=
     max k} + #{k > 0} transforms, a real one on the half lattice whatever the
     other fields are."""

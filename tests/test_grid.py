@@ -329,32 +329,28 @@ class TestRoundTrip:
            st.integers(0, 2**16))
     def test_round_trips_match_idft_of_dft(self, d, N, L, kind, seed):
         # every multiplier norm_table builds: d^alpha for |alpha| <= 2, and
-        # J_{-k} d^(k,0,...) as one array.  A real field takes the Hermitian
-        # part on the half lattice and yields the real part of the full image;
-        # a complex one takes the full part to the images of its real and
-        # imaginary parts
+        # J_{-k} d^(k,0,...) as one array, each as its Hermitian part.  A real
+        # field's image on the half lattice is the real part of its image
+        # under the plain multiplier; a complex field's image is the images of
+        # its real and imaginary parts
         grid = Grid(d, N, L)
         f = GridFunction(grid, sampler(kind, seed)(*grid.x_axes))
         ms = [derivative_op(grid, a).m for a in multi_indices(d, 2)]
         ms += [bessel_potential(grid, -float(k)).m * derivative_op(grid, e).m
                for k, e in [(1, (1,) + (0,) * (d - 1)), (2, (2,) + (0,) * (d - 1))]]
-        real = kind == "float"
-        images = list(round_trips(f, [hermitian_part(m, half=True) if real else m
-                                      for m in ms]))
+        images = list(round_trips(f, [hermitian_part(m) for m in ms]))
         assert len(images) == len(ms)
         for m, got in zip(ms, images):
             full = idft(grid, m * dft(f)).values
-            want = full.real if real else full
             scale = np.max(np.abs(full))
-            assert got.values.dtype == want.dtype
-            assert np.max(np.abs(got.values - want)) <= 1e-14 * scale
-            if not real:
-                half = hermitian_part(m, half=True)
-                [sym] = round_trips(f, [hermitian_part(m, half=False)])
-                [re], [im] = (round_trips(GridFunction(grid, part), [half])
+            if kind == "float":
+                assert got.values.dtype == np.float64
+                assert np.max(np.abs(got.values - full.real)) <= 1e-14 * scale
+            else:
+                [re], [im] = (round_trips(GridFunction(grid, part), [hermitian_part(m)])
                               for part in (f.values.real, f.values.imag))
                 parts = re.values + 1j * im.values
-                assert np.max(np.abs(sym.values - parts)) <= 1e-14 * scale
+                assert np.max(np.abs(got.values - parts)) <= 1e-14 * scale
 
 
 def reference_dft(f):

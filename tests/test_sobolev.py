@@ -31,6 +31,21 @@ class TestWkqNorm:
         for q in (1.5, 2.0, 3.0):
             assert wkq_norm(gaussian, 0, q) == pytest.approx(lp_norm(gaussian, q))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_white_noise_reads_the_hermitian_part(self, k):
+        # white noise weighs the Nyquist planes, where an odd derivative's
+        # Hermitian part is 0: a real field's derivative is the real part of
+        # derivative's, and i f reads the norms of f
+        g = Grid(2, 16, 3.0)
+        f = GridFunction(g, np.random.default_rng(k).normal(size=g.shape))
+        e1 = (k, 0)
+        u = GridFunction(g, derivative(f, e1).values.real)
+        [(_, wkq, negative)] = norm_table(g, [f], [k], [1.5, 2.0, 4.0])
+        for q in (1.5, 2.0, 4.0):
+            assert wkq_norm(1j * f, k, q) == pytest.approx(wkq[k, q], rel=1e-13)
+            assert negative[k, q] == pytest.approx(
+                surrogate_negative_norm(u, k, q), rel=1e-13)
+
     def test_plane_wave_first_order(self, grid):
         m0 = (3, -2)
         v = plane_wave(grid, m0)
