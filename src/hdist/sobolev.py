@@ -55,11 +55,11 @@ def surrogate_negative_norm(u: GridFunction, k: int, p: float) -> float:
 def norm_table(grid: Grid, fields, k_list, p_list) -> list:
     """(lp, wkq, surrogate) per field f: p -> |f|_p, (k, q) -> wkq_norm(f, k, q)
     and (k, p) -> surrogate_negative_norm of the element d^{(k,0,...)} f, whose
-    representation bound is |f|_p; every derivative is the Hermitian part of
-    derivative's, whose real part it is for a real f.  Each multiplier is built once, with
-    J_{-k} d^{(k,0,...)} as one array, so a field takes 1 + #{0 < |alpha| <=
-    max k} + #{k > 0} transforms, a real one on the half lattice whatever the
-    other fields are."""
+    representation bound is |f|_p.  Each derivative takes the Hermitian part of
+    its multiplier: for a real f, the real part of derivative(f, alpha).  Each
+    multiplier is built once, with J_{-k} d^{(k,0,...)} as one array, so a
+    field takes 1 + #{0 < |alpha| <= max k} + #{k > 0} transforms, a real one
+    on the half lattice whatever the other fields are."""
     zero = (0,) * grid.d
     return [(norms[zero],
              {(k, p): _wkq(norms, grid.d, k, p) for k in k_list for p in p_list},
