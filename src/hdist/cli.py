@@ -36,7 +36,7 @@ from .sobolev import ConcentrationFamily, SequenceFamily, norm_table
 from .specbasis import HermiteBasis, se_analyze, se_membership_score, se_sparse
 from .symbol import SphericalHarmonicBasis
 from .util import (AliasingError, SupportError, canonical_hash, dump_json,
-                   jsonable)
+                   exponent_label, jsonable)
 
 # ---------------------------------------------------------------------------
 # schema
@@ -312,17 +312,6 @@ def _present(cfg, **types) -> dict:
     return {key: to(cfg[key]) for key, to in types.items() if key in cfg}
 
 
-def _exact_labels(cfg, *keys):
-    """Refuse an exponent that its artifact label f"{x:g}" does not reproduce:
-    two such exponents would share a column, and the CSV reads q back from it."""
-    for key in keys:
-        value = cfg.get(key, [])
-        for x in value if isinstance(value, list) else [value]:
-            if float(f"{x:g}") != x:
-                raise ValueError(f"{key} value {x!r} would be labelled {x:g}; "
-                                 "give it in at most 6 significant digits")
-
-
 def _write_csv(header, rows, stamp) -> str:
     """The CSV text of one artifact, under a stamp comment line."""
     fh = io.StringIO(newline="")
@@ -351,6 +340,9 @@ def run_hdist_sweep(cfg, grid):
     phi1, phi2 = (make_field(grid, spec) for spec in phi_specs)
     labels = [spec_label(spec) for spec in phi_specs]
     symbols = [make_symbol(grid.d, s) for s in cfg["symbols"]]
+    names = [psi.name for psi in symbols]
+    if len(set(names)) < len(names):  # limits.json and records.csv key by name
+        raise ValueError(f"symbols repeat a name: {names}")
     tensor_cfg, zc = cfg.get("tensor"), cfg.get("zero_check")
     if tensor_cfg:
         hb = HermiteBasis.build(grid, int(tensor_cfg["m_max"]))
@@ -403,18 +395,18 @@ def run_hdist_sweep(cfg, grid):
 def run_commutator(cfg, grid):
     psi, b = make_symbol(grid.d, cfg["symbol"]), make_field(grid, cfg["b"])
     family = _family(grid, cfg["family"])
-    _exact_labels(cfg, "r", "q_list")
     options = _present(cfg, r=float, q_list=tuple)
 
     def compute():
         table = compactness_probe(psi, b, family, **options)
         rows, decay = [], {}
-        for label, vals in sorted(table["columns"].items()):
+        qs = {f"q={exponent_label(q)}": q for q in table["meta"]["q_list"]}
+        for label, q in sorted(qs.items()):
             fit = table["fits"][label]
             decay[label] = {"exponent": fit["exponent"]}
             exponent = "" if fit["exponent"] is None else repr(fit["exponent"])
-            q = float(label.split("=")[1])
-            rows += [[n, repr(q), repr(v), exponent] for n, v in zip(table["ns"], vals)]
+            rows += [[n, repr(float(q)), repr(v), exponent]
+                     for n, v in zip(table["ns"], table["columns"][label])]
         violations = table["meta"]["violations"]
         checks = {"preconditions": {"violations": violations, "passed": not violations},
                   "decay": decay}
@@ -482,20 +474,20 @@ def run_se_analysis(cfg, grid):
 
 def run_norm_suite(cfg, grid):
     k_list = [int(k) for k in cfg.get("k_list", [0, 1])]
-    _exact_labels(cfg, "p_list")
     p_list = [float(p) for p in cfg.get("p_list", [2.0])]
     fields = [make_field(grid, spec) for spec in cfg["fields"]]
 
     def compute():
         kp = [(k, p) for k in k_list for p in p_list]
+        label = {p: exponent_label(p) for p in p_list}
         table, c_eq = [], 0.0
         for i, (lp, wkq, neg) in enumerate(norm_table(grid, fields, k_list, p_list)):
             # d^(k,0,...) f has the one part f: its representation bound is |f|_p
             table.append({
-                "field": i, "lp": {f"{p:g}": lp[p] for p in p_list},
-                "wkq": {f"k={k},q={p:g}": wkq[k, p] for k, p in kp},
-                "negative": {f"k={k},p={p:g}": {"surrogate": neg[k, p],
-                                                "representation_upper": lp[p]}
+                "field": i, "lp": {label[p]: lp[p] for p in p_list},
+                "wkq": {f"k={k},q={label[p]}": wkq[k, p] for k, p in kp},
+                "negative": {f"k={k},p={label[p]}": {"surrogate": neg[k, p],
+                                                     "representation_upper": lp[p]}
                              for k, p in kp}})
             c_eq = max([c_eq] + [neg[k, p] / lp[p] for k, p in kp if lp[p] > 0])
         checks = {"norm_equivalence": {"max_surrogate_over_upper": c_eq,

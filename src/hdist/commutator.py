@@ -15,6 +15,7 @@ from .grid import GridFunction, linf_norm, lp_norms
 from .multiplier import from_symbol
 from .sobolev import ConcentrationFamily, SequenceFamily, decay_table
 from .symbol import SphericalSymbol
+from .util import exponent_label
 
 
 def commutator_apply(psi: SphericalSymbol, b: GridFunction,
@@ -54,6 +55,6 @@ def compactness_probe(psi: SphericalSymbol, b: GridFunction,
 
     op = from_symbol(family.grid, psi)
     c_norms = [lp_norms(op.apply(b * v) - b * op.apply(v), qs) for v in vs]
-    columns = {f"q={q:g}": [n[q] for n in c_norms] for q in qs}
+    columns = {f"q={exponent_label(q)}": [n[q] for n in c_norms] for q in qs}
     meta["sup_b"] = linf_norm(b)
     return decay_table(ns, columns, meta)

@@ -75,9 +75,9 @@ class HermiteBasis:
         vals = self.axis_table[m[0]]
         for v in m[1:]:
             vals = np.multiply.outer(vals, self.axis_table[v])
-        # complex on purpose: analyze contracts a complex field by complex
-        # BLAS; a real one moves the table's rounding-level entries, and with
-        # them se_membership.json's head and weighted sums by up to 4.3e-16
+        # complex on purpose (complex BLAS in analyze): real samples read
+        # probes2d's unit coefficient as 0.9999999999999999 and its weighted
+        # sums 10.0 and 100.0 as 9.999999999999998 and 99.99999999999997
         return GridFunction(self.grid, vals.astype(complex))
 
     def analyze(self, f: GridFunction) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Small shared helpers: multi-indices, canonical JSON."""
+"""Small shared helpers: multi-indices, canonical JSON, exponent labels."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
@@ -46,6 +47,13 @@ def jsonable(obj):
     return obj
 
 
+def exponent_label(x) -> str:
+    """The artifact label of an exponent: f"{x:g}" where that reads back as
+    x, else the exact repr(float(x)); float(label) == x either way."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def dump_json(obj) -> str:
     """Canonical (sorted-key, compact) strict JSON text of obj, ending in a
     newline; deterministic.  NaN and infinities raise ValueError."""
@@ -54,9 +62,7 @@ def dump_json(obj) -> str:
                       allow_nan=False) + "\n"
 
 
-def canonical_hash(obj):
-    """sha256 of the canonical JSON encoding of obj."""
-    import hashlib
-
-    blob = json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def canonical_hash(obj) -> str:
+    """sha256 of dump_json(obj) without its final newline (compact JSON holds
+    no other)."""
+    return hashlib.sha256(dump_json(obj)[:-1].encode()).hexdigest()

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ import scipy.fft
 
 from hdist import cli, functional, localization, registry, sobolev
 from hdist.cli import CONFIG_SCHEMAS, main, run_config, validate_config
-from hdist.grid import Grid, lp_norm
+from hdist.grid import Grid, GridFunction, lp_norm
 from hdist.multiplier import derivative
 from hdist.sobolev import SequenceFamily, surrogate_negative_norm, wkq_norm
 from hdist.symbol import SphericalHarmonicBasis
@@ -232,11 +233,13 @@ class TestBuild:
         pytest.param({**SWEEP_CFG, "symbols": [{"name": "smoothed_sign",
                                                 "params": {"axis": 0.5}}]},
                      2, id="fractional-symbol-axis"),
-        pytest.param({**COMMUTATOR_CFG, "q_list": [2.123456789, 4, 4.0000001]}, 2,
-                     id="q-list-labels-round"),
         pytest.param({**COMMUTATOR_CFG, "q_list": [2, 4, 4.0]}, 2, id="q-list-repeats"),
-        pytest.param({**COMMUTATOR_CFG, "r": 4.0000001}, 2, id="r-label-rounds"),
-        pytest.param({**NORM_CFG, "p_list": [2, 2.0000001]}, 2, id="p-list-labels-collide"),
+        # limits.json and records.csv key a symbol by its name
+        pytest.param({**SWEEP_CFG, "symbols": ["riesz_1", "riesz_1"]}, 2,
+                     id="sweep-repeated-symbol"),
+        pytest.param({**SWEEP_CFG, "symbols": ["constant_one", {"name": "constant_one",
+                                                                "params": {"value": 1.0}}]},
+                     2, id="sweep-repeated-symbol-name"),
         pytest.param({**COMMUTATOR_CFG, "b": {"name": "gaussian",
                                               "params": {"width": float("nan")}}},
                      2, id="nan-param"),
@@ -602,6 +605,45 @@ class TestOnePass:
         assert counts["inverse"] == 2 * symbols * len(ns) + harmonics * len(ns)
 
 
+def by_exponent(part):
+    """A norms.json part keyed by what its labels read back to: "1.5" -> 1.5,
+    "k=1,q=1.5" -> (1, 1.5)."""
+    out = {}
+    for key, value in part.items():
+        if "," in key:
+            k, x = (item.split("=")[1] for item in key.split(","))
+            out[int(k), float(x)] = value
+        else:
+            out[float(key)] = value
+    assert len(out) == len(part)  # distinct labels read back to distinct exponents
+    return out
+
+
+def assert_norms_match_one_at_a_time(table, fields, cfg):
+    """Each norms.json entry keys exactly cfg's exponents, and its numbers are
+    lp_norm, wkq_norm and surrogate_negative_norm computed one at a time."""
+    assert len(table) == len(fields)
+    kp = {(k, p) for k in cfg["k_list"] for p in cfg["p_list"]}
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    for entry, f in zip(table, fields):
+        lp, wkq, negative = (by_exponent(entry[part]) for part in ("lp", "wkq", "negative"))
+        assert set(lp) == set(cfg["p_list"]) and set(wkq) == set(negative) == kp
+        for p in cfg["p_list"]:
+            close(lp[p], lp_norm(f, p))
+            for k in cfg["k_list"]:
+                close(wkq[k, p], wkq_norm(f, k, p))
+                # d^(k,0,...) f has the one part f: its representation bound
+                # is |f|_p; a real f's derivative is the real part of derivative's
+                u = derivative(f, (k,) + (0,) * (f.grid.d - 1))
+                if not np.iscomplexobj(f.values):
+                    u = GridFunction(f.grid, u.values.real)
+                close(negative[k, p]["surrogate"], surrogate_negative_norm(u, k, p))
+                close(negative[k, p]["representation_upper"], lp_norm(f, p))
+
+
 def test_norm_suite_matches_one_at_a_time(tmp_path, monkeypatch):
     cfg = NORM_ORACLE_CFG
     grid = grid_of(cfg)
@@ -610,21 +652,36 @@ def test_norm_suite_matches_one_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "make_field", lambda grid, spec: fields[spec])
     run_config(cfg, output_dir=tmp_path)
     table = json.loads((tmp_path / "norms.json").read_text())["norms"]
-    assert len(table) == len(fields)
+    assert_norms_match_one_at_a_time(table, list(fields.values()), cfg)
 
-    def close(got, want):
-        assert abs(got - want) <= 1e-13 * abs(want)
 
-    for entry, f in zip(table, fields.values()):
-        for p in cfg["p_list"]:
-            close(entry["lp"][f"{p:g}"], lp_norm(f, p))
-            for k in cfg["k_list"]:
-                close(entry["wkq"][f"k={k},q={p:g}"], wkq_norm(f, k, p))
-                # d^(k,0,...) f has the one part f: its representation bound is |f|_p
-                u = derivative(f, (k,) + (0,) * (grid.d - 1))
-                neg = entry["negative"][f"k={k},p={p:g}"]
-                close(neg["surrogate"], surrogate_negative_norm(u, k, p))
-                close(neg["representation_upper"], lp_norm(f, p))
+# exponents that f"{x:g}" rounds label their columns exactly, and the dual
+# pair p = 4/3, p' = 4 and r = 8/3 run
+@pytest.mark.parametrize("cfg", [
+    pytest.param({**COMMUTATOR_CFG, "q_list": [2.123456789, 4, 4.0000001]},
+                 id="q-list-labels-round"),
+    pytest.param({**COMMUTATOR_CFG, "r": 4.0000001}, id="r-label-rounds"),
+    pytest.param({**COMMUTATOR_CFG, "r": 8 / 3}, id="r-eight-thirds"),
+    pytest.param({**NORM_CFG, "p_list": [2, 2.0000001]}, id="p-list-labels-collide"),
+    pytest.param({**NORM_CFG, "p_list": [4 / 3, 4]}, id="p-list-dual-pair"),
+    # integer exponents: the CSV writes q as 2.0 and 4.0
+    pytest.param({**COMMUTATOR_CFG, "q_list": [2, 4]}, id="q-list-integers"),
+])
+def test_exponent_labels_read_back_exactly(cfg, tmp_path):
+    path, out = write_cfg(tmp_path, cfg), tmp_path / "out"
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    if cfg["experiment"] == "norm_suite":
+        table = json.loads((out / "norms.json").read_text())["norms"]
+        fields = [registry.make_field(grid_of(cfg), spec) for spec in cfg["fields"]]
+        assert_norms_match_one_at_a_time(table, fields, cfg)
+        return
+    qs = cfg.get("q_list", [2.0, cfg.get("r")])
+    columns = json.loads((out / "commutator.json").read_text())["table"]["columns"]
+    assert len(columns) == len(qs)
+    assert sorted(float(label.split("=")[1]) for label in columns) == sorted(qs)
+    lines = (out / "commutator.csv").read_text().splitlines()
+    assert {row[1] for row in csv.reader(lines[2:])} == {repr(float(q)) for q in qs}
 
 
 @pytest.mark.parametrize("c", [1e80, 1e-90])

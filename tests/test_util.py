@@ -1,14 +1,18 @@
 """The artifact encoder: compact, sorted-key, strict JSON, with every array
-converted in one step."""
+converted in one step; the config hash over the same text; exponent labels."""
 
+import hashlib
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hdist.util import dump_json, jsonable
+from hdist.util import canonical_hash, dump_json, exponent_label, jsonable
 
 # Signed zeros, the smallest and largest subnormals, and the ends of the range.
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308]
@@ -101,3 +105,53 @@ class TestDumpJson:
     def test_zero_dimensional_complex(self):
         assert jsonable(np.array(1 + 2j)) == [1.0, 2.0]
         assert jsonable(np.array(3.5)) == 3.5
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def workload_config():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    configs, _ = module.probes2d(0)
+    return configs[1]
+
+
+def readme_config():
+    [block] = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return json.loads(block)
+
+
+@pytest.mark.parametrize("cfg", [readme_config(), workload_config()], ids=["readme", "probes2d"])
+def test_config_hash_is_the_artifact_text(cfg):
+    # the config_hash stamp hashes the artifact text of the config; a finite
+    # config's hash is the one the stamp held when it was spelled apart
+    text = dump_json(cfg)[:-1]
+    assert canonical_hash(cfg) == hashlib.sha256(text.encode()).hexdigest()
+    apart = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    assert canonical_hash(cfg) == hashlib.sha256(apart.encode()).hexdigest()
+
+
+EXPONENTS = st.floats(1, 1e6, exclude_min=True, exclude_max=True) | st.integers(2, 100)
+
+
+class TestExponentLabel:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(x=EXPONENTS, y=EXPONENTS)
+    def test_labels_read_back_exactly(self, x, y):
+        label, short = exponent_label(x), f"{x:g}"
+        assert float(label) == x
+        if float(short) == x:
+            assert label == short
+        # distinct exponents, a float's neighbours among them, never share a label
+        for other in (y, np.nextafter(float(x), 0), np.nextafter(float(x), 2e6)):
+            assert (exponent_label(other) == label) == (other == x)
+
+    @pytest.mark.parametrize("x, label", [
+        (2, "2"), (4.0, "4"), (1.5, "1.5"), (4 / 3, "1.3333333333333333"),
+        (4.0000001, "4.0000001"),
+    ])
+    def test_pinned_labels(self, x, label):
+        assert exponent_label(x) == label
