@@ -16,7 +16,10 @@ fftfreq ordering), on which a multiplier acts as a product.
 multipliers and back, a real one without the centring phase, which cancels.
 Transforms are counted where `scipy.fft` is entered: each looks it up at call
 time, so a wrapper installed there (a tracer, a test counter) sees every
-transform.
+transform.  Complex full-lattice transforms run in place in a buffer padded to
+N + 1 on its last axis, since a contiguous N^d array's power-of-two leading-axis
+stride thrashes the cache; so a complex spectrum, and the samples of a field
+from idft, are strided views.
 """
 
 from __future__ import annotations
@@ -149,13 +152,14 @@ def _sample_dtype(values):
 class GridFunction:
     """Real or complex samples of a function at the points of a Grid.  Real
     samples stay float64, and scipy transforms them real-to-complex at about
-    half the cost of complex128 ones."""
+    half the cost of complex128 ones.  values is read-only: an array of the
+    grid's shape and sample dtype is kept as it is, whatever its strides."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=_sample_dtype(self.values))
+        vals = np.asarray(self.values, dtype=_sample_dtype(self.values))
         if vals.shape != self.grid.shape:
             raise ValueError(f"shape {vals.shape} does not match grid {self.grid.shape}")
         vals.flags.writeable = False
@@ -187,10 +191,19 @@ class GridFunction:
         return GridFunction(self.grid, np.conj(self.values))
 
 
+def _lattice_buffer(grid: Grid) -> np.ndarray:
+    """An empty complex128 N^d view into a buffer padded to N + 1 on its last axis."""
+    return np.empty(grid.shape[:-1] + (grid.N + 1,), np.complex128)[..., :grid.N]
+
+
 def dft(f: GridFunction) -> np.ndarray:
     """Samples of fhat on the frequency lattice in FFT layout, under the
     convention fhat(xi) = integral of exp(-2 pi i x.xi) f(x) dx."""
-    vals = scipy.fft.fftn(f.values)
+    vals = f.values
+    if np.iscomplexobj(vals):  # copied into a padded buffer, transformed in place
+        vals = _lattice_buffer(f.grid)
+        vals[...] = f.values
+    vals = scipy.fft.fftn(vals, overwrite_x=vals is not f.values)
     vals *= f.grid._forward_phase
     return vals
 
@@ -202,8 +215,8 @@ def idft(grid: Grid, f_hat: np.ndarray) -> GridFunction:
         raise TypeError(f"idft takes a spectrum array, got {type(f_hat).__name__}")
     if f_hat.shape != grid.shape:
         raise ValueError(f"spectrum shape {f_hat.shape} does not match grid {grid.shape}")
-    return GridFunction(grid, scipy.fft.ifftn(f_hat * grid._inverse_phase,
-                                              overwrite_x=True))
+    buf = np.multiply(f_hat, grid._inverse_phase, out=_lattice_buffer(grid))
+    return GridFunction(grid, scipy.fft.ifftn(buf, overwrite_x=True))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .grid import Grid, GridFunction
 from .symbol import SphericalSymbol
+from .util import exponent_label
 
 
 def _number(x) -> bool:
@@ -192,11 +193,11 @@ def constant_symbol(d, value=1.0):
     )
 
 
-def _odd_axis_symbol(d, axis, label, fn):
-    """fn as the symbol label_{axis+1}: a function of xi_j alone, odd in it."""
+def _odd_axis_symbol(d, axis, label, fn, suffix=""):
+    """fn as the symbol label_{axis+1}suffix: a function of xi_j alone, odd in it."""
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for d={d}")
-    return SphericalSymbol(d, fn, name=f"{label}_{axis + 1}", sphere_mean=0.0)
+    return SphericalSymbol(d, fn, name=f"{label}_{axis + 1}{suffix}", sphere_mean=0.0)
 
 
 def coordinate_symbol(d, axis=0):
@@ -209,8 +210,9 @@ def riesz_symbol(d, axis=0):
 
 
 def smoothed_sign_symbol(d, axis=0, eps=0.25):
-    """tanh(xi_j / eps): a smooth odd step across the hyperplane xi_j = 0."""
-    return _odd_axis_symbol(d, axis, "smoothed_sign", lambda xi: np.tanh(xi[axis] / eps))
+    """tanh(xi_j / eps), a smooth odd step; a width other than 0.25 is named."""
+    named = "" if eps == 0.25 else f"_eps={exponent_label(eps)}"
+    return _odd_axis_symbol(d, axis, "smoothed_sign", lambda xi: np.tanh(xi[axis] / eps), named)
 
 
 SYMBOL_BUILTINS = {

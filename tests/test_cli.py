@@ -684,6 +684,25 @@ def test_exponent_labels_read_back_exactly(cfg, tmp_path):
     assert {row[1] for row in csv.reader(lines[2:])} == {repr(float(q)) for q in qs}
 
 
+def test_two_widths_of_one_smoothed_sign_axis_sweep(tmp_path):
+    # a width other than the default enters the symbol's name, so the sweep
+    # keys one limit per width instead of refusing a repeated name
+    cfg = {**SWEEP_CFG, "symbols": [{"name": "smoothed_sign", "params": {"eps": 0.25}},
+                                    {"name": "smoothed_sign", "params": {"eps": 1.0}}]}
+    del cfg["tensor"], cfg["zero_check"]
+    path, out = write_cfg(tmp_path, cfg), tmp_path / "out"
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    limits = json.loads((out / "limits.json").read_text())["limits"]
+    assert sorted(limits) == ["smoothed_sign_1", "smoothed_sign_1_eps=1"]
+    assert limits["smoothed_sign_1"]["value"] != limits["smoothed_sign_1_eps=1"]["value"]
+    rows = csv.DictReader((out / "records.csv").read_text().splitlines()[1:])
+    assert sorted(row["psi"] for row in rows) == sorted(list(limits) * 3)  # 3 indices
+    # one width named twice is still a repeated name
+    cfg["symbols"][0]["params"]["eps"] = 1
+    assert main(["validate", str(write_cfg(tmp_path, cfg, "same.json"))]) == 2
+
+
 @pytest.mark.parametrize("c", [1e80, 1e-90])
 def test_norm_suite_scales_with_the_field(c, tmp_path):
     # unscaled powers made |c f|_4 read 0 at 1e-90, and at 1e80 wrote an

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 import hdist
@@ -375,3 +376,48 @@ class TestTransformSeam:
         assert abs(pairing(f, g) - parseval) <= 1e-13 * scale
         ref = reference_dft(f)
         assert np.max(np.abs(fh - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestPaddedBuffer:
+    """Complex full-lattice transforms run in place in an N^d view of a buffer
+    padded to N + 1 on its last axis: the same bits as the contiguous call,
+    with no power-of-two byte stride on any axis."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, 8), (2, 16), (2, 32), (2, 64), (3, 8), (3, 16), (3, 32)]),
+           st.floats(0.5, 50.0), st.integers(0, 2**16))
+    def test_bits_match_the_contiguous_transform(self, dn, L, seed):
+        grid = Grid(*dn, L)
+        f = random_field(grid, seed)
+        s = random_field(grid, seed + 1).values.copy()
+        f_before, s_before = f.values.copy(), s.copy()
+        assert np.array_equal(dft(f), scipy.fft.fftn(f.values) * grid._forward_phase)
+        g = idft(grid, s)
+        assert np.array_equal(g.values, scipy.fft.ifftn(s * grid._inverse_phase))
+        assert np.array_equal(f.values, f_before) and np.array_equal(s, s_before)
+        assert not g.values.flags.writeable
+
+    @pytest.mark.parametrize("d, N", [(3, 64), (2, 256)])
+    def test_no_power_of_two_stride_and_no_copy(self, d, N, monkeypatch):
+        calls = []
+
+        def recording(fn):
+            def wrapped(x, *args, **kwargs):
+                out = fn(x, *args, **kwargs)
+                calls.append((x, out))
+                return out
+            return wrapped
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(scipy.fft, name, recording(getattr(scipy.fft, name)))
+        grid = Grid(d, N, 8.0)
+        f_hat = dft(random_field(grid, 0))
+        g = idft(grid, f_hat)
+        assert len(calls) == 2
+        for x, out in calls:
+            assert x.dtype == np.complex128
+            bad = [s for s in x.strides if abs(s) >= 4096 and abs(s) & (abs(s) - 1) == 0]
+            assert not bad, f"power-of-two byte strides {bad} in {x.strides}"
+            assert np.shares_memory(out, x)
+        assert np.shares_memory(calls[0][0], f_hat)
+        assert np.shares_memory(calls[1][0], g.values)

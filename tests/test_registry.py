@@ -142,6 +142,21 @@ class TestSymbols:
         vals = psi(xi)
         assert vals[0] == pytest.approx(-vals[1])
 
+    @pytest.mark.parametrize("params, name", [
+        ({}, "smoothed_sign_1"),
+        ({"eps": 0.25}, "smoothed_sign_1"),
+        ({"eps": 1}, "smoothed_sign_1_eps=1"),
+        ({"eps": 1.0, "axis": 1}, "smoothed_sign_2_eps=1"),
+        ({"eps": 1 / 3}, "smoothed_sign_1_eps=0.3333333333333333"),
+    ])
+    def test_smoothed_sign_names_its_width(self, params, name):
+        # a width other than the default enters the name as its exact label,
+        # so two widths of one axis key two limits
+        psi = make_symbol(2, {"name": "smoothed_sign", "params": params})
+        assert psi.name == name
+        if "_eps=" in name:
+            assert float(name.split("_eps=")[1]) == params["eps"]
+
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
             make_symbol(2, "mystery")
