@@ -8,12 +8,13 @@ summaries, every file stamped with the config hash and package version.
 Identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 config or schema violation, 3 numerical guard
-violation (aliasing, box-support overflow).
+violation (aliasing; box-support overflow, checked for se_analysis only).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import dataclasses
 import io
@@ -37,6 +38,24 @@ from .specbasis import HermiteBasis, se_analyze, se_membership_score, se_sparse
 from .symbol import SphericalHarmonicBasis
 from .util import (AliasingError, SupportError, canonical_hash, dump_json,
                    exponent_label, jsonable)
+
+
+def _keep_heap():
+    """Keep freed N^d arrays in the heap, which glibc would unmap and fault
+    in afresh: arrays up to 32 MiB (glibc's 64-bit ceiling) come from the
+    heap, trimmed only past 1 GiB.  The trim setting alone turns off glibc's
+    dynamic mmap threshold and faults more, so it is set only after mallopt
+    has accepted the threshold."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_keep_heap()
 
 # ---------------------------------------------------------------------------
 # schema

@@ -16,10 +16,10 @@ fftfreq ordering), on which a multiplier acts as a product.
 multipliers and back, a real one without the centring phase, which cancels.
 Transforms are counted where `scipy.fft` is entered: each looks it up at call
 time, so a wrapper installed there (a tracer, a test counter) sees every
-transform.  Complex full-lattice transforms run in place in a buffer padded to
-N + 1 on its last axis, since a contiguous N^d array's power-of-two leading-axis
-stride thrashes the cache; so a complex spectrum, and the samples of a field
-from idft, are strided views.
+transform.  dft and idft run in place in a complex buffer padded to N + 1 on
+its last axis, since a contiguous N^d array's power-of-two leading-axis stride
+thrashes the cache; dft casts a real field to complex on the copy into it.  So
+a spectrum from dft, and the samples of a field from idft, are strided views.
 """
 
 from __future__ import annotations
@@ -150,10 +150,9 @@ def _sample_dtype(values):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real or complex samples of a function at the points of a Grid.  Real
-    samples stay float64, and scipy transforms them real-to-complex at about
-    half the cost of complex128 ones.  values is read-only: an array of the
-    grid's shape and sample dtype is kept as it is, whatever its strides."""
+    """Real or complex samples of a function at the points of a Grid; real
+    ones stay float64.  values is read-only: an array of the grid's shape
+    and sample dtype is kept as it is, whatever its strides."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
@@ -198,12 +197,11 @@ def _lattice_buffer(grid: Grid) -> np.ndarray:
 
 def dft(f: GridFunction) -> np.ndarray:
     """Samples of fhat on the frequency lattice in FFT layout, under the
-    convention fhat(xi) = integral of exp(-2 pi i x.xi) f(x) dx."""
-    vals = f.values
-    if np.iscomplexobj(vals):  # copied into a padded buffer, transformed in place
-        vals = _lattice_buffer(f.grid)
-        vals[...] = f.values
-    vals = scipy.fft.fftn(vals, overwrite_x=vals is not f.values)
+    convention fhat(xi) = integral of exp(-2 pi i x.xi) f(x) dx.  The field,
+    real or complex, is transformed as complex128 in a padded buffer."""
+    vals = _lattice_buffer(f.grid)
+    vals[...] = f.values
+    vals = scipy.fft.fftn(vals, overwrite_x=True)
     vals *= f.grid._forward_phase
     return vals
 

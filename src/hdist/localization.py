@@ -113,9 +113,9 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
     <f, g> = sum fhat conj(ghat) / L^d.  That is 3d + 3 transforms per pass
     (G takes d + 1) and 4 per index when k = 0: w, f_n and the J_{-k-1}
     round trip.  Real coefficients, test functions and amplitude make the
-    2d + 3 fields transformed once per pass real, so those transforms run
-    real-to-complex; phi1 f_n (and phi1 w when k > 0) are complex.  At
-    k = 0, s_n and the v_n factor are exactly 1.0 and are not multiplied.
+    2d + 3 fields transformed once per pass real; dft casts them to complex
+    in its padded buffer.  At k = 0, s_n and the v_n factor are exactly 1.0
+    and are not multiplied.
     The stages hold one product spectrum at a time with the indices inside,
     build each multiplier where it is used, and drop each index's t_hat, w
     and f_hat after their last use.

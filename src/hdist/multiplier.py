@@ -33,7 +33,8 @@ class MultiplierOperator:
     def apply(self, f: GridFunction) -> GridFunction:
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
-        return idft(self.grid, self.m * dft(f))
+        f_hat = dft(f)  # dft's own buffer, multiplied in place
+        return idft(self.grid, np.multiply(self.m, f_hat, out=f_hat))
 
 
 def from_symbol(grid: Grid, psi: SphericalSymbol) -> MultiplierOperator:

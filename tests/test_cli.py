@@ -1,6 +1,8 @@
 import csv
+import ctypes
 import json
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,8 @@ import scipy.fft
 
 from hdist import cli, functional, localization, registry, sobolev
 from hdist.cli import CONFIG_SCHEMAS, main, run_config, validate_config
-from hdist.grid import Grid, GridFunction, lp_norm
-from hdist.multiplier import derivative
+from hdist.grid import Grid, GridFunction, dft, idft, lp_norm
+from hdist.multiplier import bessel_potential, derivative
 from hdist.sobolev import SequenceFamily, surrogate_negative_norm, wkq_norm
 from hdist.symbol import SphericalHarmonicBasis
 from hdist.util import multi_indices
@@ -743,3 +745,44 @@ def test_norm_suite_entries_do_not_depend_on_the_other_fields(tmp_path):
     assert len(pairs) == 3 + 2 * 9 + 9
     for got, want in pairs:
         assert abs(got - want) <= 1e-13 * want
+
+
+def _libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestKeepHeap:
+    """Importing hdist.cli keeps freed lattice arrays in the process heap."""
+
+    @pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+    def test_round_trips_fault_in_no_fresh_pages(self):
+        resource = pytest.importorskip("resource")
+        grid = Grid(3, 64, 8.0)
+        m = bessel_potential(grid, -1.0).m
+        f = GridFunction(grid, np.random.default_rng(0).normal(size=grid.shape))
+        for _ in range(2):  # warm up: the heap grows to the working set
+            idft(grid, m * dft(f))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            idft(grid, m * dft(f))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 64, f"{faults} minor faults in ten 64^3 round trips"
+
+    def test_mallopt_missing_or_refused(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        cli._keep_heap()  # no mallopt: returns quietly
+        for accepted, want in ((0, [(-3, 32 << 20)]),
+                               (1, [(-3, 32 << 20), (-1, 1 << 30)])):
+            calls = []
+
+            def mallopt(param, value):
+                calls.append((param, value))
+                return accepted
+
+            monkeypatch.setattr(ctypes, "CDLL",
+                                lambda name: types.SimpleNamespace(mallopt=mallopt))
+            cli._keep_heap()
+            assert calls == want  # the trim threshold only after the mmap one

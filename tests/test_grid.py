@@ -379,9 +379,10 @@ class TestTransformSeam:
 
 
 class TestPaddedBuffer:
-    """Complex full-lattice transforms run in place in an N^d view of a buffer
-    padded to N + 1 on its last axis: the same bits as the contiguous call,
-    with no power-of-two byte stride on any axis."""
+    """Full-lattice transforms run in place in an N^d complex view of a buffer
+    padded to N + 1 on its last axis, a real field cast to complex128 on the
+    copy into it: the same bits as the contiguous complex call, with no
+    power-of-two byte stride on any axis."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.sampled_from([(2, 8), (2, 16), (2, 32), (2, 64), (3, 8), (3, 16), (3, 32)]),
@@ -389,12 +390,16 @@ class TestPaddedBuffer:
     def test_bits_match_the_contiguous_transform(self, dn, L, seed):
         grid = Grid(*dn, L)
         f = random_field(grid, seed)
+        r = GridFunction(grid, f.values.imag.copy())  # real white noise
         s = random_field(grid, seed + 1).values.copy()
-        f_before, s_before = f.values.copy(), s.copy()
+        f_before, r_before, s_before = f.values.copy(), r.values.copy(), s.copy()
         assert np.array_equal(dft(f), scipy.fft.fftn(f.values) * grid._forward_phase)
+        assert np.array_equal(dft(r), scipy.fft.fftn(r.values.astype(np.complex128))
+                              * grid._forward_phase)
         g = idft(grid, s)
         assert np.array_equal(g.values, scipy.fft.ifftn(s * grid._inverse_phase))
         assert np.array_equal(f.values, f_before) and np.array_equal(s, s_before)
+        assert np.array_equal(r.values, r_before) and r.values.dtype == np.float64
         assert not g.values.flags.writeable
 
     @pytest.mark.parametrize("d, N", [(3, 64), (2, 256)])
@@ -413,7 +418,8 @@ class TestPaddedBuffer:
         grid = Grid(d, N, 8.0)
         f_hat = dft(random_field(grid, 0))
         g = idft(grid, f_hat)
-        assert len(calls) == 2
+        r_hat = dft(GridFunction(grid, random_field(grid, 1).values.real.copy()))
+        assert len(calls) == 3
         for x, out in calls:
             assert x.dtype == np.complex128
             bad = [s for s in x.strides if abs(s) >= 4096 and abs(s) & (abs(s) - 1) == 0]
@@ -421,3 +427,4 @@ class TestPaddedBuffer:
             assert np.shares_memory(out, x)
         assert np.shares_memory(calls[0][0], f_hat)
         assert np.shares_memory(calls[1][0], g.values)
+        assert np.shares_memory(calls[2][0], r_hat)

@@ -197,23 +197,27 @@ class TestOnePass:
         assert counts["smooth"] == 1  # J_{-k-1}, once per verdict
 
     @pytest.mark.parametrize("characteristic", [False, True])
-    def test_real_product_fields_transform_as_float64(self, grid, tests_pair,
-                                                      characteristic, monkeypatch):
+    def test_forward_transforms_run_in_the_padded_buffer(self, grid, tests_pair,
+                                                         characteristic, monkeypatch):
         # at k = 0 the 2d + 3 fields a pass transforms once (phi2 a, phi1 a,
-        # A_j phi1 a, A_j a, conj(phi1)) are real; only the forward half of
-        # the J_{-1} round trip, one per index, takes complex input
+        # A_j phi1 a, A_j a, conj(phi1)) are real and the forward half of the
+        # J_{-1} round trip, one per index, is complex: all go through dft's
+        # padded complex buffer
         inst = make(grid, characteristic)
-        dtypes = []
+        inputs = []
         fftn = scipy.fft.fftn
 
         def recorded(x, *args, **kwargs):
-            dtypes.append(np.asarray(x).dtype)
+            inputs.append(x)
             return fftn(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, "fftn", recorded)
         localization._index_pass(inst, *tests_pair, constant_symbol(3))
-        assert len(dtypes) == 2 * grid.d + 3 + len(inst.family.indices)
-        assert dtypes.count(np.float64) == 2 * grid.d + 3
+        assert len(inputs) == 2 * grid.d + 3 + len(inst.family.indices)
+        for x in inputs:
+            assert x.dtype == np.complex128
+            bad = [s for s in x.strides if abs(s) >= 4096 and abs(s) & (abs(s) - 1) == 0]
+            assert not bad, f"power-of-two byte strides {bad} in {x.strides}"
 
 
 def operator_chain(inst, phi1, phi2, psi):
