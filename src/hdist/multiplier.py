@@ -33,8 +33,7 @@ class MultiplierOperator:
     def apply(self, f: GridFunction) -> GridFunction:
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
-        f_hat = dft(f)  # dft's own buffer, multiplied in place
-        return idft(self.grid, np.multiply(self.m, f_hat, out=f_hat))
+        return idft(self.grid, self.m * dft(f))
 
 
 def from_symbol(grid: Grid, psi: SphericalSymbol) -> MultiplierOperator:

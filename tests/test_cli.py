@@ -771,7 +771,7 @@ class TestKeepHeap:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 64, f"{faults} minor faults in ten 64^3 round trips"
 
-    def test_mallopt_missing_or_refused(self, monkeypatch):
+    def test_trim_threshold_only_after_the_mmap_one(self, monkeypatch):
         monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
         cli._keep_heap()  # no mallopt: returns quietly
         for accepted, want in ((0, [(-3, 32 << 20)]),
