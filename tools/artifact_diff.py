@@ -2,8 +2,9 @@
 
     python tools/artifact_diff.py DIR_A DIR_B
 
-Walks every JSON and CSV file under DIR_A and DIR_B (as `tools/artifact_digest.py --out`
-writes them) and prints one line per relative path, sorted:
+Walks every JSON and CSV file under DIR_A and DIR_B (as
+`tools/artifact_digest.py --out` writes them) and prints one line per
+relative path, sorted:
 
     PATH  moved M of N  max_rel R  max_rel(|x|>1e-12) S
 
