@@ -443,8 +443,10 @@ def run_localization(cfg, grid):
         indices=cfg["indices"], characteristic=cfg["characteristic"],
         **_present(cfg, k=int, p=float, q=float, cutoff=dict),
     )
-    phi1 = make_field(grid, cfg["test_functions"]["phi1"])
-    phi2 = make_field(grid, cfg["test_functions"]["phi2"])
+    specs = cfg["test_functions"]
+    phi1 = make_field(grid, specs["phi1"])
+    # one field for equal specs, so the pass transforms phi1 a once
+    phi2 = phi1 if specs["phi2"] == specs["phi1"] else make_field(grid, specs["phi2"])
     psi = make_symbol(grid.d, cfg["symbol"])
 
     def compute():

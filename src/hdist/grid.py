@@ -14,12 +14,13 @@ fftfreq ordering), on which a multiplier acts as a product.
 
 `dft` and `idft` are the seam for spectra; `round_trips` takes a field through
 multipliers and back, a real one without the centring phase, which cancels.
-Transforms are counted where `scipy.fft` is entered: each looks it up at call
+Transforms are counted where `numpy.fft` is entered: each looks it up at call
 time, so a wrapper installed there (a tracer, a test counter) sees every
-transform.  dft and idft run in place in a complex buffer padded to N + 1 on
-its last axis, since a contiguous N^d array's power-of-two leading-axis stride
-thrashes the cache; dft casts a real field to complex on the copy into it.  So
-a spectrum from dft, and the samples of a field from idft, are strided views.
+transform.  dft and idft run in place (`out=`) in a complex buffer padded to
+N + 1 on its last axis, since a contiguous N^d array's power-of-two
+leading-axis stride thrashes the cache; dft casts a real field to complex on
+the copy into it.  So a spectrum from dft, and the samples of a field from
+idft, are strided views.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,12 @@ class Grid:
 
     @cached_property
     def _inverse_phase(self):
-        """(-1)^m / cell_volume: what idft multiplies its input by."""
-        return self._center_phase(1.0 / self.cell_volume)
+        """(-1)^m / L^d as complex128: what idft multiplies its input by
+        before the unscaled inverse FFT (norm="forward"), so the 1 / N^d of
+        the inverse is folded in here and no pass over the output scales it."""
+        ph = self._center_phase(1.0 / self.L ** self.d).astype(np.complex128)
+        ph.flags.writeable = False
+        return ph
 
     @cached_property
     def x_axes(self):
@@ -201,7 +205,7 @@ def dft(f: GridFunction) -> np.ndarray:
     real or complex, is transformed as complex128 in a padded buffer."""
     vals = _lattice_buffer(f.grid)
     vals[...] = f.values
-    vals = scipy.fft.fftn(vals, overwrite_x=True)
+    vals = np.fft.fftn(vals, out=vals)
     vals *= f.grid._forward_phase
     return vals
 
@@ -214,7 +218,7 @@ def idft(grid: Grid, f_hat: np.ndarray) -> GridFunction:
     if f_hat.shape != grid.shape:
         raise ValueError(f"spectrum shape {f_hat.shape} does not match grid {grid.shape}")
     buf = np.multiply(f_hat, grid._inverse_phase, out=_lattice_buffer(grid))
-    return GridFunction(grid, scipy.fft.ifftn(buf, overwrite_x=True))
+    return GridFunction(grid, np.fft.ifftn(buf, out=buf, norm="forward"))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -236,10 +240,11 @@ def round_trips(f: GridFunction, ms):
         f_hat = dft(f)
         yield from (idft(f.grid, m * f_hat) for m in ms)
         return
-    f_hat = scipy.fft.rfftn(f.values)
+    f_hat = np.fft.rfftn(f.values)
+    axes = tuple(range(f.grid.d))
     for m in ms:
-        yield GridFunction(f.grid, scipy.fft.irfftn(m[..., :f.grid.N // 2 + 1] * f_hat,
-                                                    s=f.grid.shape, overwrite_x=True))
+        yield GridFunction(f.grid, np.fft.irfftn(m[..., :f.grid.N // 2 + 1] * f_hat,
+                                                 s=f.grid.shape, axes=axes))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

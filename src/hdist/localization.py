@@ -109,13 +109,14 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
 
     Each product field (phi2 a, phi1 a, A_j phi1 a, A_j a) is transformed
     once, and `spectra` reads it at every index by the family's spectral
-    shift; pairings against a spectrum go by Parseval,
+    shift; when phi2 is phi1, one spectrum of phi1 a serves t and the
+    baseline.  Pairings against a spectrum go by Parseval,
     <f, g> = sum fhat conj(ghat) / L^d.  That is 3d + 3 transforms per pass
-    (G takes d + 1) and 4 per index when k = 0: w, f_n and the J_{-k-1}
-    round trip.  Real coefficients, test functions and amplitude make the
-    2d + 3 fields transformed once per pass real; dft casts them to complex
-    in its padded buffer.  At k = 0, s_n and the v_n factor are exactly 1.0
-    and are not multiplied.
+    (G takes d + 1), one fewer when phi2 is phi1, and 4 per index when
+    k = 0: w, f_n and the J_{-k-1} round trip.  Real coefficients, test
+    functions and amplitude make the 2d + 3 (or 2d + 2) fields transformed
+    once per pass real; dft casts them to complex in its padded buffer.  At
+    k = 0, s_n and the v_n factor are exactly 1.0 and are not multiplied.
     The stages hold one product spectrum at a time with the indices inside,
     build each multiplier where it is used, and drop each index's t_hat, w
     and f_hat after their last use.
@@ -137,9 +138,14 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
             yield out
 
     psi_bar = np.conj(from_symbol(grid, psi).m)
-    t_hat = [psi_bar * instance.v(n, b) for n, b in zip(ns, spectra(phi2))]
+    t_hat, baseline = [], []
+    for n, b in zip(ns, spectra(phi2)):
+        t_hat.append(psi_bar * instance.v(n, b))
+        if phi1 is phi2:  # b is phi1's spectrum too
+            baseline.append(complex(conj_sum(b, t_hat[-1]) / volume))
     del psi_bar
-    baseline = [complex(conj_sum(b, t) / volume) for t, b in zip(t_hat, spectra(phi1))]
+    if phi1 is not phi2:
+        baseline = [complex(conj_sum(b, t) / volume) for t, b in zip(t_hat, spectra(phi1))]
     weighted = [0j] * len(ns)
     for j, a_j in enumerate(instance.coefficients):
         r_j = riesz(grid, j).m

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre, sph_harm_y
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,8 @@ def s2_quadrature(n_polar: int, n_lon: int) -> SphereQuadrature:
 
     Exact for spherical polynomials of degree <= min(2*n_polar - 1, n_lon - 1).
     """
+    from scipy.special import roots_legendre  # here, so only a 3-D rule loads scipy
+
     t, w_t = roots_legendre(n_polar)
     phi = 2 * np.pi * np.arange(n_lon) / n_lon
     st = np.sqrt(1.0 - t * t)
@@ -102,6 +103,8 @@ def _harmonics(d, n_max, x, r=1.0):
             yield (n, 1), p
             yield (n, 2), np.conj(p)
         return
+    from scipy.special import sph_harm_y  # here, so only 3-D harmonics load scipy
+
     u = [c / r for c in x]
     theta = np.arccos(np.clip(u[2], -1.0, 1.0))
     phi = np.arctan2(u[1], u[0])

@@ -1,13 +1,15 @@
 import csv
 import ctypes
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from hdist import cli, functional, localization, registry, sobolev
 from hdist.cli import CONFIG_SCHEMAS, main, run_config, validate_config
@@ -327,8 +329,15 @@ class TestBuild:
             monkeypatch.setattr(module, "make_field", counting)
         for name, cfg in sorted(FULL_CFGS.items()):
             cli.build_config(cfg)
-        assert counts == {"commutator": 2, "hdist_sweep": 4, "localization": 7,
+        # localization builds one field for its equal phi1 and phi2 specs
+        assert counts == {"commutator": 2, "hdist_sweep": 4, "localization": 6,
                           "norm_suite": 2, "se_analysis": 0}
+        name = "localization"
+        counts[name] = 0
+        cfg = FULL_CFGS[name]
+        phi2 = {"name": "gaussian", "params": {"width": 1.4}}
+        cli.build_config({**cfg, "test_functions": {**cfg["test_functions"], "phi2": phi2}})
+        assert counts[name] == 7
 
 
 class TestMain:
@@ -565,7 +574,7 @@ def patch_fft(monkeypatch, counts, forward, inverse):
     complex and real."""
     for name, key in [("fftn", forward), ("ifftn", inverse),
                       ("rfftn", forward), ("irfftn", inverse)]:
-        monkeypatch.setattr(scipy.fft, name, counted(counts, key, getattr(scipy.fft, name)))
+        monkeypatch.setattr(np.fft, name, counted(counts, key, getattr(np.fft, name)))
 
 
 def grid_of(cfg):
@@ -786,3 +795,44 @@ class TestKeepHeap:
                                 lambda name: types.SimpleNamespace(mallopt=mallopt))
             cli._keep_heap()
             assert calls == want  # the trim threshold only after the mmap one
+
+
+IMPORT_PATH_SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+from hdist.cli import run_config
+loaded = {"import": scipy_modules()}
+for i, cfg in enumerate(json.loads(sys.argv[1])):
+    run_config(cfg, output_dir=f"{sys.argv[2]}/{i}")
+    loaded[cfg["experiment"]] = scipy_modules()
+
+import numpy as np
+from scipy.special import sph_harm_y
+from hdist.symbol import SphericalHarmonicBasis
+basis = SphericalHarmonicBasis.build(3, 2)
+x = basis.quadrature.nodes
+theta, phi = np.arccos(np.clip(x[2], -1.0, 1.0)), np.arctan2(x[1], x[0])
+want = np.stack([sph_harm_y(n, j - 1 - n, theta, phi) for n, j in basis.indices])
+loaded["harmonics_error"] = float(np.max(np.abs(basis.table - want)))
+print(json.dumps(loaded))
+"""
+
+
+class TestImportPath:
+    def test_two_dimensional_runs_and_localization_load_no_scipy(self, tmp_path):
+        # a fresh process, since this one already holds scipy; the 3-D
+        # harmonics still import scipy.special where they are built
+        cfgs = [COMMUTATOR_CFG, NORM_CFG, SWEEP_CFG, LOCALIZATION_CFG]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT, json.dumps(cfgs),
+                               str(tmp_path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        error = loaded.pop("harmonics_error")
+        assert loaded == {"import": [], "commutator": [], "norm_suite": [],
+                          "hdist_sweep": [], "localization": []}
+        assert error <= 1e-13

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 from hdist import localization
 from hdist.fitting import MIN_DECAY_RATE, fit_limit
@@ -27,6 +26,12 @@ def grid():
 def tests_pair(grid):
     phi = make_field(grid, GAUSS15)
     return phi, phi
+
+
+@pytest.fixture(scope="module")
+def equal_pair(grid):
+    """Two distinct fields with the same samples: phi2 is not phi1."""
+    return make_field(grid, GAUSS15), make_field(grid, GAUSS15)
 
 
 def make(grid, characteristic, indices=(2, 4, 8), k=0, direction=(1, 0, 0)):
@@ -172,10 +177,10 @@ def test_v_is_the_order_minus_k_family(grid, k):
 
 
 class TestOnePass:
-    def test_transform_and_sample_counts(self, grid, tests_pair, monkeypatch):
+    def test_transform_and_sample_counts(self, grid, tests_pair, equal_pair, monkeypatch):
         inst = make(grid, False)
         ns = inst.family.indices
-        counts = {"fft": 0, "u": 0, "smooth": 0}
+        counts = {}
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -184,40 +189,53 @@ class TestOnePass:
             return wrapper
 
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-            monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name), "fft"))
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
         monkeypatch.setattr(SequenceFamily, "u", counted(SequenceFamily.u, "u"))
         monkeypatch.setattr(localization, "bessel_potential",
                             counted(localization.bessel_potential, "smooth"))
-        localization_verdict(inst, *tests_pair, constant_symbol(3))
-        # per pass: one forward per product field (phi2 a, phi1 a, A_j phi1 a,
-        # A_j a) and conj(phi1) forward plus d inverses for G; per index: w,
-        # f_n and the J_{-k-1} round trip
-        assert counts["fft"] == 4 * len(ns) + 3 * grid.d + 3
-        assert counts["u"] == len(ns)  # v_n is a multiple of u_n
-        assert counts["smooth"] == 1  # J_{-k-1}, once per verdict
+        # phi2 is phi1, then two distinct fields with the same samples
+        for pair, shared in ((tests_pair, 1), (equal_pair, 0)):
+            counts.update(fft=0, u=0, smooth=0)
+            localization_verdict(inst, *pair, constant_symbol(3))
+            # per pass: one forward per product field (phi2 a, phi1 a,
+            # A_j phi1 a, A_j a), phi1 a not when phi2 is phi1, and
+            # conj(phi1) forward plus d inverses for G; per index: w, f_n
+            # and the J_{-k-1} round trip
+            assert counts["fft"] == 4 * len(ns) + 3 * grid.d + 3 - shared
+            assert counts["u"] == len(ns)  # v_n is a multiple of u_n
+            assert counts["smooth"] == 1  # J_{-k-1}, once per verdict
+
+    def test_one_field_for_both_test_functions_changes_no_bit(self, grid, tests_pair,
+                                                              equal_pair):
+        inst = make(grid, True)
+        psi = riesz_symbol(3, 0)
+        shared = localization._index_pass(inst, *tests_pair, psi)
+        assert shared == localization._index_pass(inst, *equal_pair, psi)
 
     @pytest.mark.parametrize("characteristic", [False, True])
-    def test_forward_transforms_run_in_the_padded_buffer(self, grid, tests_pair,
+    def test_forward_transforms_run_in_the_padded_buffer(self, grid, tests_pair, equal_pair,
                                                          characteristic, monkeypatch):
         # at k = 0 the 2d + 3 fields a pass transforms once (phi2 a, phi1 a,
-        # A_j phi1 a, A_j a, conj(phi1)) are real and the forward half of the
-        # J_{-1} round trip, one per index, is complex: all go through dft's
-        # padded complex buffer
+        # A_j phi1 a, A_j a, conj(phi1); phi1 a not when phi2 is phi1) are
+        # real and the forward half of the J_{-1} round trip, one per index,
+        # is complex: all go through dft's padded complex buffer
         inst = make(grid, characteristic)
         inputs = []
-        fftn = scipy.fft.fftn
+        fftn = np.fft.fftn
 
         def recorded(x, *args, **kwargs):
             inputs.append(x)
             return fftn(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "fftn", recorded)
-        localization._index_pass(inst, *tests_pair, constant_symbol(3))
-        assert len(inputs) == 2 * grid.d + 3 + len(inst.family.indices)
-        for x in inputs:
-            assert x.dtype == np.complex128
-            bad = [s for s in x.strides if abs(s) >= 4096 and abs(s) & (abs(s) - 1) == 0]
-            assert not bad, f"power-of-two byte strides {bad} in {x.strides}"
+        monkeypatch.setattr(np.fft, "fftn", recorded)
+        for pair, shared in ((tests_pair, 1), (equal_pair, 0)):
+            inputs.clear()
+            localization._index_pass(inst, *pair, constant_symbol(3))
+            assert len(inputs) == 2 * grid.d + 3 - shared + len(inst.family.indices)
+            for x in inputs:
+                assert x.dtype == np.complex128
+                bad = [s for s in x.strides if abs(s) >= 4096 and abs(s) & (abs(s) - 1) == 0]
+                assert not bad, f"power-of-two byte strides {bad} in {x.strides}"
 
 
 def operator_chain(inst, phi1, phi2, psi):
