@@ -28,7 +28,7 @@ import jsonschema
 from . import __version__
 from .commutator import compactness_probe
 from .fitting import fit_limit
-from .functional import (FORM_RTOL, mu_tensor, pairing_records,
+from .functional import (FORM_RTOL, check_pair, mu_tensor, pairing_records,
                          zero_mu_strong_convergence_check)
 from .grid import Grid
 from .localization import TOL_CHAIN, build_instance, localization_verdict
@@ -351,10 +351,9 @@ def _write_csv(header, rows, stamp) -> str:
 def run_hdist_sweep(cfg, grid):
     u_fam = _family(grid, cfg["families"]["u"])
     v_spec = cfg["families"].get("v")
-    if v_spec and tuple(v_spec["indices"]) != u_fam.indices:
-        raise ValueError("families.v.indices must equal families.u.indices: "
-                         "v_n is sampled at the u indices")
-    v_fam = _family(grid, v_spec) if v_spec else u_fam
+    if v_spec:
+        check_pair(u_fam.indices, v_spec["indices"])
+    v_fam = _family(grid, v_spec) if v_spec else None  # None: v = u
     phi_specs = cfg["test_functions"]["phi1"], cfg["test_functions"]["phi2"]
     phi1, phi2 = (make_field(grid, spec) for spec in phi_specs)
     labels = [spec_label(spec) for spec in phi_specs]
@@ -369,14 +368,17 @@ def run_hdist_sweep(cfg, grid):
     if zc:
         theta = make_field(grid, zc["theta"])
         k, p = int(zc.get("k", 0)), float(zc.get("p", 2.0))
+        # the tensor pairs u_n with a sequence bounded in the dual space
+        if k >= 1 and not (v_spec and v_spec["kind"] == "oscillation"
+                           and v_spec.get("order", 0) == -k):
+            raise ValueError(f"zero_check at k = {k} needs families.v, an "
+                             f"oscillation of order {-k}: the tensor pairs u_n "
+                             f"with its dual, not with itself")
 
     def compute():
-        # every stage reads these samples: v_n is sampled at the u indices
         ns = u_fam.indices
-        us = [u_fam.u(n) for n in ns]
-        vs = us if v_fam is u_fam else [v_fam.u(n) for n in ns]
         rows, limits, max_gap = [], {}, 0.0
-        for psi, forms in zip(symbols, pairing_records(us, vs, phi1, phi2, symbols)):
+        for psi, forms in zip(symbols, pairing_records(u_fam, v_fam, phi1, phi2, symbols)):
             limits[psi.name] = fit_limit(ns, [a for a, _ in forms])
             for n, (a, b) in zip(ns, forms):
                 rows.append([psi.name, *labels, int(n), repr(a.real),
@@ -396,14 +398,14 @@ def run_hdist_sweep(cfg, grid):
                 "limits": sorted(name for name, lim in limits.items() if lim["flagged"])},
         }
         if tensor_cfg:
-            tensor = mu_tensor(ns, us, vs, hb, sb)
+            tensor = mu_tensor(u_fam, v_fam, hb, sb)
             tensor_max = float(abs(tensor["entries"]).max())
             files["tensor.json"] = {"tensor": tensor}
             checks["tensor_max_abs"] = {"value": tensor_max}
             checks["flagged_limits"]["tensor_entries"] = int(tensor["flagged"].sum())
         if zc:
             result = zero_mu_strong_convergence_check(
-                ns, us, vs, theta, k, p, tensor_max, baseline_phi=phi1)
+                u_fam, v_fam, theta, k, p, tensor_max, baseline_phi=phi1)
             files["zero_check.json"] = result
             checks["zero_check_consistent"] = {"passed": result["consistent"]}
         return checks, files
@@ -417,7 +419,7 @@ def run_commutator(cfg, grid):
     options = _present(cfg, r=float, q_list=tuple)
 
     def compute():
-        table = compactness_probe(psi, b, family, **options)
+        table = compactness_probe(family, psi, b, **options)
         rows, decay = [], {}
         qs = {f"q={exponent_label(q)}": q for q in table["meta"]["q_list"]}
         for label, q in sorted(qs.items()):

@@ -27,11 +27,10 @@ def commutator_apply(psi: SphericalSymbol, b: GridFunction,
     return op.apply(b * f) - b * op.apply(f)
 
 
-def compactness_probe(psi: SphericalSymbol, b: GridFunction,
-                      family: SequenceFamily | ConcentrationFamily, r: float = 4.0,
-                      q_list=None) -> dict:
-    """Decay table of |C v_n|_{L^q} per index and exponent, C the commutator
-    of A_psi with b and v_n the family.
+def compactness_probe(u: SequenceFamily | ConcentrationFamily, psi: SphericalSymbol,
+                      b: GridFunction, r: float = 4.0, q_list=None) -> dict:
+    """Decay table of |C u_n|_{L^q} per index of the family u and exponent,
+    C the commutator of A_psi with b.
 
     q_list defaults to {2, r}: the endpoints of the exponent range covered
     by the compactness statement, with r the family's extra integrability.
@@ -40,21 +39,19 @@ def compactness_probe(psi: SphericalSymbol, b: GridFunction,
     recorded in the table metadata and the probe still runs.  Weak nullity
     of the family is assumed, not checked.
     """
-    ns = tuple(family.indices)
-    vs = [family.u(n) for n in ns]
     qs = tuple(q_list) if q_list else (2.0, r)
 
     meta = {"q_list": list(qs), "violations": []}
-    v_norms = [lp_norms(v, (2.0, r)) for v in vs]
+    u_norms = [lp_norms(u_n, (2.0, r)) for u_n in u.samples]
     for q in (2.0, r):
-        norms = np.array([n[q] for n in v_norms])
+        norms = np.array([n[q] for n in u_norms])
         if norms.max() > 10.0 * max(norms.min(), ZERO_FLOOR):
             meta["violations"].append(
                 f"family norms in L^{q} vary by more than 10x over the index set"
             )
 
-    op = from_symbol(family.grid, psi)
-    c_norms = [lp_norms(op.apply(b * v) - b * op.apply(v), qs) for v in vs]
+    op = from_symbol(u.grid, psi)
+    c_norms = [lp_norms(op.apply(b * u_n) - b * op.apply(u_n), qs) for u_n in u.samples]
     columns = {f"q={exponent_label(q)}": [n[q] for n in c_norms] for q in qs}
     meta["sup_b"] = linf_norm(b)
-    return decay_table(ns, columns, meta)
+    return decay_table(u.indices, columns, meta)

@@ -8,8 +8,8 @@ functional evaluates
 whose limit along n tests the product phi1 conj(phi2) psi.  Limits are
 extrapolated from finitely many indices; sweeping phi over Hermite functions
 and psi over spherical harmonics yields a finite coefficient tensor, the
-artifact's concrete stand-in for the limiting object.  The sequences enter
-as samples: u_n = us[i] and v_n = vs[i] at the index n = ns[i].
+artifact's concrete stand-in for the limiting object.  Each probe takes a
+u family and an optional v family (None: v = u) on the same indices.
 """
 
 from __future__ import annotations
@@ -27,15 +27,25 @@ from .symbol import SphericalHarmonicBasis
 FORM_RTOL = 1e-9
 
 
-def pairing_records(us, vs, phi1, phi2, symbols) -> list:
-    """One list of (form_a, form_b) pairs per symbol, one pair per index, as
-    Python complex.  phi1 u_n and phi2 v_n are transformed once per index
-    and shared by every symbol; forms A and B each take one inverse
-    transform per symbol and index."""
+def check_pair(u_indices, v_indices):
+    """Refuse a v family whose indices are not the u family's: the pairing
+    takes v_n at each index n of u."""
+    if tuple(v_indices) != tuple(u_indices):
+        raise ValueError(f"v family indices {list(v_indices)} differ from the u "
+                         f"family's {list(u_indices)}: v_n pairs with u_n")
+
+
+def pairing_records(u, v, phi1, phi2, symbols) -> list:
+    """One list of (form_a, form_b) pairs per symbol, one pair per index of
+    the families u and v, as Python complex.  phi1 u_n and phi2 v_n are
+    transformed once per index and shared by every symbol; forms A and B
+    each take one inverse transform per symbol and index."""
+    v = u if v is None else v
+    check_pair(u.indices, v.indices)
     ms = [from_symbol(phi1.grid, psi).m for psi in symbols]
     out = [[] for _ in symbols]
-    for u, v in zip(us, vs):
-        fu, gv = phi1 * u, phi2 * v
+    for u_n, v_n in zip(u.samples, v.samples):
+        fu, gv = phi1 * u_n, phi2 * v_n
         fu_hat, gv_hat = dft(fu), dft(gv)
         for forms, m in zip(out, ms):
             forms.append((pairing(idft(fu.grid, m * fu_hat), gv),
@@ -46,7 +56,7 @@ def pairing_records(us, vs, phi1, phi2, symbols) -> list:
 # ---------------------------------------------------------------------------
 # coefficient tensor
 
-def mu_tensor(ns, us, vs, hermite_basis: HermiteBasis,
+def mu_tensor(u, v, hermite_basis: HermiteBasis,
               sphere_basis: SphericalHarmonicBasis) -> dict:
     """Tensor of extrapolated pairings over the product test basis, as
     tensor.json holds it: entries[m_flat, b] estimates the limit against
@@ -58,19 +68,21 @@ def mu_tensor(ns, us, vs, hermite_basis: HermiteBasis,
     single separable transform of u_n conj(w).
     """
     grid = hermite_basis.grid
-    ns = tuple(ns)
-    if len(set(ns)) < 3:
+    v = u if v is None else v
+    check_pair(u.indices, v.indices)
+    ns = tuple(u.indices)
+    if len(ns) < 3:
         raise ValueError("need at least 3 distinct indices to extrapolate")
-    v_spectra = [dft(v) for v in vs]
+    v_spectra = [dft(v_n) for v_n in v.samples]
 
     m_flat = (hermite_basis.m_max + 1) ** grid.d
     b_sphere = sphere_basis.size
     per_n = np.empty((len(ns), m_flat, b_sphere), dtype=complex)
     for b, row in enumerate(sphere_basis.lattice_rows(grid)):
         m_adj = np.conj(row)
-        for i, (u, v_hat) in enumerate(zip(us, v_spectra)):
+        for i, (u_n, v_hat) in enumerate(zip(u.samples, v_spectra)):
             w = idft(grid, m_adj * v_hat)
-            slab = hermite_basis.analyze(u * w.conj())
+            slab = hermite_basis.analyze(u_n * w.conj())
             per_n[i, :, b] = slab.ravel()
 
     fit = fit_limit(ns, per_n.reshape(len(ns), -1))
@@ -84,10 +96,10 @@ def mu_tensor(ns, us, vs, hermite_basis: HermiteBasis,
 
 
 def zero_mu_strong_convergence_check(
-        ns, us, vs, theta: GridFunction, k: int, p: float, tensor_max: float,
+        u, v, theta: GridFunction, k: int, p: float, tensor_max: float,
         baseline_phi: GridFunction) -> dict:
     """Confront the tensor-is-zero verdict (tensor_max, the largest |entry|
-    of the tensor from these samples) with strong-norm decay.
+    of the tensor of these families) with strong-norm decay of theta u_n.
 
     A tensor below threshold should come with localized surrogate norms
     whose fitted limit is zero (fit_limit's decay or negligible model); a
@@ -95,12 +107,14 @@ def zero_mu_strong_convergence_check(
     threshold is 1e-3 of the baseline scale max_n |<phi u_n, phi v_n>|, so
     the verdict is invariant under rescaling the data.
     """
-    scale = max(abs(pairing(baseline_phi * u, baseline_phi * v))
-                for u, v in zip(us, vs))
+    v = u if v is None else v
+    check_pair(u.indices, v.indices)
+    scale = max(abs(pairing(baseline_phi * u_n, baseline_phi * v_n))
+                for u_n, v_n in zip(u.samples, v.samples))
     threshold = 1e-3 * scale
     tensor_zero = tensor_max <= threshold
 
-    probe = strong_null_probe(ns, us, theta, k, p)
+    probe = strong_null_probe(u, theta, k, p)
     strongly_null = probe["meta"]["strongly_null"]
 
     if tensor_zero and strongly_null:

@@ -8,6 +8,7 @@ claims use the equivalent smoothing surrogate |J_{-k} u|_{L^p}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,16 +71,23 @@ def norm_table(grid: Grid, fields, k_list, p_list) -> list:
 # ---------------------------------------------------------------------------
 # weakly-null sequence generators
 
-def _guard_indices(family):
-    """Refuse repeated indices and guard each index of a family at build."""
-    if len(set(family.indices)) != len(family.indices):
-        raise ValueError(f"family indices {list(family.indices)} repeat an index")
-    for n in family.indices:
-        family.guard(n)
+class _Family:
+    """Distinct indices, each guarded at build, and one sample per index."""
+
+    def _guard_indices(self):
+        if len(set(self.indices)) != len(self.indices):
+            raise ValueError(f"family indices {list(self.indices)} repeat an index")
+        for n in self.indices:
+            self.guard(n)
+
+    @cached_property
+    def samples(self) -> tuple:
+        """u(n) per index, sampled on first read and shared by every probe."""
+        return tuple(self.u(n) for n in self.indices)
 
 
 @dataclass(frozen=True)
-class SequenceFamily:
+class SequenceFamily(_Family):
     """Oscillation n -> u_n = (2 pi n |xi0| / L)^order n^prefactor_power
     a(x) exp(2 pi i n xi0.x / L), a weakly-null sequence.
 
@@ -106,7 +114,7 @@ class SequenceFamily:
         if len(xi0) != self.grid.d or not any(xi0) or any(c != int(c) for c in xi0):
             raise ValueError("direction must be a nonzero integer lattice vector")
         object.__setattr__(self, "direction", tuple(int(c) for c in xi0))
-        _guard_indices(self)
+        self._guard_indices()
 
     def guard(self, n: int):
         """Refuse indices whose spectrum leaves the safe band."""
@@ -151,7 +159,7 @@ class SequenceFamily:
 
 
 @dataclass(frozen=True)
-class ConcentrationFamily:
+class ConcentrationFamily(_Family):
     """Concentration n -> u_n = n^{d/p} n^prefactor_power a(n (x - x0)),
     sampled unperiodized, with x0 = center, a point of the grid's dimension
     (default the origin).
@@ -173,7 +181,7 @@ class ConcentrationFamily:
         if self.center is not None and len(self.center) != self.grid.d:
             raise ValueError(f"center {list(self.center)} is not a point of the "
                              f"d = {self.grid.d} grid")
-        _guard_indices(self)
+        self._guard_indices()
 
     def guard(self, n: int):
         """Refuse indices whose dilated profile the lattice does not resolve:
@@ -206,11 +214,11 @@ def decay_table(ns, columns: dict, meta: dict) -> dict:
             "fits": {label: fit_decay(ns, vals) for label, vals in columns.items()}}
 
 
-def strong_null_probe(ns, us, theta: GridFunction, k: int, p: float) -> dict:
-    """Surrogate W^{-k,p} norms of theta * u_n, u_n = us[i] at n = ns[i],
+def strong_null_probe(u, theta: GridFunction, k: int, p: float) -> dict:
+    """Surrogate W^{-k,p} norms of theta * u_n over the family u's indices,
     as a decay table; strongly_null reads the fitted limit of the norms,
-    which fit_limit extrapolates from at least three distinct indices."""
-    norms = [surrogate_negative_norm(theta * u, k, p) for u in us]
-    limit = fit_limit(ns, norms)
-    return decay_table(ns, {"surrogate_norm": norms},
+    which fit_limit extrapolates from at least three indices."""
+    norms = [surrogate_negative_norm(theta * x, k, p) for x in u.samples]
+    limit = fit_limit(u.indices, norms)
+    return decay_table(u.indices, {"surrogate_norm": norms},
                        {"limit": limit, "strongly_null": limit["value"] == 0})

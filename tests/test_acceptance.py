@@ -75,15 +75,13 @@ def zero_check_runs():
     sb = SphericalHarmonicBasis.build(2, 2)
     ns = (16, 32, 64)
     v_fam = SequenceFamily(g, amplitude=a, direction=(1, 0), indices=ns)
-    vs = [v_fam.u(n) for n in ns]
     results = {}
     for power, name in [(-0.5, "scaled"), (0.0, "unscaled")]:
         u_fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                                indices=ns, prefactor_power=power)
-        us = [u_fam.u(n) for n in ns]
-        tensor_max = float(abs(mu_tensor(ns, us, vs, hb, sb)["entries"]).max())
+        tensor_max = float(abs(mu_tensor(u_fam, v_fam, hb, sb)["entries"]).max())
         results[name] = zero_mu_strong_convergence_check(
-            ns, us, vs, theta, 0, 2.0, tensor_max, baseline_phi=phi)
+            u_fam, v_fam, theta, 0, 2.0, tensor_max, baseline_phi=phi)
     return results
 
 
@@ -104,10 +102,9 @@ def test_criterion_1_adjoint_identity():
          make_field(g, {"name": "gaussian",
                         "params": {"center": [0.5, -0.5]}})),
     ]
-    us = [fam.u(n) for n in fam.indices]
     worst, count = 0.0, 0
     for phi1, phi2 in pairs:
-        for forms in pairing_records(us, us, phi1, phi2, symbols):
+        for forms in pairing_records(fam, None, phi1, phi2, symbols):
             for form_a, form_b in forms:
                 gap = abs(form_a - form_b) / (1.0 + abs(form_a))
                 worst = max(worst, gap)
@@ -124,8 +121,7 @@ def test_criterion_2_oscillation_h_measure():
     phi = make_field(g, "gaussian")
     fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                          indices=(16, 32, 64))
-    us = [fam.u(n) for n in fam.indices]
-    [forms] = pairing_records(us, us, phi, phi, [riesz_symbol(2, 0)])
+    [forms] = pairing_records(fam, None, phi, phi, [riesz_symbol(2, 0)])
     est = fit_limit(fam.indices, [a for a, _ in forms])
     # frequency-shift oracle: psi(xi0/|xi0|) * integral |phi|^2 |a|^2;
     # for unit-width Gaussians the mass integral is exactly 1/4 in d = 2
@@ -160,7 +156,7 @@ def test_criterion_4_commutation_probe():
     b = make_field(g, "gaussian")
     fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                          indices=(8, 16, 32))
-    table = compactness_probe(riesz_symbol(2, 0), b, fam)
+    table = compactness_probe(fam, riesz_symbol(2, 0), b)
     v2 = table["columns"]["q=2"]
     ratio = v2[-1] / v2[0]
 

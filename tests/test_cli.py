@@ -205,6 +205,24 @@ class TestBuild:
         pytest.param({**SWEEP_CFG, "families": {"u": U_FAMILY,
                                                 "v": {**U_FAMILY, "indices": [1000]}}},
                      2, id="sweep-v-indices"),
+        # at k >= 1 the tensor pairs u_n with its dual, a v oscillation of
+        # order -k; an order-2 u_n paired with itself reads 85.7 on a family
+        # that is strongly null in W^{-2,2}
+        pytest.param({**SWEEP_CFG,
+                      "families": {"u": {**U_FAMILY, "order": 2, "prefactor_power": -0.5}},
+                      "zero_check": {**SWEEP_CFG["zero_check"], "k": 2}},
+                     2, id="zero-check-k2-without-v"),
+        pytest.param({**SWEEP_CFG,
+                      "families": {"u": {**U_FAMILY, "order": 2},
+                                   "v": {**U_FAMILY, "order": -1}},
+                      "zero_check": {**SWEEP_CFG["zero_check"], "k": 2}},
+                     2, id="zero-check-k2-v-of-order-1"),
+        pytest.param({**SWEEP_CFG,
+                      "families": {"u": {**U_FAMILY, "order": 1},
+                                   "v": {"kind": "concentration", "amplitude": "gaussian",
+                                         "profile_width": 16.0, "indices": [8, 16, 32]}},
+                      "zero_check": {**SWEEP_CFG["zero_check"], "k": 1}},
+                     2, id="zero-check-k1-concentration-v"),
         pytest.param({**SE_CFG, "grid": {"d": 3, "N": 32, "L": 16.0},
                       "theta": {"hermite": [2, 0, 0], "harmonic": [2, 9]}}, 2,
                      id="harmonic-j-out-of-range"),
@@ -289,6 +307,13 @@ class TestBuild:
     def test_family_keys_each_kind_reads(self, family, tmp_path, capsys):
         path = write_cfg(tmp_path, {**COMMUTATOR_CFG, "family": family})
         assert main(["validate", str(path)]) == 0
+        assert "ok" in capsys.readouterr().out
+
+    def test_zero_check_at_k2_takes_a_v_of_order_minus_2(self, tmp_path, capsys):
+        cfg = {**SWEEP_CFG, "families": {"u": {**U_FAMILY, "order": 2},
+                                         "v": {**U_FAMILY, "order": -2}},
+               "zero_check": {**SWEEP_CFG["zero_check"], "k": 2}}
+        assert main(["validate", str(write_cfg(tmp_path, cfg))]) == 0
         assert "ok" in capsys.readouterr().out
 
     def test_validate_runs_no_numerics(self, tmp_path, monkeypatch):
@@ -606,14 +631,21 @@ class TestOnePass:
         counts = {"forward": 0, "inverse": 0, "u": 0}
         patch_fft(monkeypatch, counts, "forward", "inverse")
         monkeypatch.setattr(SequenceFamily, "u", counted(counts, "u", SequenceFamily.u))
-        cli.RUNNERS["hdist_sweep"](SWEEP_CFG, grid)()
-        assert counts["u"] == len(ns)  # v is u: one sample per index, shared
-        # records: phi1 u_n and phi2 v_n forward once per index, forms A and
-        # B one inverse each per symbol and index; tensor: v_n forward once
-        # per index, one inverse per harmonic and index; the k = 0 strong
-        # probe takes none
-        assert counts["forward"] == 2 * len(ns) + len(ns)
-        assert counts["inverse"] == 2 * symbols * len(ns) + harmonics * len(ns)
+        v = {**U_FAMILY, "amplitude": {"name": "gaussian", "params": {"width": 1.5}}}
+        # v is u: one sample per index, shared; a distinct v: one more per index
+        for families, samples in (({"u": U_FAMILY}, len(ns)),
+                                  ({"u": U_FAMILY, "v": v}, 2 * len(ns))):
+            counts.update(forward=0, inverse=0, u=0)
+            checks, _ = cli.RUNNERS["hdist_sweep"]({**SWEEP_CFG, "families": families},
+                                                   grid)()
+            assert counts["u"] == samples
+            # records: phi1 u_n and phi2 v_n forward once per index, forms A
+            # and B one inverse each per symbol and index; tensor: v_n forward
+            # once per index, one inverse per harmonic and index; the k = 0
+            # strong probe takes none
+            assert counts["forward"] == 2 * len(ns) + len(ns)
+            assert counts["inverse"] == 2 * symbols * len(ns) + harmonics * len(ns)
+            assert checks["adjoint_form_agreement"]["passed"]
 
 
 def by_exponent(part):

@@ -75,7 +75,7 @@ class TestCompactnessProbe:
     def test_oscillation_decay(self, grid, gaussian):
         fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16, 32))
-        table = compactness_probe(riesz_symbol(2, 0), gaussian, fam)
+        table = compactness_probe(fam, riesz_symbol(2, 0), gaussian)
         v2 = table["columns"]["q=2"]
         assert v2[-1] <= 0.4 * v2[0]
         assert table["fits"]["q=2"]["exponent"] < -0.5
@@ -88,14 +88,14 @@ class TestCompactnessProbe:
         fixed = SequenceFamily(grid, amplitude=gaussian,
                                direction=(1, 0), indices=(8, 16, 32))
         object.__setattr__(fixed, "u", lambda n: gaussian)
-        table = compactness_probe(riesz_symbol(2, 0), gaussian, fixed)
+        table = compactness_probe(fixed, riesz_symbol(2, 0), gaussian)
         exponent = table["fits"]["q=2"]["exponent"]
         assert exponent is None or exponent > -0.1  # no decay
 
     def test_constant_symbol_identically_zero(self, grid, gaussian):
         fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16, 32))
-        table = compactness_probe(constant_symbol(2), gaussian, fam)
+        table = compactness_probe(fam, constant_symbol(2), gaussian)
         for vals in table["columns"].values():
             assert all(v < 1e-13 for v in vals)
 
@@ -105,8 +105,8 @@ class TestCompactnessProbe:
         fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16, 32))
         psi = riesz_symbol(2, 0)
-        plain = compactness_probe(psi, gaussian, fam)
-        scaled = compactness_probe(psi, gaussian * c, fam)
+        plain = compactness_probe(fam, psi, gaussian)
+        scaled = compactness_probe(fam, psi, gaussian * c)
         for label, vals in plain["columns"].items():
             assert all(abs(got - c * want) <= 1e-12 * c * want
                        for got, want in zip(scaled["columns"][label], vals))
@@ -116,5 +116,5 @@ class TestCompactnessProbe:
     def test_q_grid_default(self, grid, gaussian):
         fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16))
-        table = compactness_probe(riesz_symbol(2, 0), gaussian, fam, r=6.0)
+        table = compactness_probe(fam, riesz_symbol(2, 0), gaussian, r=6.0)
         assert tuple(table["meta"]["q_list"]) == (2.0, 6.0)

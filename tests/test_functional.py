@@ -17,16 +17,6 @@ from hdist.util import AliasingError, jsonable
 from .test_grid import grids, random_field
 
 
-def samples(family):
-    return [family.u(n) for n in family.indices]
-
-
-def record(u, phi1, phi2, psi):
-    """The (form_a, form_b) pair of one index with u_n = v_n = u."""
-    [[forms]] = pairing_records([u], [u], phi1, phi2, [psi])
-    return forms
-
-
 def tensor_max(tensor):
     return float(abs(tensor["entries"]).max())
 
@@ -47,59 +37,60 @@ def family(grid, gaussian):
                           indices=(8, 16, 32))
 
 
+@pytest.fixture(scope="module")
+def at8(grid, gaussian):
+    """The oscillation at the one index 8."""
+    return SequenceFamily(grid, amplitude=gaussian, direction=(1, 0), indices=(8,))
+
+
 class TestHPairing:
-    def test_constant_symbol_reduces_to_plain_pairing(self, grid, family, gaussian):
-        u = family.u(8)
-        form_a, _ = record(u, gaussian, gaussian, constant_symbol(2))
+    def test_constant_symbol_reduces_to_plain_pairing(self, grid, at8, gaussian):
+        [[(form_a, _)]] = pairing_records(at8, None, gaussian, gaussian, [constant_symbol(2)])
+        [u] = at8.samples
         plain = pairing(gaussian * u, gaussian * u)
         assert form_a == pytest.approx(plain, rel=1e-12)
 
     def test_form_agreement(self, grid, family, gaussian):
         symbols = [riesz_symbol(2, 0), riesz_symbol(2, 1), constant_symbol(2)]
-        us = samples(family)
-        for forms in pairing_records(us, us, gaussian, gaussian, symbols):
+        for forms in pairing_records(family, None, gaussian, gaussian, symbols):
             for form_a, form_b in forms:
                 assert abs(form_a - form_b) <= FORM_RTOL * (1.0 + abs(form_a))
 
-    def test_disjoint_supports_vanish(self, grid, family):
+    def test_disjoint_supports_vanish(self, grid, at8):
         left = make_field(grid, {"name": "bump",
                                  "params": {"radius": 2.0, "center": [-4.0, 0.0]}})
         right = make_field(grid, {"name": "bump",
                                   "params": {"radius": 2.0, "center": [4.0, 0.0]}})
-        u = family.u(8)
-        form_a, _ = record(u, left, right, constant_symbol(2))
+        [[(form_a, _)]] = pairing_records(at8, None, left, right, [constant_symbol(2)])
         assert abs(form_a) < 1e-13
 
-    def test_sesquilinearity(self, grid, family, gaussian):
-        u = family.u(8)
+    def test_sesquilinearity(self, grid, at8, gaussian):
         psi1, psi2 = riesz_symbol(2, 0), riesz_symbol(2, 1)
         sum_eval = lambda xi: psi1.eval(xi) + psi2.eval(xi)
         psi_sum = type(psi1)(2, sum_eval, "sum", sphere_mean=0.0)
-        a = record(u, gaussian, gaussian, psi_sum)[0]
-        b = (record(u, gaussian, gaussian, psi1)[0]
-             + record(u, gaussian, gaussian, psi2)[0])
+        [[(a, _)], [(base, _)], [(a2, _)]] = pairing_records(
+            at8, None, gaussian, gaussian, [psi_sum, psi1, psi2])
+        b = base + a2
         assert abs(a - b) < 1e-10 * (1 + abs(a))
 
         # linear in phi1, anti-linear in phi2
         c = 0.7 - 1.3j
-        base = record(u, gaussian, gaussian, psi1)[0]
-        scaled1 = record(u, gaussian * c, gaussian, psi1)[0]
-        scaled2 = record(u, gaussian, gaussian * c, psi1)[0]
+        [[(scaled1, _)]] = pairing_records(at8, None, gaussian * c, gaussian, [psi1])
+        [[(scaled2, _)]] = pairing_records(at8, None, gaussian, gaussian * c, [psi1])
         assert scaled1 == pytest.approx(c * base, rel=1e-10)
         assert scaled2 == pytest.approx(np.conj(c) * base, rel=1e-10)
 
-    def test_swap_conjugates_with_real_symbol(self, grid, family, gaussian):
-        u = family.u(8)
+    def test_swap_conjugates_with_real_symbol(self, grid, at8, gaussian):
         phi2 = make_field(grid, {"name": "gaussian", "params": {"width": 1.5}})
         psi = constant_symbol(2)
-        ab = record(u, gaussian, phi2, psi)[0]
-        ba = record(u, phi2, gaussian, psi)[0]
+        [[(ab, _)]] = pairing_records(at8, None, gaussian, phi2, [psi])
+        [[(ba, _)]] = pairing_records(at8, None, phi2, gaussian, [psi])
         assert ba == pytest.approx(np.conj(ab), rel=1e-10)
 
 
 class TestFormAgreement:
     """The two adjoint forms agree for any registry symbol, test functions
-    and samples."""
+    and pair of families."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(grids(), st.data())
@@ -107,8 +98,10 @@ class TestFormAgreement:
         names = [n for n in sorted(SYMBOL_BUILTINS) if grid.d == 3 or not n.endswith("_3")]
         psi = make_symbol(grid.d, data.draw(st.sampled_from(names)))
         seed = data.draw(st.integers(0, 2**16))
-        u, v, phi1, phi2 = (random_field(grid, seed + i) for i in range(4))
-        [[(form_a, form_b)]] = pairing_records([u], [v], phi1, phi2, [psi])
+        n = data.draw(st.integers(1, grid.N // 4))  # inside the N/4 guard
+        a, b, phi1, phi2 = (random_field(grid, seed + i) for i in range(4))
+        u, v = (SequenceFamily(grid, amplitude=amp, indices=(n,)) for amp in (a, b))
+        [[(form_a, form_b)]] = pairing_records(u, v, phi1, phi2, [psi])
         assert abs(form_a - form_b) <= FORM_RTOL * (1.0 + abs(form_a))
 
 
@@ -122,8 +115,7 @@ class TestExtrapolation:
         phi = make_field(g, "gaussian")
         fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                              indices=(16, 32, 64))
-        us = samples(fam)
-        [forms] = pairing_records(us, us, phi, phi, [riesz_symbol(2, 0)])
+        [forms] = pairing_records(fam, None, phi, phi, [riesz_symbol(2, 0)])
         est = fit_limit(fam.indices, [a for a, _ in forms])
         oracle = -0.25j  # (1/i) * integral exp(-4 pi |x|^2) = -i/4
         assert abs(est["value"] - oracle) <= 0.01 * abs(oracle)
@@ -139,17 +131,16 @@ class TestExtrapolation:
         fam = SequenceFamily(g, amplitude=a, direction=(1, 0),
                              indices=(16, 32, 64))
         psi = riesz_symbol(2, 0)
-        ns, us = fam.indices, samples(fam)
-        [split] = pairing_records(us, us, phi1, phi2, [psi])
+        ns = fam.indices
+        [split] = pairing_records(fam, None, phi1, phi2, [psi])
         split = fit_limit(ns, [a for a, _ in split])
         theta = phi1 * phi2.conj()
-        [merged] = pairing_records(us, us, theta, one, [psi])
+        [merged] = pairing_records(fam, None, theta, one, [psi])
         merged = fit_limit(ns, [a for a, _ in merged])
         assert abs(split["value"] - merged["value"]) <= 0.02 * abs(split["value"])
 
     def test_estimate_serialization(self, family, gaussian):
-        us = samples(family)
-        [forms] = pairing_records(us, us, gaussian, gaussian, [constant_symbol(2)])
+        [forms] = pairing_records(family, None, gaussian, gaussian, [constant_symbol(2)])
         est = fit_limit(family.indices, [a for a, _ in forms])
         d = jsonable(est)
         assert set(d) == {"value", "residual", "model", "beta", "flagged", "ns"}
@@ -163,8 +154,7 @@ class TestMuTensor:
                              indices=(8, 16, 32))
         hb = HermiteBasis.build(grid, 1)
         sb = SphericalHarmonicBasis.build(2, 1)
-        us = samples(fam)
-        tensor = mu_tensor(fam.indices, us, us, hb, sb)
+        tensor = mu_tensor(fam, None, hb, sb)
         assert tensor_max(tensor) == 0.0
 
     def test_oscillation_separates(self):
@@ -176,8 +166,7 @@ class TestMuTensor:
                              indices=(16, 32, 64))
         hb = HermiteBasis.build(g, 2)
         sb = SphericalHarmonicBasis.build(2, 2)
-        us = samples(fam)
-        tensor = mu_tensor(fam.indices, us, us, hb, sb)
+        tensor = mu_tensor(fam, None, hb, sb)
         mass = a * a.conj()
         herm_coeffs = hb.analyze(mass).ravel()
         direction = np.array([[1.0], [0.0]])
@@ -195,8 +184,7 @@ class TestMuTensor:
         fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 1),
                              indices=(8, 16, 32))
         hb, sb = HermiteBasis.build(grid, 2), SphericalHarmonicBasis.build(2, 3)
-        us = samples(fam)
-        tensor = mu_tensor(fam.indices, us, us, hb, sb)
+        tensor = mu_tensor(fam, None, hb, sb)
         direction = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
         sphere = np.array([complex(sb.evaluate(n, j, direction)[0]) for n, j in sb.indices])
         oracle = np.outer(hb.analyze(gaussian * gaussian.conj()).ravel(), sphere)
@@ -209,24 +197,51 @@ class TestMuTensor:
     def test_serialization(self, grid, family):
         hb = HermiteBasis.build(grid, 1)
         sb = SphericalHarmonicBasis.build(2, 1)
-        us = samples(family)
-        tensor = mu_tensor(family.indices, us, us, hb, sb)
+        tensor = mu_tensor(family, None, hb, sb)
         assert len(tensor["entries"]) == 4  # (m_max+1)^2 hermite rows
         assert len(tensor["entries"][0]) == sb.size
         assert "order_in_xi" in tensor
 
-    def test_repeated_index_refused_before_any_transform(self, grid, family, monkeypatch):
-        # two distinct indices cannot be extrapolated: the tensor refuses them
-        # with fit_limit's message before it transforms a single sample
-        def no_transform(*args):
-            raise AssertionError("transform before the index check")
+    def test_two_index_family_refused_before_any_transform(self, grid, gaussian,
+                                                           monkeypatch):
+        # two indices cannot be extrapolated: the tensor refuses them with
+        # fit_limit's message before it samples or transforms anything
+        def no_call(*args):
+            raise AssertionError("sample or transform before the index check")
 
-        monkeypatch.setattr(functional, "dft", no_transform)
-        monkeypatch.setattr(functional, "idft", no_transform)
+        monkeypatch.setattr(functional, "dft", no_call)
+        monkeypatch.setattr(functional, "idft", no_call)
+        monkeypatch.setattr(SequenceFamily, "u", no_call)
+        fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0), indices=(8, 16))
         hb, sb = HermiteBasis.build(grid, 1), SphericalHarmonicBasis.build(2, 1)
-        us = samples(family)
         with pytest.raises(ValueError, match="need at least 3 distinct indices"):
-            mu_tensor((2, 2, 4), us, us, hb, sb)
+            mu_tensor(fam, None, hb, sb)
+
+
+class TestPairRule:
+    """v_n pairs with u_n: every two-family probe refuses a v family on other
+    indices than u's before it samples or transforms anything."""
+
+    @pytest.mark.parametrize("probe", ["pairing_records", "mu_tensor", "zero_check"])
+    def test_v_on_other_indices_refused(self, grid, gaussian, monkeypatch, probe):
+        def no_call(*args):
+            raise AssertionError("sample or transform before the pair check")
+
+        hb, sb = HermiteBasis.build(grid, 1), SphericalHarmonicBasis.build(2, 1)
+        u, v = (SequenceFamily(grid, amplitude=gaussian, direction=(1, 0), indices=ns)
+                for ns in ((8, 16, 32), (8, 16, 24)))
+        for name in ("dft", "idft", "pairing"):
+            monkeypatch.setattr(functional, name, no_call)
+        monkeypatch.setattr(SequenceFamily, "u", no_call)
+        calls = {
+            "pairing_records": lambda: pairing_records(u, v, gaussian, gaussian,
+                                                       [constant_symbol(2)]),
+            "mu_tensor": lambda: mu_tensor(u, v, hb, sb),
+            "zero_check": lambda: zero_mu_strong_convergence_check(
+                u, v, gaussian, 0, 2.0, 0.0, gaussian),
+        }
+        with pytest.raises(ValueError, match=r"\[8, 16, 24\] differ from the u family's"):
+            calls[probe]()
 
 
 @pytest.fixture(scope="module")
@@ -244,10 +259,9 @@ def setup():
     }
 
 
-def zero_check(setup, us, vs):
-    ns = setup["ns"]
-    tensor = mu_tensor(ns, us, vs, setup["hb"], setup["sb"])
-    return zero_mu_strong_convergence_check(ns, us, vs, setup["theta"], 0, 2.0,
+def zero_check(setup, u, v):
+    tensor = mu_tensor(u, v, setup["hb"], setup["sb"])
+    return zero_mu_strong_convergence_check(u, v, setup["theta"], 0, 2.0,
                                             tensor_max(tensor), setup["phi"])
 
 
@@ -258,7 +272,7 @@ class TestZeroCheck:
                            indices=setup["ns"], prefactor_power=-0.5)
         v = SequenceFamily(g, amplitude=a, direction=(1, 0),
                            indices=setup["ns"])
-        res = zero_check(setup, samples(u), samples(v))
+        res = zero_check(setup, u, v)
         assert res["tensor_is_zero"]
         assert res["strongly_null"]
         assert res["consistent"]
@@ -271,8 +285,7 @@ class TestZeroCheck:
         g, a = setup["grid"], setup["a"] * scale
         u = SequenceFamily(g, amplitude=a, direction=(1, 0),
                            indices=setup["ns"])
-        us = samples(u)
-        res = zero_check(setup, us, us)
+        res = zero_check(setup, u, None)
         assert not res["tensor_is_zero"]
         assert res["tensor_max"] >= 10 * res["threshold"]
         assert not res["strongly_null"]
@@ -283,8 +296,7 @@ class TestZeroCheck:
         z = g.sample(lambda x, y: np.zeros_like(x))
         fam = SequenceFamily(g, amplitude=z, direction=(1, 0),
                              indices=setup["ns"])
-        us = samples(fam)
-        res = zero_check(setup, us, us)
+        res = zero_check(setup, fam, None)
         assert res["tensor_max"] == 0.0
         assert res["tensor_is_zero"]
         assert res["consistent"]
@@ -307,7 +319,8 @@ class TestConcentrationOracle:
     @pytest.mark.parametrize("n", [2, 4])
     def test_resolved_index_matches_closed_form(self, concentration, n):
         fam, phi = concentration
-        form_a, _ = record(fam.u(n), phi, phi, constant_symbol(2))
+        [forms] = pairing_records(fam, None, phi, phi, [constant_symbol(2)])
+        form_a, _ = forms[fam.indices.index(n)]
         exact = 1.0 / (8 * np.pi * (1 + 1.0 / n**2) ** 2)
         assert abs(form_a - exact) <= 1e-8 * exact
 
@@ -328,8 +341,7 @@ class TestConcentrationOracle:
             {"name": "coordinate", "params": {"axis": 0}}, "gaussian"]})
         fam = ConcentrationFamily(g, indices=(2, 4, 8), amplitude_fn=amp)
         hb, sb = HermiteBasis.build(g, 4), SphericalHarmonicBasis.build(2, 6)
-        us = samples(fam)
-        tensor = mu_tensor(fam.indices, us, us, hb, sb)
+        tensor = mu_tensor(fam, None, hb, sb)
 
         theta = 2 * np.pi * np.arange(64) / 64  # exact for degree < 62
         nu = np.cos(theta) ** 2 / (8 * np.pi**2)

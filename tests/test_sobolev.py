@@ -229,6 +229,21 @@ class TestFamilies:
         with pytest.raises(AliasingError):
             fam.spectral_shift(33)
 
+    @pytest.mark.parametrize("kind", [SequenceFamily, ConcentrationFamily])
+    def test_samples_are_taken_once_on_first_read(self, grid, gaussian, kind, monkeypatch):
+        # every probe reads samples: building a family samples nothing, and
+        # the first read samples each index once, in index order
+        calls, original = [], kind.u
+        monkeypatch.setattr(kind, "u", lambda fam, n: calls.append(n) or original(fam, n))
+        fam = (SequenceFamily(grid, amplitude=gaussian, indices=(16, 8, 32))
+               if kind is SequenceFamily else
+               ConcentrationFamily(grid, field_function(2, "gaussian"), indices=(2, 1)))
+        assert calls == []
+        first = fam.samples
+        assert fam.samples is first and calls == list(fam.indices)
+        for n, sample in zip(fam.indices, first):
+            assert np.array_equal(sample.values, original(fam, n).values)
+
 
 @st.composite
 def shifted_products(draw):
@@ -274,12 +289,9 @@ def order_two_1024():
     times n^{-1/2}, at n = 64, 128, 256."""
     g = Grid(2, 1024, 16.0)
     a = make_field(g, "gaussian")
-    samples = {}
-    for power in (0.0, -0.5):
-        fam = SequenceFamily(g, amplitude=a, order=2, direction=(1, 0),
-                             indices=(64, 128, 256), prefactor_power=power)
-        samples[power] = (fam.indices, [fam.u(n) for n in fam.indices])
-    return a, samples
+    return a, {power: SequenceFamily(g, amplitude=a, order=2, direction=(1, 0),
+                                     indices=(64, 128, 256), prefactor_power=power)
+               for power in (0.0, -0.5)}
 
 
 def _limit(table):
@@ -291,8 +303,7 @@ class TestProbes:
     def test_strong_null_scaled_decay(self, grid, gaussian, c):
         fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16, 32), prefactor_power=-0.5)
-        us = [fam.u(n) for n in fam.indices]
-        table = strong_null_probe(fam.indices, us, gaussian * c, 0, 2.0)
+        table = strong_null_probe(fam, gaussian * c, 0, 2.0)
         assert table["meta"]["strongly_null"]
         limit = table["meta"]["limit"]
         assert limit["model"] == "decay" and limit["beta"] == pytest.approx(0.5, abs=0.1)
@@ -304,9 +315,8 @@ class TestProbes:
     def test_strong_null_fails_without_scaling(self, grid, gaussian, c):
         fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0),
                              indices=(8, 16, 32))
-        us = [fam.u(n) for n in fam.indices]
         theta = gaussian * c
-        table = strong_null_probe(fam.indices, us, theta, 0, 2.0)
+        table = strong_null_probe(fam, theta, 0, 2.0)
         ref = lp_norm(theta * gaussian, 2.0)
         for v in table["columns"]["surrogate_norm"]:
             assert v == pytest.approx(ref, rel=1e-10)  # modulus invariance
@@ -324,19 +334,18 @@ class TestProbes:
         a = make_field(g, "gaussian")
         fam = SequenceFamily(g, amplitude=a, order=2,
                              direction=(1, 0), indices=(16, 32, 64))
-        us = [fam.u(n) for n in fam.indices]
-        table = strong_null_probe(fam.indices, us, a, 2, p)
+        table = strong_null_probe(fam, a, 2, p)
         assert table["meta"]["strongly_null"] is False
 
     @pytest.mark.parametrize("p", [4 / 3, 2.0, 3.0])
     def test_order_two_oracle_at_n_1024(self, order_two_1024, p):
         # the plain family's norms tend to |theta a|_p = (2p)^{-1/p}; times
         # n^{-1/2} they decay at that rate
-        a, samples = order_two_1024
-        table = strong_null_probe(*samples[0.0], a, 2, p)
+        a, families = order_two_1024
+        table = strong_null_probe(families[0.0], a, 2, p)
         assert not table["meta"]["strongly_null"]
         assert _limit(table) == pytest.approx((2 * p) ** (-1 / p), rel=1e-3)
-        table = strong_null_probe(*samples[-0.5], a, 2, p)
+        table = strong_null_probe(families[-0.5], a, 2, p)
         assert table["meta"]["strongly_null"]
         assert table["fits"]["surrogate_norm"]["exponent"] == pytest.approx(-0.5, abs=0.1)
 
@@ -344,8 +353,7 @@ class TestProbes:
         z = grid.sample(lambda x, y: np.zeros_like(x))
         fam = SequenceFamily(grid, amplitude=z, direction=(1, 0),
                              indices=(8, 16, 32))
-        us = [fam.u(n) for n in fam.indices]
-        table = strong_null_probe(fam.indices, us, gaussian, 1, 2.0)
+        table = strong_null_probe(fam, gaussian, 1, 2.0)
         assert all(v == 0 for v in table["columns"]["surrogate_norm"])
         assert table["meta"]["strongly_null"]
         assert table["meta"]["limit"]["model"] == "negligible"
