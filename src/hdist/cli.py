@@ -529,12 +529,20 @@ RUNNERS = {
 }
 
 
+def _check_output_dir(path):
+    """Refuse, before any numerics, an output directory that exists as a
+    file or other non-directory: the run could compute but not write."""
+    if path and Path(path).exists() and not Path(path).is_dir():
+        raise ConfigError(f"output_dir {path} exists and is not a directory")
+
+
 def build_config(cfg):
     """Check a config against its schema and build it: every error a run
     would raise before its numerics is raised here.  Returns the compute."""
     errors = validate_config(cfg)
     if errors:
         raise ConfigError("\n".join(errors))
+    _check_output_dir(cfg.get("output_dir"))
     grid = Grid(int(cfg["grid"]["d"]), int(cfg["grid"]["N"]), float(cfg["grid"]["L"]))
     return RUNNERS[cfg["experiment"]](cfg, grid)
 
@@ -543,8 +551,10 @@ def run_config(cfg, output_dir=None) -> dict:
     """Build and execute a config; returns the summary dict.
 
     Every artifact is computed and encoded to text before the output
-    directory is created, so a run that raises writes no file.
+    directory is created, so a run that raises writes no file.  A failed
+    write raises ConfigError.
     """
+    _check_output_dir(output_dir)
     checks, files = build_config(cfg)()
     stamp = {"config_hash": canonical_hash(cfg), "version": __version__}
     summary = {
@@ -558,9 +568,12 @@ def run_config(cfg, output_dir=None) -> dict:
              for name, payload in sorted(files.items())}
     texts["summary.json"] = dump_json(summary)
     outdir = Path(output_dir or cfg.get("output_dir") or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (outdir / name).write_text(text, newline="")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (outdir / name).write_text(text, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     return summary
 
 

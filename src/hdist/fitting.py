@@ -30,7 +30,7 @@ def fit_decay(ns, values) -> dict:
     entries are fitted in increasing n, as fit_limit fits them, so the order
     the indices come in does not move the exponent's last bits."""
     ns = np.asarray(ns, dtype=float)
-    mags = np.abs(np.asarray(values, dtype=complex))
+    mags = np.abs(np.asarray(values))
     if len(ns) != len(mags) or len(ns) == 0:
         raise ValueError("need matching, nonempty index and value lists")
     order = np.argsort(ns, kind="stable")

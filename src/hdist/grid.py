@@ -104,9 +104,9 @@ class Grid:
 
     @cached_property
     def _inverse_phase(self):
-        """(-1)^m / L^d as complex128: what idft multiplies its input by
-        before the unscaled inverse FFT (norm="forward"), so the 1 / N^d of
-        the inverse is folded in here and no pass over the output scales it."""
+        """(-1)^m / L^d, what idft multiplies its input by before the unscaled
+        inverse FFT (norm="forward"), folding in its 1 / N^d.  Complex128
+        against the storage rule: a float64 phase made idft-bound runs slower."""
         ph = self._center_phase(1.0 / self.L ** self.d).astype(np.complex128)
         ph.flags.writeable = False
         return ph
@@ -148,7 +148,7 @@ class Grid:
 
 
 def _sample_dtype(values):
-    """complex128 for complex samples, float64 for real (float, int, bool) ones."""
+    """The storage rule of every lattice array: complex128 if complex, else float64."""
     return np.complex128 if np.iscomplexobj(values) else np.float64
 
 

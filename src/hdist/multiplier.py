@@ -1,11 +1,11 @@
 """Fourier multiplier operators on the periodic grid.
 
-An operator is its lattice array m in FFT layout: it acts on a spectrum as
-the product m * f_hat, composes as the product of arrays, and its adjoint
-is conj(m).  For a zero-homogeneous symbol the lattice values are
-psi(xi/|xi|), with the zero mode set to the sphere average of psi so that
-psi == 1 induces the exact identity and odd symbols (Riesz) annihilate the
-constant mode.
+An operator is its lattice array m in FFT layout, stored as a field is
+(float64 when real): it acts on a spectrum as the product m * f_hat,
+composes as the product of arrays, and its adjoint is conj(m).  For a
+zero-homogeneous symbol the lattice values are psi(xi/|xi|), with the zero
+mode set to the sphere average of psi so that psi == 1 induces the exact
+identity and odd symbols (Riesz) annihilate the constant mode.
 """
 
 from __future__ import annotations
@@ -14,17 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, GridFunction, dft, idft
+from .grid import Grid, GridFunction, _sample_dtype, dft, idft
 from .symbol import SphericalSymbol
 
 
 @dataclass(frozen=True)
 class MultiplierOperator:
     grid: Grid
-    m: np.ndarray = field(repr=False)  # complex lattice values, FFT layout
+    m: np.ndarray = field(repr=False)  # float64 or complex128 values, FFT layout
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.m, dtype=np.complex128)
+        vals = np.ascontiguousarray(self.m, dtype=_sample_dtype(self.m))
         if vals.shape != self.grid.shape:
             raise ValueError("multiplier shape does not match grid")
         vals.flags.writeable = False
@@ -41,7 +41,8 @@ def from_symbol(grid: Grid, psi: SphericalSymbol) -> MultiplierOperator:
     if psi.d != grid.d:
         raise ValueError(f"symbol dimension {psi.d} != grid dimension {grid.d}")
     values = psi([c / grid.xi_norm_safe for c in grid.xi_axes])
-    values[(0,) * grid.d] = complex(psi.sphere_mean)
+    values = values.astype(np.result_type(values, psi.sphere_mean), copy=False)
+    values[(0,) * grid.d] = psi.sphere_mean
     return MultiplierOperator(grid, values)
 
 

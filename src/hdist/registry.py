@@ -184,13 +184,9 @@ def make_field(grid: Grid, spec) -> GridFunction:
 # symbols
 
 def constant_symbol(d, value=1.0):
-    v = complex(value)
-    return SphericalSymbol(
-        d,
-        lambda xi: np.full(xi.shape[1:], v),
-        name="constant_one" if v == 1.0 else f"constant_{value}",
-        sphere_mean=v,
-    )
+    name = "constant_one" if value == 1.0 else f"constant_{value}"
+    return SphericalSymbol(d, lambda xi: np.full(xi.shape[1:], value), name=name,
+                           sphere_mean=value)
 
 
 def _odd_axis_symbol(d, axis, label, fn, suffix=""):

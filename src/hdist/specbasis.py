@@ -16,7 +16,7 @@ import numpy as np
 
 from .fitting import ZERO_FLOOR, log_slope
 from .grid import Grid, GridFunction
-from .multiplier import derivative_op
+from .multiplier import derivative
 from .symbol import SphericalHarmonicBasis, sh_analyze
 from .util import SupportError
 
@@ -75,9 +75,9 @@ class HermiteBasis:
         vals = self.axis_table[m[0]]
         for v in m[1:]:
             vals = np.multiply.outer(vals, self.axis_table[v])
-        # complex on purpose (complex BLAS in analyze): real samples read
-        # probes2d's unit coefficient as 0.9999999999999999 and its weighted
-        # sums 10.0 and 100.0 as 9.999999999999998 and 99.99999999999997
+        # complex against the storage rule, for complex BLAS in analyze: real
+        # samples read probes2d's unit coefficient as 0.9999999999999999, and
+        # its weighted sums 10.0 and 100.0 as 9.999999999999998 and 99.99999999999997
         return GridFunction(self.grid, vals.astype(complex))
 
     def analyze(self, f: GridFunction) -> np.ndarray:
@@ -103,7 +103,7 @@ def oscillator_apply(f: GridFunction) -> GridFunction:
     out = f
     for axis in range(g.d):
         alpha = tuple(2 if i == axis else 0 for i in range(g.d))
-        second = derivative_op(g, alpha).apply(out)
+        second = derivative(out, alpha)
         out = GridFunction(g, coords[axis] ** 2 * out.values - second.values)
     return out
 
@@ -128,7 +128,7 @@ def se_analyze(theta, hermite_basis: HermiteBasis,
                    dtype=complex)
     for fx, gs in theta:
         hx = hermite_basis.analyze(fx).ravel()
-        cs = sh_analyze(np.asarray(gs, dtype=complex), sphere_basis)
+        cs = sh_analyze(gs, sphere_basis)
         out += np.multiply.outer(cs, hx)
 
     return {"d": grid.d, "m_max": hermite_basis.m_max, "n_max": sphere_basis.n_max,

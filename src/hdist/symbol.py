@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .grid import _sample_dtype
+
 
 @dataclass(frozen=True)
 class SphericalSymbol:
@@ -23,20 +25,21 @@ class SphericalSymbol:
     Parameters
     ----------
     d : ambient dimension (2 or 3).
-    eval : vectorized map from unit vectors, shape (d, ...) -> (...) complex.
+    eval : vectorized map from unit vectors, (d, ...) -> (...) real or complex.
     name : registry identifier.
-    sphere_mean : exact mean over the sphere, the zero frequency mode of the
-        induced multiplier.
+    sphere_mean : exact mean over the sphere (real or complex), the zero
+        frequency mode of the induced multiplier.
     """
 
     d: int
     eval: Callable = field(compare=False)
     name: str = "anonymous"
-    sphere_mean: complex = field(kw_only=True)
+    sphere_mean: float | complex = field(kw_only=True)
 
     def __call__(self, xi):
-        """Evaluate at unit vectors, shape (d, ...)."""
-        return np.asarray(self.eval(np.asarray(xi, dtype=float)), dtype=complex)
+        """Evaluate at unit vectors (d, ...), stored as a field is (float64 if real)."""
+        values = self.eval(np.asarray(xi, dtype=float))
+        return np.asarray(values, dtype=_sample_dtype(values))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,8 @@ NORM_CFG = {
     "p_list": [2.0],
 }
 
+SMALL_NORM_CFG = {"experiment": "norm_suite", "grid": {"d": 2, "N": 16, "L": 8.0},
+                  "fields": ["gaussian"]}
 
 # each experiment with every optional top-level key set
 FULL_CFGS = {
@@ -440,6 +442,39 @@ class TestMain:
         with pytest.raises(ValueError, match="JSON compliant"):
             run_config(cfg, output_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    @pytest.fixture
+    def taken(self, tmp_path):
+        """A file where a run might be told to write its directory."""
+        path = tmp_path / "taken"
+        path.write_text("kept")
+        return path
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_output_dir_naming_a_file_exits_2(self, command, taken, tmp_path, capsys):
+        path = write_cfg(tmp_path, {**SMALL_NORM_CFG, "output_dir": str(taken)})
+        assert main([command, str(path)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
+
+    def test_output_dir_option_naming_a_file_exits_before_the_compute(
+            self, taken, tmp_path, monkeypatch, capsys):
+        def compute(*args):
+            raise AssertionError("the compute ran")
+
+        monkeypatch.setattr(cli, "norm_table", compute)
+        path = write_cfg(tmp_path, SMALL_NORM_CFG)
+        assert main(["run", str(path), "--output-dir", str(taken)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
+
+    def test_failed_write_exits_2(self, taken, tmp_path, capsys):
+        # no directory can be made below a file: the run computes, then its
+        # first write fails
+        path = write_cfg(tmp_path, SMALL_NORM_CFG)
+        assert main(["run", str(path), "--output-dir", str(taken / "out")]) == 2
+        assert "error: cannot write" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
 
     def test_run_sweep(self, tmp_path, capsys):
         path = write_cfg(tmp_path, SWEEP_CFG)

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdist.grid import Grid, GridFunction, linf_norm, lp_norm, pairing
+from hdist.grid import Grid, GridFunction, dft, linf_norm, lp_norm, pairing
 from hdist.multiplier import (MultiplierOperator, bessel_potential, derivative,
                               derivative_op, from_symbol, riesz, riesz_potential)
-from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, make_symbol,
-                            riesz_symbol, smoothed_sign_symbol)
+from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, coordinate_symbol,
+                            make_symbol, riesz_symbol, smoothed_sign_symbol)
+from hdist.symbol import SphericalSymbol
 
 from .test_grid import grids, plane_wave, random_field, random_smooth
 
@@ -210,9 +211,19 @@ class TestPotentialGradient:
             assert np.max(np.abs(gap)) <= 1e-12 * linf_norm(f)
 
 
+def assert_stored_as(stored, m, dtype, label=""):
+    """stored is bitwise m in the given dtype, and so is its complex128
+    cast, so the values are pinned bitwise whichever dtype holds them."""
+    assert stored.dtype == dtype, label
+    assert stored.tobytes() == m.tobytes(), label
+    cast = np.complex128
+    assert stored.astype(cast).tobytes() == m.astype(cast).tobytes(), label
+
+
 class TestLatticeArrays:
     """The multipliers built from broadcast axis factors and the cached safe
-    |xi| are bitwise the arrays of the full-mesh formulas."""
+    |xi| are bitwise the arrays of the full-mesh formulas, each in the dtype
+    it is stored as."""
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("N", [8, 16])
@@ -231,10 +242,9 @@ class TestLatticeArrays:
             assert derivative_op(g, alpha).m.tobytes() == m.tobytes()
         for axis in range(d):
             m = np.where(r == 0, 0.0, mesh[axis] / safe) / 1j
-            assert riesz(g, axis).m.tobytes() == m.astype(np.complex128).tobytes()
+            assert_stored_as(riesz(g, axis).m, m, np.complex128)
         m = np.where(r == 0, 0.0, 1.0 / (2 * np.pi * safe))
-        assert (riesz_potential(g).m.tobytes()
-                == m.astype(np.complex128).tobytes())
+        assert_stored_as(riesz_potential(g).m, m, np.float64)
         # every registry symbol valid for d against the stacked (d, N^d) route
         directions = np.stack([(c / safe).ravel() for c in mesh])
         params = {"constant_one": {"value": -2.5},
@@ -243,9 +253,43 @@ class TestLatticeArrays:
             if name[-1].isdigit() and int(name[-1]) > d:
                 continue
             psi = make_symbol(d, {"name": name, "params": params.get(name, {})})
-            m = psi(directions).reshape(g.shape).astype(np.complex128)
+            dtype = np.complex128 if name.startswith("riesz") else np.float64
+            m = psi.eval(directions).reshape(g.shape).astype(dtype)
             m[(0,) * d] = psi.sphere_mean
-            assert from_symbol(g, psi).m.tobytes() == m.tobytes(), name
+            assert_stored_as(from_symbol(g, psi).m, m, dtype, name)
         for axis in range(d):  # riesz keeps its own formula; the values agree
             assert np.array_equal(riesz(g, axis).m,
                                   from_symbol(g, riesz_symbol(d, axis)).m)
+
+
+class TestStorageRule:
+    """Every builder stores its lattice array as a field is stored: float64
+    when the values are real, complex128 when they are complex."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(grids(), st.integers(0, 2**16))
+    def test_real_multipliers_are_float64(self, grid, seed):
+        d = grid.d
+        real = [riesz_potential(grid), bessel_potential(grid, -1.5),
+                from_symbol(grid, constant_symbol(d, -2.5)),
+                from_symbol(grid, smoothed_sign_symbol(d, d - 1, eps=0.3)),
+                *(from_symbol(grid, coordinate_symbol(d, j)) for j in range(d))]
+        complex_ = [*(riesz(grid, j) for j in range(d)),
+                    *(from_symbol(grid, riesz_symbol(d, j)) for j in range(d)),
+                    derivative_op(grid, (0,) * d),
+                    derivative_op(grid, (1,) + (0,) * (d - 1)),
+                    # a real psi with a complex mean: the zero mode is complex
+                    from_symbol(grid, SphericalSymbol(d, lambda xi: xi[0],
+                                                      sphere_mean=0.5j))]
+        assert [op.m.dtype for op in real] == [np.float64] * len(real)
+        assert [op.m.dtype for op in complex_] == [np.complex128] * len(complex_)
+        assert complex_[-1].m[(0,) * d] == 0.5j
+        # a real multiplier and its conjugate act as their complex128 casts
+        # did (np.array_equal leaves only the sign of an exact zero free)
+        f = random_field(grid, seed)
+        f_hat = dft(f)
+        for op in real:
+            cast = op.m.astype(np.complex128)
+            assert np.array_equal(op.apply(f).values,
+                                  MultiplierOperator(grid, cast).apply(f).values)
+            assert np.array_equal(np.conj(op.m) * f_hat, np.conj(cast) * f_hat)
