@@ -23,8 +23,6 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from . import __version__
 from .commutator import compactness_probe
 from .fitting import fit_limit
@@ -261,23 +259,125 @@ CONFIG_SCHEMAS = {
 }
 
 
+# The schemas are checked by JSON Schema 2020-12's rules for the keywords
+# below, which are all the schemas use; the check needs no validator library,
+# whose import would cost a cold start more than the check.
+_KEYWORDS = {"$schema", "$defs", "$ref", "type", "enum", "properties", "required",
+             "additionalProperties", "items", "minItems", "maxItems", "minimum",
+             "exclusiveMinimum", "uniqueItems", "oneOf", "allOf", "dependentRequired"}
+
+
+def _number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _number,
+    # JSON Schema counts 1.0 as an integer
+    "integer": lambda x: _number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+
+def _json_key(x):
+    """A hashable key, equal exactly for equal JSON values: 4 and 4.0 are
+    equal, true and 1 are not."""
+    if isinstance(x, dict):
+        return "object", frozenset((k, _json_key(v)) for k, v in x.items())
+    if isinstance(x, list):
+        return "array", tuple(map(_json_key, x))
+    if isinstance(x, bool) or x is None:
+        return "literal", x
+    return "value", x
+
+
+def _check_keywords(schema, defs):
+    """Raise on a rule of schema, or of a schema inside it, that
+    _violations does not check: a keyword outside _KEYWORDS, a type outside
+    _TYPES, additionalProperties other than false, or a $ref outside defs."""
+    bad = sorted(set(schema) - _KEYWORDS)
+    if schema.get("additionalProperties", False) is not False:
+        bad.append("additionalProperties")
+    if schema.get("type", "object") not in _TYPES:
+        bad.append("type")
+    if "$ref" in schema and schema["$ref"] not in {f"#/$defs/{name}" for name in defs}:
+        bad.append("$ref")
+    if bad:
+        raise ValueError(f"hdist.cli does not check schema rules {bad} of {schema}")
+    for sub in (*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(),
+                *schema.get("oneOf", ()), *schema.get("allOf", ()),
+                *([schema["items"]] if "items" in schema else [])):
+        _check_keywords(sub, defs)
+
+
+for _root in CONFIG_SCHEMAS.values():
+    _check_keywords(_root, _root["$defs"])
+
+
+def _violations(x, schema, path, defs):
+    """(path, message) for each rule of schema that the value x at path
+    breaks; a $ref applies together with the keywords beside it."""
+    if "$ref" in schema:
+        yield from _violations(x, defs[schema["$ref"].rpartition("/")[2]], path, defs)
+    if "type" in schema and not _TYPES[schema["type"]](x):
+        yield path, f"{x!r} is not of type {schema['type']!r}"
+    if "enum" in schema and _json_key(x) not in map(_json_key, schema["enum"]):
+        yield path, f"{x!r} is not one of {schema['enum']!r}"
+    if _number(x) and "minimum" in schema and x < schema["minimum"]:
+        yield path, f"{x!r} is less than the minimum of {schema['minimum']!r}"
+    if _number(x) and "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"]:
+        yield path, f"{x!r} is not above the minimum of {schema['exclusiveMinimum']!r}"
+    if isinstance(x, list):
+        for i, item in enumerate(x if "items" in schema else ()):
+            yield from _violations(item, schema["items"], (*path, i), defs)
+        if len(x) < schema.get("minItems", 0):
+            yield path, f"{x!r} has fewer than {schema['minItems']} items"
+        if len(x) > schema.get("maxItems", len(x)):
+            yield path, f"{x!r} has more than {schema['maxItems']} items"
+        if schema.get("uniqueItems") and len(set(map(_json_key, x))) < len(x):
+            yield path, f"{x!r} has non-unique elements"
+    if isinstance(x, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in x:
+                yield path, f"{key!r} is a required property"
+        for key, sub in properties.items():
+            if key in x:
+                yield from _violations(x[key], sub, (*path, key), defs)
+        extra = sorted(set(x) - set(properties))
+        if extra and "additionalProperties" in schema:  # false, by _check_keywords
+            yield path, f"additional properties are not allowed: {extra}"
+        for key, needed in schema.get("dependentRequired", {}).items():
+            if key in x:
+                yield from ((path, f"{other!r} is a dependency of {key!r}")
+                            for other in needed if other not in x)
+    for sub in schema.get("allOf", ()):
+        yield from _violations(x, sub, path, defs)
+    if "oneOf" in schema:
+        valid = sum(not any(_violations(x, sub, path, defs)) for sub in schema["oneOf"])
+        if valid != 1:
+            yield path, f"{x!r} is valid under {valid} of the oneOf schemas, not exactly one"
+
+
 class ConfigError(Exception):
     pass
 
 
 def validate_config(cfg) -> list:
-    """All schema violations as json-path-anchored strings; empty when valid."""
+    """All schema violations as json-path-anchored strings, sorted by path;
+    empty when valid."""
     if not isinstance(cfg, dict):
         return ["config: top level must be an object"]
     exp = cfg.get("experiment")
     if not isinstance(exp, str) or exp not in CONFIG_SCHEMAS:
         return [f"config.experiment: expected one of {list(CONFIG_SCHEMAS)}, got {exp!r}"]
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMAS[exp])
-    errors = []
-    for err in sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path)):
-        path = ".".join(str(p) for p in err.absolute_path) or "(top level)"
-        errors.append(f"config.{path}: {err.message}")
-    return errors
+    schema = CONFIG_SCHEMAS[exp]
+    errors = sorted(_violations(cfg, schema, (), schema["$defs"]), key=lambda e: e[0])
+    return [f"config.{'.'.join(map(str, path)) or '(top level)'}: {message}"
+            for path, message in errors]
 
 
 def load_config(path):

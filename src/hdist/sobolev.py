@@ -72,9 +72,13 @@ def norm_table(grid: Grid, fields, k_list, p_list) -> list:
 # weakly-null sequence generators
 
 class _Family:
-    """Distinct indices, each guarded at build, and one sample per index."""
+    """Distinct whole-number indices, stored as ints and each guarded at
+    build, and one sample per index."""
 
     def _guard_indices(self):
+        if any(n != int(n) for n in self.indices):
+            raise ValueError(f"family indices {list(self.indices)} are not whole numbers")
+        object.__setattr__(self, "indices", tuple(int(n) for n in self.indices))
         if len(set(self.indices)) != len(self.indices):
             raise ValueError(f"family indices {list(self.indices)} repeat an index")
         for n in self.indices:

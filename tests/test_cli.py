@@ -17,7 +17,7 @@ from hdist.grid import Grid, GridFunction, dft, idft, lp_norm
 from hdist.multiplier import bessel_potential, derivative
 from hdist.sobolev import SequenceFamily, surrogate_negative_norm, wkq_norm
 from hdist.symbol import SphericalHarmonicBasis
-from hdist.util import multi_indices
+from hdist.util import canonical_hash, multi_indices
 
 from .test_grid import random_smooth
 
@@ -178,6 +178,31 @@ class TestValidation:
         assert main(["run", str(path), "--output-dir", str(out)]) == 2
         assert "config.theta" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_whole_number_floats_are_integers(self, tmp_path, capsys):
+        cfg = {**SMALL_NORM_CFG, "grid": {"d": 2.0, "N": 16.0, "L": 8.0}}
+        assert main(["validate", str(write_cfg(tmp_path, cfg))]) == 0
+        assert "ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cfg, anchor", [
+        ({**SMALL_NORM_CFG, "grid": {"d": 2, "N": 16, "L": True}}, "config.grid.L"),
+        ({**COMMUTATOR_CFG, "q_list": [2, True]}, "config.q_list.1"),
+        ({**NORM_CFG, "p_list": [2, 2.0]}, "config.p_list"),
+    ], ids=["bool-L", "bool-q", "p-list-repeats"])
+    def test_bools_are_not_numbers_and_equal_numbers_repeat(self, cfg, anchor,
+                                                            tmp_path, capsys):
+        path = write_cfg(tmp_path, cfg)
+        assert main(["validate", str(path)]) == 2
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        assert anchor in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_u_needs_three_indices_by_the_schema(self):
+        # families.u is the family $ref together with a minItems beside it
+        cfg = {**SWEEP_CFG, "families": {"u": {**U_FAMILY, "indices": [8, 16]}}}
+        assert [e.split(":")[0] for e in validate_config(cfg)] == [
+            "config.families.u.indices"]
 
 
 U_FAMILY = SWEEP_CFG["families"]["u"]
@@ -617,6 +642,21 @@ class TestExperiments:
             assert sorted(first) == sorted(
                 json.loads(first["summary.json"])["artifacts"] + ["summary.json"])
 
+    @pytest.mark.parametrize("cfg", [SWEEP_CFG, COMMUTATOR_CFG], ids=["sweep", "commutator"])
+    def test_whole_number_float_indices_write_as_ints(self, cfg, tmp_path):
+        # the schema takes 8.0 as an integer; the artifacts must read 8
+        floats = json.loads(json.dumps(cfg))
+        family = floats["families"]["u"] if "families" in floats else floats["family"]
+        family["indices"] = [float(n) for n in family["indices"]]
+        texts = []
+        for run, c in (("int", cfg), ("float", floats)):
+            run_config(c, output_dir=tmp_path / run)
+            # the stamp is the one place the configs may differ
+            texts.append({f.name: f.read_text().replace(canonical_hash(c), "HASH")
+                          for f in (tmp_path / run).iterdir()})
+        assert canonical_hash(cfg) != canonical_hash(floats)
+        assert texts[0] == texts[1]
+
 
 NORM_ORACLE_CFG = {**NORM_CFG, "fields": ["gaussian", "bump"],
                    "k_list": [0, 1, 2], "p_list": [1.5, 2.0, 4.0]}
@@ -867,18 +907,20 @@ class TestKeepHeap:
 IMPORT_PATH_SCRIPT = """
 import json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def unwanted_modules():
+    return sorted(m for m in sys.modules
+                  if m.partition(".")[0] in ("scipy", "jsonschema"))
 
 from hdist.cli import run_config
-loaded = {"import": scipy_modules()}
+loaded = {"import": unwanted_modules()}
 for i, cfg in enumerate(json.loads(sys.argv[1])):
     run_config(cfg, output_dir=f"{sys.argv[2]}/{i}")
-    loaded[cfg["experiment"]] = scipy_modules()
+    loaded[cfg["experiment"]] = unwanted_modules()
 
 import numpy as np
 from scipy.special import sph_harm_y
 from hdist.symbol import SphericalHarmonicBasis
+from hdist.util import canonical_hash, multi_indices
 basis = SphericalHarmonicBasis.build(3, 2)
 x = basis.quadrature.nodes
 theta, phi = np.arccos(np.clip(x[2], -1.0, 1.0)), np.arctan2(x[1], x[0])
@@ -891,7 +933,8 @@ print(json.dumps(loaded))
 class TestImportPath:
     def test_two_dimensional_runs_and_localization_load_no_scipy(self, tmp_path):
         # a fresh process, since this one already holds scipy; the 3-D
-        # harmonics still import scipy.special where they are built
+        # harmonics still import scipy.special where they are built.  The
+        # config check needs no jsonschema either
         cfgs = [COMMUTATOR_CFG, NORM_CFG, SWEEP_CFG, LOCALIZATION_CFG]
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}

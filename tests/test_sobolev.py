@@ -189,6 +189,18 @@ class TestFamilies:
         fam = SequenceFamily(g, amplitude=a, direction=(2.0, 0), indices=(8,))
         assert fam.direction == (2, 0) and fam.spectral_shift(8)[0] == (16, 0)
 
+    def test_indices_are_whole_numbers_stored_as_ints(self):
+        # an index the artifacts write must read 8, not 8.0
+        g = Grid(2, 64, 16.0)
+        families = (lambda ns: SequenceFamily(g, make_field(g, "gaussian"), indices=ns),
+                    lambda ns: ConcentrationFamily(g, field_function(2, "gaussian"),
+                                                   indices=ns, profile_width=4.0))
+        for family in families:
+            ns = family((1.0, 2.0, 4)).indices
+            assert ns == (1, 2, 4) and all(type(n) is int for n in ns)
+            with pytest.raises(ValueError, match="whole"):
+                family((1, 2.5, 4))
+
     def test_amplitude_is_sampled_on_the_family_grid(self, grid):
         # samples of another grid would be read as this grid's: with the same
         # N they are silently rescaled in x, with another N u(n) cannot broadcast
