@@ -516,7 +516,7 @@ def run_hdist_sweep(cfg, grid):
 def run_commutator(cfg, grid):
     psi, b = make_symbol(grid.d, cfg["symbol"]), make_field(grid, cfg["b"])
     family = _family(grid, cfg["family"])
-    options = _present(cfg, r=float, q_list=tuple)
+    options = _present(cfg, r=float, q_list=lambda qs: tuple(map(float, qs)))
 
     def compute():
         table = compactness_probe(family, psi, b, **options)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fitting import fit_limit
-from .grid import GridFunction, dft, idft, pairing
+from .grid import GridFunction, adjoint_image, image, pairing, spectrum
 from .multiplier import from_symbol
 from .sobolev import strong_null_probe
 from .specbasis import HermiteBasis
@@ -37,19 +37,24 @@ def check_pair(u_indices, v_indices):
 
 def pairing_records(u, v, phi1, phi2, symbols) -> list:
     """One list of (form_a, form_b) pairs per symbol, one pair per index of
-    the families u and v, as Python complex.  phi1 u_n and phi2 v_n are
-    transformed once per index and shared by every symbol; forms A and B
-    each take one inverse transform per symbol and index."""
+    the families u and v, as Python complex.  phi1 u_n and phi2 v_n take one
+    forward transform each per index, shared by every symbol; per symbol and
+    index, form A takes the image of phi1 u_n (one inverse transform) and
+    form B the adjoint image of phi2 v_n (one forward transform).  Each form
+    sums a fresh product in grid.conj_sum's operand order."""
     v = u if v is None else v
     check_pair(u.indices, v.indices)
-    ms = [from_symbol(phi1.grid, psi).m for psi in symbols]
+    grid = phi1.grid
+    ms = [from_symbol(grid, psi).m for psi in symbols]
     out = [[] for _ in symbols]
     for u_n, v_n in zip(u.samples, v.samples):
         fu, gv = phi1 * u_n, phi2 * v_n
-        fu_hat, gv_hat = dft(fu), dft(gv)
+        fu_spec, gv_spec_conj = spectrum(fu), np.conj(spectrum(gv))
+        gv_conj = np.conj(gv.values)
         for forms, m in zip(out, ms):
-            forms.append((pairing(idft(fu.grid, m * fu_hat), gv),
-                          pairing(fu, idft(fu.grid, np.conj(m) * gv_hat))))
+            forms.append((complex(grid.cell_volume * (gv_conj * image(m, fu_spec)).sum()),
+                          complex(grid.cell_volume
+                                  * (adjoint_image(m, gv_spec_conj) * fu.values).sum())))
     return out
 
 
@@ -62,10 +67,11 @@ def mu_tensor(u, v, hermite_basis: HermiteBasis,
     tensor.json holds it: entries[m_flat, b] estimates the limit against
     h_m(x) Y_{n,j}(xi), a finite stand-in for the limiting object.
 
-    Uses the adjoint form: v_n is transformed once per index, each
-    harmonic's w = A_conj(Y) v_n is one product and one inverse
-    transform, and the whole Hermite slab of pairings <h_m u_n, w> is a
-    single separable transform of u_n conj(w).
+    Uses the adjoint form: v_n takes one forward transform per index, and
+    each harmonic's conj(A_conj(Y) v_n) is one product and one forward
+    transform (grid.adjoint_image) per index, which u_n multiplies in place;
+    the whole Hermite slab of pairings <h_m u_n, A_conj(Y) v_n> is then one
+    separable contraction of that product.
     """
     grid = hermite_basis.grid
     v = u if v is None else v
@@ -73,17 +79,16 @@ def mu_tensor(u, v, hermite_basis: HermiteBasis,
     ns = tuple(u.indices)
     if len(ns) < 3:
         raise ValueError("need at least 3 distinct indices to extrapolate")
-    v_spectra = [dft(v_n) for v_n in v.samples]
+    v_specs_conj = [np.conj(spectrum(v_n)) for v_n in v.samples]
 
     m_flat = (hermite_basis.m_max + 1) ** grid.d
     b_sphere = sphere_basis.size
     per_n = np.empty((len(ns), m_flat, b_sphere), dtype=complex)
     for b, row in enumerate(sphere_basis.lattice_rows(grid)):
-        m_adj = np.conj(row)
-        for i, (u_n, v_hat) in enumerate(zip(u.samples, v_spectra)):
-            w = idft(grid, m_adj * v_hat)
-            slab = hermite_basis.analyze(u_n * w.conj())
-            per_n[i, :, b] = slab.ravel()
+        for i, (u_n, v_spec_conj) in enumerate(zip(u.samples, v_specs_conj)):
+            prod = adjoint_image(row, v_spec_conj)
+            np.multiply(u_n.values, prod, out=prod)  # u_n conj(A_conj(Y) v_n)
+            per_n[i, :, b] = hermite_basis.analyze(GridFunction(grid, prod)).ravel()
 
     fit = fit_limit(ns, per_n.reshape(len(ns), -1))
     shape = (m_flat, b_sphere)

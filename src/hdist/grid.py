@@ -14,13 +14,18 @@ fftfreq ordering), on which a multiplier acts as a product.
 
 `dft` and `idft` are the seam for spectra; `round_trips` takes a field through
 multipliers and back, a real one without the centring phase, which cancels.
-Transforms are counted where `numpy.fft` is entered: each looks it up at call
-time, so a wrapper installed there (a tracer, a test counter) sees every
-transform.  dft and idft run in place (`out=`) in a complex buffer padded to
-N + 1 on its last axis, since a contiguous N^d array's power-of-two
-leading-axis stride thrashes the cache; dft casts a real field to complex on
-the copy into it.  So a spectrum from dft, and the samples of a field from
-idft, are strided views.
+A swept pairing takes a complex field's phase-free spectrum F = fftn(f) from
+`spectrum` and, per multiplier m, its image ifftn(m F) from `image` or its
+adjoint image conj(A_conj(m) f) = fftn(m conj(F), norm="forward") from
+`adjoint_image`: the centring phases cancel and cell_volume / L^d = 1 / N^d,
+so both equal the dft / idft round trip, bitwise where L/N and L are powers
+of two.  This module is the only one that enters `numpy.fft`, and transforms
+are counted there: each function looks it up at call time, so a wrapper
+installed there (a tracer, a test counter) sees every transform.  Complex
+transforms run in place (`out=`) in a complex buffer padded to N + 1 on its
+last axis, since a contiguous N^d array's power-of-two leading-axis stride
+thrashes the cache; a real field is cast to complex on the copy into it.  So
+a spectrum, and the samples of a field from idft, are strided views.
 """
 
 from __future__ import annotations
@@ -194,18 +199,44 @@ class GridFunction:
         return GridFunction(self.grid, np.conj(self.values))
 
 
-def _lattice_buffer(grid: Grid) -> np.ndarray:
-    """An empty complex128 N^d view into a buffer padded to N + 1 on its last axis."""
-    return np.empty(grid.shape[:-1] + (grid.N + 1,), np.complex128)[..., :grid.N]
+def _lattice_buffer(shape) -> np.ndarray:
+    """An empty complex128 view of the given shape into a buffer padded by one
+    entry on its last axis."""
+    return np.empty(shape[:-1] + (shape[-1] + 1,), np.complex128)[..., :shape[-1]]
+
+
+def _transform_product(name, a, b, norm) -> np.ndarray:
+    """numpy.fft's `name` of a * b, taken in place in a fresh padded buffer."""
+    buf = np.multiply(a, b, out=_lattice_buffer(np.shape(b)))
+    return getattr(np.fft, name)(buf, out=buf, norm=norm)
+
+
+def spectrum(f: GridFunction) -> np.ndarray:
+    """The phase-free spectrum fftn(f) of a real or complex field, transformed
+    as complex128 in a padded buffer; dft(f) is this times cell_volume (-1)^m."""
+    vals = _lattice_buffer(f.grid.shape)
+    vals[...] = f.values
+    return np.fft.fftn(vals, out=vals)
+
+
+def image(m: np.ndarray, f_spec: np.ndarray) -> np.ndarray:
+    """Samples of A_m f from f's phase-free spectrum: ifftn(m f_spec), which is
+    idft(grid, m * dft(f)).values."""
+    return _transform_product("ifftn", m, f_spec, "backward")
+
+
+def adjoint_image(m: np.ndarray, f_spec_conj: np.ndarray) -> np.ndarray:
+    """Samples of conj(A_conj(m) f) from conj(fftn f): fftn(m f_spec_conj) / N^d.
+    The forward transform returns the conjugate of the inverse one, so no
+    conjugate is taken of m or of the result."""
+    return _transform_product("fftn", m, f_spec_conj, "forward")
 
 
 def dft(f: GridFunction) -> np.ndarray:
     """Samples of fhat on the frequency lattice in FFT layout, under the
     convention fhat(xi) = integral of exp(-2 pi i x.xi) f(x) dx.  The field,
     real or complex, is transformed as complex128 in a padded buffer."""
-    vals = _lattice_buffer(f.grid)
-    vals[...] = f.values
-    vals = np.fft.fftn(vals, out=vals)
+    vals = spectrum(f)
     vals *= f.grid._forward_phase
     return vals
 
@@ -217,8 +248,8 @@ def idft(grid: Grid, f_hat: np.ndarray) -> GridFunction:
         raise TypeError(f"idft takes a spectrum array, got {type(f_hat).__name__}")
     if f_hat.shape != grid.shape:
         raise ValueError(f"spectrum shape {f_hat.shape} does not match grid {grid.shape}")
-    buf = np.multiply(f_hat, grid._inverse_phase, out=_lattice_buffer(grid))
-    return GridFunction(grid, np.fft.ifftn(buf, out=buf, norm="forward"))
+    return GridFunction(grid, _transform_product("ifftn", f_hat, grid._inverse_phase,
+                                                 "forward"))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

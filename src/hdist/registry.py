@@ -185,7 +185,7 @@ def make_field(grid: Grid, spec) -> GridFunction:
 
 def constant_symbol(d, value=1.0):
     name = "constant_one" if value == 1.0 else f"constant_{value}"
-    return SphericalSymbol(d, lambda xi: np.full(xi.shape[1:], value), name=name,
+    return SphericalSymbol(d, lambda xi: np.full(np.shape(xi[0]), value), name=name,
                            sphere_mean=value)
 
 

@@ -83,15 +83,15 @@ class HermiteBasis:
     def analyze(self, f: GridFunction) -> np.ndarray:
         """Coefficients <f, h_m> for all |m|_inf <= m_max, by grid quadrature.
 
-        Computed as a separable contraction, one axis at a time.
+        Computed as a separable contraction, one axis at a time, by matmul on
+        views of the samples, whatever their strides, without a copy.
         """
         if f.grid != self.grid:
             raise ValueError("grid mismatch")
         c = f.values
         for _ in range(self.grid.d):
             # contract the leading axis against the basis rows, push result last
-            c = np.tensordot(self.axis_table, c, axes=(1, 0))
-            c = np.moveaxis(c, 0, -1)
+            c = np.matmul(self.axis_table, np.moveaxis(c, 0, -2)).swapaxes(-2, -1)
         return self.grid.cell_volume * c
 
 

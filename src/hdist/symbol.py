@@ -25,7 +25,8 @@ class SphericalSymbol:
     Parameters
     ----------
     d : ambient dimension (2 or 3).
-    eval : vectorized map from unit vectors, (d, ...) -> (...) real or complex.
+    eval : vectorized map from unit vectors, given as d component arrays (a
+        sequence or a (d, ...) array), to (...) real or complex.
     name : registry identifier.
     sphere_mean : exact mean over the sphere (real or complex), the zero
         frequency mode of the induced multiplier.
@@ -37,8 +38,9 @@ class SphericalSymbol:
     sphere_mean: float | complex = field(kw_only=True)
 
     def __call__(self, xi):
-        """Evaluate at unit vectors (d, ...), stored as a field is (float64 if real)."""
-        values = self.eval(np.asarray(xi, dtype=float))
+        """Evaluate at unit vectors, d component arrays handed to eval as they
+        are, stored as a field is (float64 if real)."""
+        values = self.eval(xi)
         return np.asarray(values, dtype=_sample_dtype(values))
 
 

@@ -657,6 +657,19 @@ class TestExperiments:
         assert canonical_hash(cfg) != canonical_hash(floats)
         assert texts[0] == texts[1]
 
+    def test_q_list_number_form_does_not_reach_artifacts(self, tmp_path):
+        # q_list [2, 4] and [2.0, 4.0] are one config: every artifact reads
+        # the same, commutator.json's table.meta.q_list included
+        texts = []
+        for run, qs in (("int", [2, 4]), ("float", [2.0, 4.0])):
+            cfg = {**COMMUTATOR_CFG, "q_list": qs}
+            run_config(cfg, output_dir=tmp_path / run)
+            texts.append({f.name: f.read_text().replace(canonical_hash(cfg), "HASH")
+                          for f in (tmp_path / run).iterdir()})
+        assert texts[0] == texts[1]
+        table = json.loads(texts[0]["commutator.json"])["table"]
+        assert json.dumps(table["meta"]["q_list"]) == "[2.0, 4.0]"
+
 
 NORM_ORACLE_CFG = {**NORM_CFG, "fields": ["gaussian", "bump"],
                    "k_list": [0, 1, 2], "p_list": [1.5, 2.0, 4.0]}
@@ -714,12 +727,15 @@ class TestOnePass:
             checks, _ = cli.RUNNERS["hdist_sweep"]({**SWEEP_CFG, "families": families},
                                                    grid)()
             assert counts["u"] == samples
-            # records: phi1 u_n and phi2 v_n forward once per index, forms A
-            # and B one inverse each per symbol and index; tensor: v_n forward
-            # once per index, one inverse per harmonic and index; the k = 0
-            # strong probe takes none
-            assert counts["forward"] == 2 * len(ns) + len(ns)
-            assert counts["inverse"] == 2 * symbols * len(ns) + harmonics * len(ns)
+            # records: phi1 u_n and phi2 v_n forward once per index, form A
+            # one inverse (the image) and form B one forward (the adjoint
+            # image) per symbol and index; tensor: v_n forward once per index,
+            # one forward (the adjoint image) per harmonic and index; the
+            # k = 0 strong probe takes none
+            assert counts["forward"] == 3 * len(ns) + (harmonics + symbols) * len(ns)
+            assert counts["inverse"] == symbols * len(ns)
+            assert counts["forward"] + counts["inverse"] == (
+                3 * len(ns) + (2 * symbols + harmonics) * len(ns))
             assert checks["adjoint_form_agreement"]["passed"]
 
 

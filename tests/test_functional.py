@@ -6,7 +6,8 @@ from hdist import functional
 from hdist.fitting import fit_limit
 from hdist.functional import (FORM_RTOL, mu_tensor, pairing_records,
                               zero_mu_strong_convergence_check)
-from hdist.grid import Grid, pairing
+from hdist.grid import Grid, GridFunction, dft, idft, pairing
+from hdist.multiplier import from_symbol
 from hdist.registry import (SYMBOL_BUILTINS, constant_symbol, field_function,
                             make_field, make_symbol, riesz_symbol)
 from hdist.sobolev import ConcentrationFamily, SequenceFamily
@@ -19,6 +20,13 @@ from .test_grid import grids, random_field
 
 def tensor_max(tensor):
     return float(abs(tensor["entries"]).max())
+
+
+def refuse_transforms(monkeypatch, no_call):
+    """Make every entry into numpy.fft call no_call: grid.py enters it at
+    call time for every transform, whichever grid function takes it."""
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, no_call)
 
 
 @pytest.fixture(scope="module")
@@ -206,16 +214,98 @@ class TestMuTensor:
                                                            monkeypatch):
         # two indices cannot be extrapolated: the tensor refuses them with
         # fit_limit's message before it samples or transforms anything
-        def no_call(*args):
+        def no_call(*args, **kwargs):
             raise AssertionError("sample or transform before the index check")
 
-        monkeypatch.setattr(functional, "dft", no_call)
-        monkeypatch.setattr(functional, "idft", no_call)
+        refuse_transforms(monkeypatch, no_call)
         monkeypatch.setattr(SequenceFamily, "u", no_call)
         fam = SequenceFamily(grid, amplitude=gaussian, direction=(1, 0), indices=(8, 16))
         hb, sb = HermiteBasis.build(grid, 1), SphericalHarmonicBasis.build(2, 1)
         with pytest.raises(ValueError, match="need at least 3 distinct indices"):
             mu_tensor(fam, None, hb, sb)
+
+
+def reference_records(u, v, phi1, phi2, symbols):
+    """pairing_records by the dft / idft formulas: form A pairs
+    idft(m dft(phi1 u_n)) with phi2 v_n, form B pairs phi1 u_n with
+    idft(conj(m) dft(phi2 v_n))."""
+    v = u if v is None else v
+    grid = phi1.grid
+    out = []
+    for psi in symbols:
+        m = from_symbol(grid, psi).m
+        out.append([])
+        for u_n, v_n in zip(u.samples, v.samples):
+            fu, gv = phi1 * u_n, phi2 * v_n
+            out[-1].append((pairing(idft(grid, m * dft(fu)), gv),
+                            pairing(fu, idft(grid, np.conj(m) * dft(gv)))))
+    return out
+
+
+def reference_tensor(u, v, hb, sb):
+    """mu_tensor by the dft / idft formulas: the Hermite coefficients of
+    u_n conj(idft(conj(Y_b) dft(v_n))), contracted one leading axis at a time
+    by tensordot, fitted per entry."""
+    v = u if v is None else v
+    grid = hb.grid
+    rows = list(sb.lattice_rows(grid))
+    per_n = np.empty((len(u.indices), (hb.m_max + 1) ** grid.d, len(rows)), complex)
+    for i, (u_n, v_n) in enumerate(zip(u.samples, v.samples)):
+        for b, row in enumerate(rows):
+            c = (u_n * idft(grid, np.conj(row) * dft(v_n)).conj()).values
+            for _ in range(grid.d):
+                c = np.moveaxis(np.tensordot(hb.axis_table, c, axes=(1, 0)), 0, -1)
+            per_n[i, :, b] = (grid.cell_volume * c).ravel()
+    fit = fit_limit(u.indices, per_n.reshape(len(u.indices), -1))
+    return fit["value"].reshape(per_n.shape[1:]), fit["residual"].reshape(per_n.shape[1:])
+
+
+class TestReferenceRoute:
+    """The swept pairings take phase-free images and adjoint images; where L/N
+    and L are powers of two they are bitwise the dft / idft formulas."""
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        g = Grid(2, 64, 16.0)
+        a, b = (make_field(g, {"name": "gaussian", "params": {"width": w}})
+                for w in (1.0, 1.5))
+        u, v = (SequenceFamily(g, amplitude=amp, direction=(1, 1), indices=(2, 4, 8))
+                for amp in (a, b))
+        return g, u, v
+
+    @pytest.mark.parametrize("pair", ["v is u", "distinct v"])
+    def test_records_bitwise(self, families, pair):
+        g, u, v = families
+        v = None if pair == "v is u" else v
+        phi1 = make_field(g, "gaussian")
+        phi2 = make_field(g, {"name": "bump", "params": {"radius": 3.0}})
+        symbols = [make_symbol(2, name) for name in
+                   ("constant_one", "riesz_1", "riesz_2", "coordinate_2", "smoothed_sign")]
+        assert (pairing_records(u, v, phi1, phi2, symbols)
+                == reference_records(u, v, phi1, phi2, symbols))
+
+    @pytest.mark.parametrize("pair", ["v is u", "distinct v"])
+    def test_tensor_bitwise(self, families, pair):
+        g, u, v = families
+        v = None if pair == "v is u" else v
+        hb, sb = HermiteBasis.build(g, 3), SphericalHarmonicBasis.build(2, 3)
+        tensor = mu_tensor(u, v, hb, sb)
+        entries, residuals = reference_tensor(u, v, hb, sb)
+        assert np.array_equal(tensor["entries"], entries)
+        assert np.array_equal(tensor["residuals"], residuals)
+
+    def test_tensor_in_three_dimensions(self):
+        # the contraction runs axis by axis for any d
+        g = Grid(3, 16, 8.0)
+        a = make_field(g, "gaussian")
+        u = SequenceFamily(g, amplitude=a, direction=(1, 0, 1), indices=(1, 2, 3))
+        v = SequenceFamily(g, amplitude=GridFunction(g, a.values * (1 - 0.5j)),
+                           direction=(1, 0, 1), indices=(1, 2, 3))
+        hb, sb = HermiteBasis.build(g, 2), SphericalHarmonicBasis.build(3, 2)
+        tensor = mu_tensor(u, v, hb, sb)
+        entries, _ = reference_tensor(u, v, hb, sb)
+        assert tensor["entries"].shape == (27, 9)
+        assert np.max(np.abs(tensor["entries"] - entries)) <= 1e-14 * np.max(np.abs(entries))
 
 
 class TestPairRule:
@@ -224,14 +314,14 @@ class TestPairRule:
 
     @pytest.mark.parametrize("probe", ["pairing_records", "mu_tensor", "zero_check"])
     def test_v_on_other_indices_refused(self, grid, gaussian, monkeypatch, probe):
-        def no_call(*args):
+        def no_call(*args, **kwargs):
             raise AssertionError("sample or transform before the pair check")
 
         hb, sb = HermiteBasis.build(grid, 1), SphericalHarmonicBasis.build(2, 1)
         u, v = (SequenceFamily(grid, amplitude=gaussian, direction=(1, 0), indices=ns)
                 for ns in ((8, 16, 32), (8, 16, 24)))
-        for name in ("dft", "idft", "pairing"):
-            monkeypatch.setattr(functional, name, no_call)
+        refuse_transforms(monkeypatch, no_call)
+        monkeypatch.setattr(functional, "pairing", no_call)
         monkeypatch.setattr(SequenceFamily, "u", no_call)
         calls = {
             "pairing_records": lambda: pairing_records(u, v, gaussian, gaussian,
