@@ -12,20 +12,21 @@ its samples at the grid points, real samples held as float64 and complex ones
 as complex128; a spectrum is a plain complex ndarray in FFT layout (numpy
 fftfreq ordering), on which a multiplier acts as a product.
 
-`dft` and `idft` are the seam for spectra; `round_trips` takes a field through
-multipliers and back, a real one without the centring phase, which cancels.
-A swept pairing takes a complex field's phase-free spectrum F = fftn(f) from
-`spectrum` and, per multiplier m, its image ifftn(m F) from `image` or its
-adjoint image conj(A_conj(m) f) = fftn(m conj(F), norm="forward") from
-`adjoint_image`: the centring phases cancel and cell_volume / L^d = 1 / N^d,
-so both equal the dft / idft round trip, bitwise where L/N and L are powers
-of two.  This module is the only one that enters `numpy.fft`, and transforms
+Every pass that takes a field through multipliers works on the phase-free
+seam: `spectrum` gives F = fftn(f), `image` the samples ifftn(m F) of A_m f,
+`adjoint_image` the samples conj(A_conj(m) f) = fftn(m conj(F),
+norm="forward") from conj(F), and `round_trips` yields images from one
+spectrum.  The centring phases cancel and cell_volume / L^d = 1 / N^d, so
+each image is the dft / idft round trip, bitwise where L/N and L are powers
+of two.  `dft` and `idft`, the continuum-convention pair and the route of
+MultiplierOperator.apply, are the only functions that compute the centring
+phases.  This module is the only one that enters `numpy.fft`, and transforms
 are counted there: each function looks it up at call time, so a wrapper
 installed there (a tracer, a test counter) sees every transform.  Complex
 transforms run in place (`out=`) in a complex buffer padded to N + 1 on its
 last axis, since a contiguous N^d array's power-of-two leading-axis stride
 thrashes the cache; a real field is cast to complex on the copy into it.  So
-a spectrum, and the samples of a field from idft, are strided views.
+a spectrum, an image, and the samples of a field from idft are strided views.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ class Grid:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L}")
+        try:
+            box = float(self.L) ** self.d
+        except OverflowError:
+            box = np.inf
+        if not (box < np.inf and self.cell_volume > 0):  # cell_volume <= box
+            raise ValueError(f"L = {self.L} gives a box volume L^d or cell volume "
+                             f"(L/N)^d outside the positive floats in d = {self.d}")
 
     @property
     def shape(self):
@@ -263,13 +271,13 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def round_trips(f: GridFunction, ms):
     """Yield idft(f.grid, m * dft(f)) for each lattice array m in ms, one image
     alive at a time, from one forward transform.  A complex f goes through
-    dft / idft.  A real f needs each m Hermitian (see hermitian_part): it
+    spectrum / image.  A real f needs each m Hermitian (see hermitian_part): it
     reads m on the half lattice, the last axis' indices 0..N/2, and goes
     through rfftn / irfftn without the centring phases, which cancel (bitwise
     where L/N is a power of two)."""
     if np.iscomplexobj(f.values):
-        f_hat = dft(f)
-        yield from (idft(f.grid, m * f_hat) for m in ms)
+        f_spec = spectrum(f)
+        yield from (GridFunction(f.grid, image(m, f_spec)) for m in ms)
         return
     f_hat = np.fft.rfftn(f.values)
     axes = tuple(range(f.grid.d))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import fit_decay, fit_limit
-from .grid import Grid, GridFunction, conj_sum, dft, idft, lp_norm, pairing
+from .grid import Grid, GridFunction, conj_sum, image, lp_norm, pairing, spectrum
 from .multiplier import bessel_potential, from_symbol, riesz, riesz_potential
 from .registry import make_field
 from .sobolev import SequenceFamily, decay_table, wkq_norm
@@ -49,7 +49,7 @@ class TransportInstance:
     family: SequenceFamily
 
     def v(self, n: int, u):
-        """v_n from u = u_n, or dft(g v_n) from u = dft(g u_n): a scalar
+        """v_n from u = u_n, or spectrum(g v_n) from u = spectrum(g u_n): a scalar
         multiple, and u itself when k = 0, where the factor is exactly 1.0."""
         k = self.family.order
         return u if k == 0 else u * (2 * np.pi * self.family.frequency_shift(n)) ** (-2 * k)
@@ -107,16 +107,18 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
     into <u_n G, w>; "rhs_norm" is |J_{-k-1}(phi1 f_n)|_p and "wkq_norm" is
     |phi1 w|_{W^{k,q}}.
 
-    Each product field (phi2 a, phi1 a, A_j phi1 a, A_j a) is transformed
-    once, and `spectra` reads it at every index by the family's spectral
-    shift; when phi2 is phi1, one spectrum of phi1 a serves t and the
+    Every transform is on grid's phase-free seam.  Each product field
+    (phi2 a, phi1 a, A_j phi1 a, A_j a) is transformed once, and `spectra`
+    reads it at every index by the family's spectral shift, a roll times
+    c_n; when phi2 is phi1, one spectrum of phi1 a serves t and the
     baseline.  Pairings against a spectrum go by Parseval,
-    <f, g> = sum fhat conj(ghat) / L^d.  That is 3d + 3 transforms per pass
+    <f, g> = sum F conj(G) L^d / N^(2d).  That is 3d + 3 transforms per pass
     (G takes d + 1), one fewer when phi2 is phi1, and 4 per index when
     k = 0: w, f_n and the J_{-k-1} round trip.  Real coefficients, test
     functions and amplitude make the 2d + 3 (or 2d + 2) fields transformed
-    once per pass real; dft casts them to complex in its padded buffer.  At
-    k = 0, s_n and the v_n factor are exactly 1.0 and are not multiplied.
+    once per pass real; spectrum casts them to complex in its padded buffer.
+    At k = 0, the v_n factor is exactly 1.0 and is not multiplied, and
+    neither is c_n = s_n = 1.0 where the row sum is even.
     The stages hold one product spectrum at a time with the indices inside,
     build each multiplier where it is used, and drop each index's t_hat, w
     and f_hat after their last use.
@@ -126,15 +128,15 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
     ns = tuple(fam.indices if ns is None else ns)
     shifts = [fam.spectral_shift(n) for n in ns]
     axes = tuple(range(grid.d))
-    volume = grid.L ** grid.d
+    parseval = grid.N ** (2 * grid.d) / grid.L ** grid.d
     grad = [2j * np.pi * xi for xi in grid.xi_axes]  # d_j, broadcast from 1-D
 
     def spectra(g):
-        g_hat = dft(g * fam.amplitude)
-        for row, s in shifts:
-            out = np.roll(g_hat, row, axis=axes)
-            if s != 1.0:
-                out *= s
+        g_spec = spectrum(g * fam.amplitude)
+        for row, c in shifts:
+            out = np.roll(g_spec, row, axis=axes)
+            if c != 1.0:
+                out *= c
             yield out
 
     psi_bar = np.conj(from_symbol(grid, psi).m)
@@ -142,25 +144,25 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
     for n, b in zip(ns, spectra(phi2)):
         t_hat.append(psi_bar * instance.v(n, b))
         if phi1 is phi2:  # b is phi1's spectrum too
-            baseline.append(complex(conj_sum(b, t_hat[-1]) / volume))
+            baseline.append(complex(conj_sum(b, t_hat[-1]) / parseval))
     del psi_bar
     if phi1 is not phi2:
-        baseline = [complex(conj_sum(b, t) / volume) for t, b in zip(t_hat, spectra(phi1))]
+        baseline = [complex(conj_sum(b, t) / parseval) for t, b in zip(t_hat, spectra(phi1))]
     weighted = [0j] * len(ns)
     for j, a_j in enumerate(instance.coefficients):
         r_j = riesz(grid, j).m
         for i, b in enumerate(spectra(a_j * phi1)):
-            weighted[i] -= complex(conj_sum(b, r_j * t_hat[i]) / volume)
+            weighted[i] -= complex(conj_sum(b, r_j * t_hat[i]) / parseval)
         del r_j
 
-    phi1_bar_hat = dft(phi1.conj())
-    weight = sum(a_j.values * np.conj(idft(grid, d_j * phi1_bar_hat).values)
+    phi1_bar_spec = spectrum(phi1.conj())
+    weight = sum(a_j.values * np.conj(image(d_j, phi1_bar_spec))
                  for d_j, a_j in zip(grad, instance.coefficients))
-    del phi1_bar_hat
+    del phi1_bar_spec
     potential = riesz_potential(grid).m
     w, wkq, rhs = [], [], []
     for i, n in enumerate(ns):
-        w.append(idft(grid, potential * t_hat[i]))
+        w.append(GridFunction(grid, image(potential, t_hat[i])))
         t_hat[i] = None
         wkq.append(wkq_norm(phi1 * w[i], fam.order, instance.q))
         rhs.append(-pairing(fam.u(n) * weight, w[i]))
@@ -171,10 +173,10 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
         for i, b in enumerate(spectra(a_j)):
             f_hat[i] = f_hat[i] + d_j * b
 
-    smooth = bessel_potential(grid, -float(fam.order + 1))
+    smooth = bessel_potential(grid, -float(fam.order + 1)).m
     rows = []
     for i, n in enumerate(ns):
-        f = idft(grid, f_hat[i])
+        f = GridFunction(grid, image(1.0, f_hat[i]))  # f_hat holds the d_j products
         f_hat[i] = None
         rhs[i] -= pairing(f, phi1.conj() * w[i])
         w[i] = None
@@ -183,7 +185,8 @@ def _index_pass(instance: TransportInstance, phi1: GridFunction,
             "n": int(n), "baseline": baseline[i], "weighted": lhs,
             "chain": {"n": int(n), "lhs": lhs, "rhs": rhs[i],
                       "residual": float(abs(lhs - rhs[i]) / (1.0 + abs(lhs)))},
-            "rhs_norm": lp_norm(smooth.apply(phi1 * f), instance.p),
+            "rhs_norm": lp_norm(GridFunction(grid, image(smooth, spectrum(phi1 * f))),
+                                instance.p),
             "wkq_norm": wkq[i]})
     return rows
 

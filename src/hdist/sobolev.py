@@ -140,15 +140,16 @@ class SequenceFamily(_Family):
                 * float(n) ** self.prefactor_power)
 
     def spectral_shift(self, n: int) -> tuple:
-        """(row, s_n): for every field g,
-        dft(g * u(n)) == s_n * np.roll(dft(g * amplitude), row, axis=all axes).
+        """(row, c_n): for every field g, spectrum(g * u(n)) equals
+        c_n * np.roll(spectrum(g * amplitude), row, axis=all axes).
 
         Exact up to rounding: the modulation moves the spectrum by the
-        integer lattice row n xi0, and the (-1)^m centring phase of dft
-        cancels against the modulation's value at the -L/2 origin.
+        integer lattice row n xi0, and c_n = s_n (-1)^sum(row) is u(n) / a at
+        the grid's first point, the -L/2 corner.
         """
         self.guard(n)
-        return tuple(n * c for c in self.direction), self._scale(n)
+        row = tuple(n * c for c in self.direction)
+        return row, -self._scale(n) if sum(row) % 2 else self._scale(n)
 
     def u(self, n: int) -> GridFunction:
         self.guard(n)

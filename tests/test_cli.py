@@ -297,6 +297,11 @@ class TestBuild:
                      2, id="int-param-beyond-float-range"),
         pytest.param({**NORM_CFG, "grid": {**NORM_CFG["grid"], "L": 10**400}},
                      2, id="int-grid-side-beyond-float-range"),
+        # a finite L whose box or cell volume leaves the positive floats
+        pytest.param({**NORM_CFG, "grid": {**NORM_CFG["grid"], "L": 1e300}},
+                     2, id="box-volume-overflows"),
+        pytest.param({**COMMUTATOR_CFG, "grid": {**COMMUTATOR_CFG["grid"], "L": 1e-200}},
+                     2, id="box-volume-underflows"),
         # a repeated index would leave the limit fits fewer distinct points
         pytest.param({**SWEEP_CFG, "families": {"u": {**U_FAMILY, "indices": [8, 8, 16]}}},
                      2, id="sweep-repeated-index"),

@@ -69,6 +69,15 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             Grid(2, 64, -1.0)
 
+    @pytest.mark.parametrize("d, L", [(2, np.inf), (2, 1e300), (3, 1e103), (2, 1e-200),
+                                      (3, 1e-110), (3, np.float64(1e300))])
+    def test_box_and_cell_volume_are_positive_floats(self, d, L):
+        # L^d past the float range (an OverflowError in cell_volume, NaN
+        # coordinates at L = inf) or under it (a zero divisor in idft)
+        with pytest.raises(ValueError, match="volume"):
+            Grid(d, 16, L)
+        Grid(d, 16, 1e100), Grid(d, 16, 1e-100)  # inside the range
+
     def test_shape_mismatch(self, grid):
         with pytest.raises(ValueError):
             GridFunction(grid, np.zeros((4, 4)))
@@ -431,9 +440,10 @@ class TestPaddedBuffer:
 
 
 class TestImages:
-    """A swept pairing's round trips from the phase-free spectrum: image(m, F)
-    is idft(m dft(f)) and adjoint_image(m, conj(F)) is conj(idft(conj(m) dft(f))),
-    bitwise where L/N and L are powers of two and to rounding otherwise."""
+    """Round trips from the phase-free spectrum: image(m, F) and a complex
+    field's round_trips are idft(m dft(f)), and adjoint_image(m, conj(F)) is
+    conj(idft(conj(m) dft(f))), bitwise where L/N and L are powers of two and
+    to rounding otherwise."""
 
     @pytest.mark.parametrize("L", [16.0, 12.0])
     @pytest.mark.parametrize("kind", ["complex", "real"])
@@ -448,7 +458,8 @@ class TestImages:
         f_spec_conj = np.conj(f_spec)
         pairs = [(image(m, f_spec), idft(grid, m * dft(f)).values),
                  (adjoint_image(m, f_spec_conj),
-                  np.conj(idft(grid, np.conj(m) * dft(f)).values))]
+                  np.conj(idft(grid, np.conj(m) * dft(f)).values)),
+                 (next(round_trips(f, [m])).values, idft(grid, m * dft(f)).values)]
         for got, want in pairs:
             if L == 16.0:
                 assert np.array_equal(got, want)

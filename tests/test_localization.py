@@ -205,6 +205,14 @@ class TestOnePass:
             assert counts["u"] == len(ns)  # v_n is a multiple of u_n
             assert counts["smooth"] == 1  # J_{-k-1}, once per verdict
 
+    def test_no_centring_phase_is_built(self):
+        # every transform of the pass is on the phase-free seam: a verdict on
+        # a fresh grid leaves no phase array of dft or idft cached on it
+        grid = Grid(3, 32, 8.0)
+        phi = make_field(grid, GAUSS15)
+        localization_verdict(make(grid, False, k=1), phi, phi, riesz_symbol(3, 0))
+        assert not {"_forward_phase", "_inverse_phase"} & set(vars(grid))
+
     def test_one_field_for_both_test_functions_changes_no_bit(self, grid, tests_pair,
                                                               equal_pair):
         inst = make(grid, True)
@@ -283,17 +291,21 @@ def assert_close(got, want, rtol=1e-12):
 
 
 # an axis direction, and one with two nonzero components, one negative, so
-# that the pass's spectra are rolled along two axes and backwards
-CHAIN_CASES = [pytest.param(direction, characteristic, k, id=f"{tag}{characteristic}-{k}")
-               for direction, tag in (((1, 0, 0), ""), ((0, 1, -1), "oblique-"))
+# that the pass's spectra are rolled along two axes and backwards; every row
+# n xi0 of those has an even sum, so a third ladder has odd row sums, where
+# the roll's factor c_n = s_n (-1)^sum(row) carries the sign
+CHAIN_CASES = [pytest.param(direction, indices, characteristic, k,
+                            id=f"{tag}{characteristic}-{k}")
+               for direction, indices, tag in (((1, 0, 0), (4, 8, 12), ""),
+                                               ((0, 1, -1), (4, 8, 12), "oblique-"),
+                                               ((0, 1, 0), (3, 8, 13), "odd-rows-"))
                for characteristic in (True, False) for k in (0, 1)]
 
 
-@pytest.mark.parametrize("direction, characteristic, k", CHAIN_CASES)
-def test_one_pass_matches_operator_chain(fine_grid, fine_tests, direction,
+@pytest.mark.parametrize("direction, indices, characteristic, k", CHAIN_CASES)
+def test_one_pass_matches_operator_chain(fine_grid, fine_tests, direction, indices,
                                          characteristic, k):
-    inst = make(fine_grid, characteristic, indices=(4, 8, 12), k=k,
-                direction=direction)
+    inst = make(fine_grid, characteristic, indices=indices, k=k, direction=direction)
     psi = riesz_symbol(3, 0)
     verdict = localization_verdict(inst, *fine_tests, psi)
     one_pass = localization._index_pass(inst, *fine_tests, psi)

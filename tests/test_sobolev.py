@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdist.grid import Grid, GridFunction, dft, lp_norm
+from hdist.grid import Grid, GridFunction, lp_norm, spectrum
 from hdist.registry import field_function, make_field
 from hdist.sobolev import (ConcentrationFamily, SequenceFamily, norm_table,
                            strong_null_probe, surrogate_negative_norm, wkq_norm)
@@ -282,11 +282,12 @@ def shifted_products(draw):
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(shifted_products())
 def test_spectral_shift_is_the_transform_of_the_modulation(case):
-    # dft(g u_n) is s_n times the roll of dft(g a) by the lattice row n xi0
+    # spectrum(g u_n) is c_n = s_n (-1)^sum(row) times the roll of
+    # spectrum(g a) by the lattice row n xi0
     fam, n, g = case
-    row, s = fam.spectral_shift(n)
-    want = dft(g * fam.u(n))
-    got = s * np.roll(dft(g * fam.amplitude), row, axis=tuple(range(g.grid.d)))
+    row, c = fam.spectral_shift(n)
+    want = spectrum(g * fam.u(n))
+    got = c * np.roll(spectrum(g * fam.amplitude), row, axis=tuple(range(g.grid.d)))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
